@@ -43,11 +43,10 @@ KNOWN_MUTATIONS: dict[str, str] = {
         "flight (the PR 1 cross-reply race)"
     ),
     "slow_event_loop": (
-        "simulator event loop reverts to the seed-era shape: one Event "
-        "object materialized per pop and per-message bit sizes "
-        "recomputed on every delivery instead of the PR 1 raw-tuple "
-        "fast path (metrics stay byte-identical; only wall-clock "
-        "regresses — the perf gate's regression-sensitivity self-test)"
+        "every delivered message's bit size is recomputed from scratch "
+        "before its handler runs, as the seed-era simulator loop did "
+        "(metrics stay byte-identical; only wall-clock regresses — the "
+        "perf gate's regression-sensitivity self-test)"
     ),
     "drop_churn_rejoin": (
         "a node restarting after a churn crash loses its volatile "

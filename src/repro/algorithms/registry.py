@@ -64,10 +64,10 @@ class Algorithm:
     #: (opt, n) -> certified maximum final tree degree
     degree_bound: Callable[[int, int], int] = field(repr=False)
     #: optional build half of ``run``: same keyword surface minus
-    #: ``max_events``, returning ``(net, finalize)`` so the multi-seed
-    #: batch runner (:mod:`repro.analysis.batch`) can drive replicas in
-    #: lockstep. ``None`` means the algorithm only supports the
-    #: monolithic ``run`` path (batch groups fall back to per-cell runs).
+    #: ``max_events``, returning ``(net, finalize)`` so a caller can
+    #: drive ``net.run()`` itself and time the stages apart (the
+    #: ``perfbench`` layer ledger does). ``None`` means the algorithm
+    #: only supports the monolithic ``run`` path.
     build: Callable[..., Any] | None = field(repr=False, default=None)
 
 

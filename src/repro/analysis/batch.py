@@ -1,29 +1,25 @@
-"""Multi-seed batch runner: lockstep execution of seed-varying cell groups.
+"""Multi-seed group runner: one template per seed-varying cell group.
 
 A sweep grid crosses every axis with ``seeds``, so the flat cell list is
 full of *groups* that differ only in the seed — same family, size,
-algorithm, delay, fault, scheduler. Engine v2 exploits that shape:
+algorithm, delay, fault, scheduler. The runner exploits that shape:
 
 * :class:`CellTemplate` factors the seed axis out of a
   :class:`~repro.analysis.executor.RunSpec` — the algorithm registry
   lookup and the delay/scheduler name validation happen once per group,
-  and the record-building code is shared by the per-cell and batched
-  drive paths (so their outputs are byte-identical *by construction*:
-  :func:`repro.analysis.harness.run_single` itself delegates here);
+  and ``run(seed)`` is the one cell semantics
+  (:func:`repro.analysis.harness.run_single` itself delegates here);
 * :func:`group_cells` finds the seed-varying groups positionally;
-* :func:`run_cells` runs one group, building every replica up front and
-  driving them with :func:`repro.sim.batch.run_lockstep` when the
-  algorithm exposes its build half
-  (:attr:`~repro.algorithms.registry.Algorithm.build`);
+* :func:`run_cells` runs one group through one template, cell by cell;
 * :func:`maybe_run_batched` is the executor hook: it routes groups
   through a runner's ``run_batch`` attribute and everything else through
   the plain per-cell runner, preserving cell order exactly.
 
-Because every replica is an isolated simulation, batching never changes
-a record — the executor and cache layers treat batched and per-cell
-results interchangeably (same cache schema, same bytes). This is pinned
-by ``tests/test_batch.py`` across algorithms, schedulers and fault
-plans.
+Every cell runs on its own through ``CellTemplate.run``, so grouping
+never changes a record — the executor and cache layers treat grouped
+and per-cell results interchangeably (same cache schema, same bytes).
+This is pinned by ``tests/test_batch.py`` across algorithms, schedulers
+and fault plans.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from ..errors import AnalysisError, ProtocolError, StallError, TerminationError
 from ..graphs.generators import make_family
 from ..obs import Telemetry
 from ..obs import current as obs
-from ..sim.batch import run_lockstep
 from ..sim.churn import NO_CHURN, churn_plan_from_name, merge_plans
 from ..sim.provenance import CausalCapture
 from ..sim.delays import delay_model_from_name
@@ -59,8 +54,8 @@ class CellTemplate:
     """A :class:`RunSpec` with the seed axis factored out.
 
     Construction resolves the algorithm and validates the delay and
-    scheduler names (raising exactly what the per-cell path would raise
-    for the same spec, just eagerly). ``run(seed)`` reproduces
+    scheduler names (raising exactly what a run would raise for the same
+    spec, just eagerly). ``run(seed)`` reproduces
     :func:`~repro.analysis.harness.run_single` for ``replace(spec,
     seed=seed)`` — it *is* its implementation.
 
@@ -73,7 +68,7 @@ class CellTemplate:
     on the record's ``causal`` field (the exploration probes' mode —
     feeds the fuzzer's causal coverage signals). A capture is a pure
     function of the run, so captured records stay byte-identical
-    between the per-cell and batched drive paths.
+    however the cells are grouped.
     """
 
     __slots__ = ("spec", "algorithm", "causal")
@@ -86,7 +81,7 @@ class CellTemplate:
         scheduler_from_name(spec.scheduler)
         churn_plan_from_name(spec.churn, 1, 0)  # eager name validation
 
-    # -- seed-dependent prelude (shared by both drive paths) -----------
+    # -- seed-dependent prelude ------------------------------------------
 
     def setup(self, seed: int):
         """Instance shape for one seed: graph, startup tree, wrapper plan.
@@ -247,16 +242,14 @@ def group_cells(cells: Sequence[RunSpec]) -> list[list[int]]:
 def run_cells(
     cells: Sequence[RunSpec], *, causal: bool = False
 ) -> list[RunRecord]:
-    """Run one seed-varying group, batched.
+    """Run one seed-varying group through a single :class:`CellTemplate`.
 
-    All replicas are built up front (template resolution shared), then
-    driven to quiescence in lockstep. Algorithms without a registered
-    build half fall back to sequential per-cell runs through the same
-    template. Error semantics match the per-cell path: with a fault
-    injected, a stalling replica flattens into a ``stalled`` record;
-    without one, the failure propagates. With ``causal=True`` every
-    replica gets its own capture (lockstep interleaving swaps the stamp
-    target per chunk, so attribution never crosses replicas).
+    The template is resolved once; each cell then runs on its own via
+    ``template.run(seed)``, so the records — and their error semantics —
+    are exactly the per-cell ones: with a fault injected, a stalling
+    cell flattens into a ``stalled`` record; without one, the first
+    failure propagates and aborts the group, exactly as it aborts a
+    serial sweep. ``causal=True`` gives every cell its own capture.
     """
     cells = list(cells)
     if not cells:
@@ -270,72 +263,8 @@ def run_cells(
             )
     t = obs()
     t.count("exec.groups")
-    build = template.algorithm.build
-    if build is None:
-        t.count("exec.cells.unbatched", len(cells))
-        return [template.run(c.seed) for c in cells]
     t.count("exec.cells.batched", len(cells))
-
-    s = template.spec
-    records: list[RunRecord | None] = [None] * len(cells)
-    nets, finals, meta, order = [], [], [], []
-    for i, c in enumerate(cells):
-        cap = CausalCapture() if causal else None
-        graph, startup, startup_messages, plan = template.setup(c.seed)
-        net, finalize = build(
-            graph,
-            startup.tree,
-            mode=s.mode,
-            max_rounds=s.max_rounds,
-            seed=c.seed,
-            delay=delay_model_from_name(s.delay),
-            faults=plan or None,
-            scheduler=scheduler_from_name(s.scheduler),
-            causal=cap,
-        )
-        if net is None:  # trivial instance: nothing to simulate
-            records[i] = template.ok_record(
-                c.seed, graph, startup_messages, finalize(None), cap
-            )
-        else:
-            order.append(i)
-            nets.append(net)
-            finals.append(finalize)
-            meta.append((graph, startup, startup_messages, cap))
-
-    errors: dict[int, Exception] = {}
-    if s.fault == NO_FAULT and s.churn == NO_CHURN:
-        # certified-or-raise: the first failure aborts the whole group,
-        # exactly as it aborts a serial sweep
-        reports = run_lockstep(nets)
-    else:
-        reports = run_lockstep(nets, on_error=errors.__setitem__)
-
-    for j, i in enumerate(order):
-        seed = cells[i].seed
-        graph, startup, startup_messages, cap = meta[j]
-        if j in errors:
-            if not template.flattens(errors[j]):
-                # corruption under churn: a real bug aborts the group,
-                # exactly as it aborts a serial sweep
-                raise errors[j]
-            records[i] = template.stalled_record(
-                seed, graph, startup, startup_messages, cap
-            )
-            continue
-        try:
-            result = finals[j](reports[j])
-        except (TerminationError, ProtocolError) as exc:
-            if not template.flattens(exc):
-                raise
-            records[i] = template.stalled_record(
-                seed, graph, startup, startup_messages, cap
-            )
-            continue
-        records[i] = template.ok_record(
-            seed, graph, startup_messages, result, cap
-        )
-    return records  # type: ignore[return-value]
+    return [template.run(c.seed) for c in cells]
 
 
 def maybe_run_batched(runner, cells: Sequence[RunSpec]) -> list[RunRecord]:
@@ -395,5 +324,5 @@ def emit_group_spans(
         )
 
 
-#: the default cell runner batches through the lockstep group runner
+#: the default cell runner runs seed-varying groups through one template
 execute_cell.run_batch = run_cells

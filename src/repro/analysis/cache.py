@@ -12,10 +12,9 @@ makes warm-cache campaign replays cells/sec-bound rather than
 syscall-bound.
 
 Records are pure functions of their spec, which is what makes a cache
-hit exactly as good as a re-run. ``cache_key`` semantics (content hash
-over spec + schema version + salt) are unchanged from the per-file
-store; the schema version still invalidates stale entries by changing
-every key.
+hit exactly as good as a re-run. ``cache_key`` is a content hash over
+spec + schema version + salt, so a schema bump invalidates stale
+entries by changing every key.
 
 Durability and robustness:
 
@@ -30,10 +29,10 @@ Durability and robustness:
   layer only writes from the parent process); concurrent *readers* are
   always safe.
 
-The legacy one-JSON-file-per-entry layout (``<2-hex>/<key>.json``) is
-read through transparently, and :meth:`ResultCache.migrate` packs it
-into the segment store in one pass. ``repro cache DIR --stats/--verify/
---prune/--migrate`` exposes the maintenance surface on the CLI.
+The segment store is the only layout: the cache reads, writes, counts
+and clears nothing but its own ``index.json`` and ``segments/`` files,
+so other files under the root are left alone. ``repro cache DIR
+--stats/--verify/--prune`` exposes the maintenance surface on the CLI.
 """
 
 from __future__ import annotations
@@ -95,11 +94,6 @@ DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 _INDEX_NAME = "index.json"
 _SEGMENT_DIR = "segments"
 _INDEX_LAYOUT = 1
-
-#: schema marker for packed entries whose true schema version is unknown
-#: (migrated legacy payloads whose key no longer matches any current
-#: key — they can never be served, and ``prune`` drops them)
-_SCHEMA_UNKNOWN = 0
 
 
 def cache_key(spec: "RunSpec", *, salt: str = "") -> str:
@@ -168,9 +162,6 @@ class ResultCache:
     def _segment_path(self, name: str) -> Path:
         return self._segment_dir / name
 
-    def _legacy_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def _warn(
         self,
         message: str,
@@ -222,7 +213,7 @@ class ResultCache:
             st = os.stat(self._index_path)
             stamp = (st.st_mtime_ns, st.st_size)
         except OSError:
-            # no index yet (fresh or legacy-only cache) — not an error
+            # no index yet (fresh cache) — not an error
             self._index = {}
             self._index_stamp = None
             return self._index
@@ -277,33 +268,18 @@ class ResultCache:
         data = json.loads(blob.decode("utf-8"))
         return RunRecord.from_json_dict(data["record"])
 
-    def _legacy_get(self, key: str) -> RunRecord | None:
-        """Read-through of the pre-packed one-file-per-entry layout."""
-        path = self._legacy_path(key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            return RunRecord.from_json_dict(data["record"])
-        except OSError:
-            return None  # plain miss: the file simply isn't there
-        except (ValueError, KeyError, TypeError) as exc:
-            self._warn(f"undecodable legacy entry {path.name}: {exc}")
-            return None
-
-    def _legacy_keys(self) -> set[str]:
-        return {p.stem for p in self.root.glob("??/*.json")}
-
     # -- batched lookups (the executor fast path) ----------------------
 
     def get_many(self, specs: Sequence["RunSpec"]) -> list[RunRecord | None]:
         """Look every spec up in one pass: memory tier first, then one
-        index load and one buffered read per touched segment, then the
-        legacy per-file layout. Misses come back as ``None`` in place —
-        the result always has ``len(specs)`` slots, in spec order."""
+        index load and one buffered read per touched segment. Misses
+        come back as ``None`` in place — the result always has
+        ``len(specs)`` slots, in spec order."""
         out: list[RunRecord | None] = [None] * len(specs)
         if not specs:
             return out
         self._begin_warn_batch()
-        tiers = {"memory": 0, "disk": 0, "legacy": 0, "miss": 0}
+        tiers = {"memory": 0, "disk": 0, "miss": 0}
         keys = [cache_key(spec, salt=self.salt) for spec in specs]
         index = self._load_index()
         # (segment -> [(slot, key, offset, length)]) so each pack file is
@@ -330,13 +306,6 @@ class ResultCache:
                     tiers["miss"] += 1
                     continue
                 pending.setdefault(segment, []).append((i, key, offset, length))
-                continue
-            record = self._legacy_get(key)
-            if record is not None:
-                out[i] = record
-                self._memory_put(key, record)
-                self.hits += 1
-                tiers["legacy"] += 1
             else:
                 self.misses += 1
                 tiers["miss"] += 1
@@ -377,7 +346,7 @@ class ResultCache:
         t = obs()
         t.count("cache.get.batches")
         t.count("cache.get.specs", len(specs))
-        for tier in ("memory", "disk", "legacy"):
+        for tier in ("memory", "disk"):
             if tiers[tier]:
                 t.count(f"cache.hits.{tier}", tiers[tier])
         if tiers["miss"]:
@@ -457,7 +426,6 @@ class ResultCache:
             "entries": len(index),
             "segments": len(segments),
             "bytes": packed_bytes,
-            "legacy_files": len(self._legacy_keys()),
             "schema": CACHE_SCHEMA_VERSION,
             "memory_entries": len(self._memory),
             "memory_budget": self.memory_entries,
@@ -531,71 +499,18 @@ class ResultCache:
             self._write_index(keep)
         return dropped
 
-    def migrate(self) -> int:
-        """Pack every legacy per-file entry into the segment store.
-
-        Payload bytes and keys are carried over verbatim — a migrated
-        entry is served for exactly the lookups the per-file entry was.
-        Entries whose key still matches their payload under the current
-        schema are tagged with it; any other (stale-schema or salted
-        differently) is tagged unknown, so a later ``prune`` clears it.
-        Undecodable legacy files are skipped with a warning. The
-        migrated files are deleted; returns how many entries moved.
-        """
-        from .executor import RunSpec
-
-        self._begin_warn_batch()
-        moved: list[tuple[str, bytes, int]] = []
-        migrated_paths: list[Path] = []
-        for path in sorted(self.root.glob("??/*.json")):
-            key = path.stem
-            try:
-                blob = path.read_bytes()
-                data = json.loads(blob.decode("utf-8"))
-                spec = RunSpec.from_json_dict(data["spec"])
-                RunRecord.from_json_dict(data["record"])
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                self._warn(f"skipping undecodable legacy entry {path.name}: {exc}")
-                continue
-            schema = (
-                CACHE_SCHEMA_VERSION
-                if cache_key(spec, salt=self.salt) == key
-                else _SCHEMA_UNKNOWN
-            )
-            moved.append((key, blob, schema))
-            migrated_paths.append(path)
-        if not moved:
-            return 0
-        entries = dict(self._load_index())
-        self._segment_dir.mkdir(parents=True, exist_ok=True)
-        segment = self._pick_segment()
-        with open(self._segment_path(segment), "ab") as fh:
-            offset = fh.tell()
-            fh.write(b"".join(blob for _, blob, _ in moved))
-            fh.flush()
-            os.fsync(fh.fileno())
-        for key, blob, schema in moved:
-            entries[key] = [segment, offset, len(blob), schema]
-            offset += len(blob)
-        self._write_index(entries)
-        for path in migrated_paths:
-            path.unlink(missing_ok=True)
-        return len(moved)
-
     # -- housekeeping --------------------------------------------------
 
     def __len__(self) -> int:
-        """Distinct entries servable from disk (packed ∪ legacy)."""
-        return len(set(self._load_index()) | self._legacy_keys())
+        """Distinct entries servable from disk."""
+        return len(self._load_index())
 
     def clear(self) -> int:
-        """Delete all entries (packed and legacy); returns how many."""
+        """Delete all entries; returns how many."""
         removed = len(self)
         for seg in self._segment_dir.glob("seg-*.pack"):
             seg.unlink(missing_ok=True)
         self._index_path.unlink(missing_ok=True)
-        for entry in self.root.glob("??/*.json"):
-            entry.unlink(missing_ok=True)
         self._memory.clear()
         self._index = None
         self._index_stamp = None

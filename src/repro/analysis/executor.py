@@ -7,10 +7,11 @@ single-run configuration each). An :class:`Executor` turns cells into
 * :class:`SerialExecutor` — in-process loop, the reference semantics;
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out that ships whole **seed-varying groups** (not single cells) to
-  workers, where each group runs through the multi-seed lockstep batch
-  runner — so ``--jobs N`` keeps the batching win and pays one IPC
-  round-trip per group instead of per cell. Group results come back in
-  submission order, so a parallel sweep is bit-identical to a serial one;
+  workers, where each group runs through one
+  :class:`~repro.analysis.batch.CellTemplate` — so ``--jobs N`` pays one
+  IPC round-trip per group instead of per cell. Group results come back
+  in submission order, so a parallel sweep is bit-identical to a serial
+  one;
 * :class:`CachingExecutor` — wraps any executor with a disk-backed
   :class:`~repro.analysis.cache.ResultCache`: one batched ``get_many``
   up front, only the missing cells reach the inner executor (still in
@@ -87,8 +88,8 @@ class RunSpec:
 
 #: A cell runner: the unit of work an executor dispatches. Must be a
 #: module-level callable so :class:`ParallelExecutor` can pickle it by
-#: reference into worker processes. A runner opts into multi-seed
-#: batching by exposing a ``run_batch`` attribute (see
+#: reference into worker processes. A runner opts into seed-varying
+#: group runs by exposing a ``run_batch`` attribute (see
 #: :func:`repro.analysis.batch.maybe_run_batched`).
 CellRunner = Callable[["RunSpec"], RunRecord]
 
@@ -148,8 +149,8 @@ def _run_group_json(runner: CellRunner, payload: dict[str, Any]) -> dict[str, An
     """Worker entry point: one encoded group in, encoded record rows out.
 
     Multi-cell groups route through the runner's ``run_batch`` hook
-    (the lockstep multi-seed runner for both built-in runners) exactly
-    as :class:`SerialExecutor` routes them, so worker-side records are
+    (one template per group for both built-in runners) exactly as
+    :class:`SerialExecutor` routes them, so worker-side records are
     byte-identical to serial ones by construction. The group runs inside
     a worker-local telemetry capture whose counter/event dump rides back
     alongside the rows; the parent merges the dumps in submission order,
@@ -181,11 +182,11 @@ class SerialExecutor:
     exploration harness substitutes its error-capturing probe.
 
     When the runner exposes a ``run_batch`` attribute (both built-in
-    runners do), seed-varying-only cell groups are routed through the
-    multi-seed batch runner (:mod:`repro.analysis.batch`) — same records,
-    same order, one template resolution per group and lockstep replica
-    driving. ``batch=False`` forces the plain per-cell loop (the perf
-    suite's divergence checks use it as the reference path).
+    runners do), seed-varying-only cell groups are routed through it
+    (:mod:`repro.analysis.batch`) — same records, same order, one
+    template resolution per group. ``batch=False`` forces the plain
+    per-cell loop (the perf suite's divergence checks use it as the
+    reference path).
     """
 
     def __init__(self, runner: CellRunner = execute_cell, batch: bool = True) -> None:
@@ -212,7 +213,7 @@ class ParallelExecutor:
     The cell list is partitioned with
     :func:`repro.analysis.batch.group_cells`; each group crosses the
     process boundary once (compact template+seeds payload) and runs
-    through the worker-side lockstep batch runner. ``pool.map`` yields
+    through the worker-side group runner. ``pool.map`` yields
     group results in *submission* order, so the reassembled record list
     matches the cell order bit-for-bit no matter which worker finishes
     first — determinism is positional, not temporal. ``batch=False``

@@ -9,7 +9,7 @@ Subcommands
 ``explore``   adversarial schedule exploration + counterexample shrinking
 ``fuzz``      coverage-guided schedule fuzzing with mid-run churn
 ``bench``     run a benchmark suite; record, compare and gate baselines
-``cache``     inspect / verify / prune / migrate a packed result cache
+``cache``     inspect / verify / prune a packed result cache
 ``obs``       summarize a telemetry trace, or diff two (``--diff A B``)
 ``inspect``   causal forensics over a ``--causal-out`` artifact:
               critical path, per-primitive attribution, timeline export
@@ -414,11 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune",
         action="store_true",
         help="drop packed entries recorded under a stale schema version",
-    )
-    cache_action.add_argument(
-        "--migrate",
-        action="store_true",
-        help="pack legacy per-file entries into the segment store",
     )
     cache_p.add_argument(
         "--json",
@@ -1178,7 +1173,7 @@ def _campaign(args: argparse.Namespace) -> int:
 
 
 def _cache(args: argparse.Namespace) -> int:
-    """``repro cache DIR --stats/--verify/--prune/--migrate``."""
+    """``repro cache DIR --stats/--verify/--prune``."""
     if args.json and not args.stats:
         print("cache: --json only applies to --stats", file=sys.stderr)
         return 2
@@ -1194,7 +1189,7 @@ def _cache(args: argparse.Namespace) -> int:
         print(
             f"cache {args.dir}: {s['entries']} packed entr(ies) in "
             f"{s['segments']} segment(s) ({s['bytes']} bytes), "
-            f"{s['legacy_files']} legacy file(s), schema v{s['schema']}"
+            f"schema v{s['schema']}"
         )
         return 0
 
@@ -1208,14 +1203,9 @@ def _cache(args: argparse.Namespace) -> int:
         print(f"cache verify: OK ({cache.stats()['entries']} packed entr(ies))")
         return 0
 
-    if args.prune:
-        dropped = cache.prune()
-        print(f"cache prune: dropped {dropped} stale-schema entr(ies)")
-        return 0
-
     # argparse guarantees exactly one action; the remaining one:
-    migrated = cache.migrate()
-    print(f"cache migrate: packed {migrated} legacy entr(ies)")
+    dropped = cache.prune()
+    print(f"cache prune: dropped {dropped} stale-schema entr(ies)")
     return 0
 
 

@@ -124,9 +124,8 @@ def build_mdst(
     network, and return ``(net, finalize)``, where ``finalize(report)``
     certifies and packages the protocol outcome. ``net`` is ``None`` for
     the trivial ``n <= 2`` case (nothing to simulate; ``finalize`` then
-    ignores its argument). The multi-seed batch runner
-    (:mod:`repro.analysis.batch`) uses the split form to drive many
-    replicas in lockstep; ``run_mdst`` is build + run + finalize.
+    ignores its argument). ``run_mdst`` is build + run + finalize; the
+    split form lets a caller drive and time ``net.run()`` itself.
     """
     if graph.n == 0:
         raise ReproError("empty graph")

@@ -110,9 +110,8 @@ def summarize(docs: list[dict[str, Any]]) -> str:
     values = {d["name"]: d["value"] for d in counters}
     memory = values.get("cache.hits.memory", 0)
     disk = values.get("cache.hits.disk", 0)
-    legacy = values.get("cache.hits.legacy", 0)
     misses = values.get("cache.misses", 0)
-    hits = memory + disk + legacy
+    hits = memory + disk
     if any(d["section"] == "cache" for d in counters):
         rate = (
             f"{100.0 * hits / (hits + misses):.1f}%"
@@ -121,8 +120,8 @@ def summarize(docs: list[dict[str, Any]]) -> str:
         )
         out.append("")
         out.append(
-            f"cache: {hits} hit(s) ({memory} memory, {disk} disk, "
-            f"{legacy} legacy), {misses} miss(es), "
+            f"cache: {hits} hit(s) ({memory} memory, {disk} disk), "
+            f"{misses} miss(es), "
             f"{values.get('cache.corruption', 0)} corruption(s) — "
             f"hit rate {rate}"
         )

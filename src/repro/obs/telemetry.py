@@ -4,7 +4,7 @@ One :class:`Telemetry` instance collects everything a single command
 execution observes about itself:
 
 * **counters** — monotonically increasing named integers
-  (``exec.lockstep.turns``, ``cache.hits.disk``, …);
+  (``exec.groups``, ``cache.hits.disk``, …);
 * **events** — structured one-off occurrences with a field payload
   (a cache-corruption event carries its segment and key context);
 * **spans** — a tree of named phases. A span's *attrs* are work-like

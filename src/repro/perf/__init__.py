@@ -17,8 +17,8 @@ defended*:
   are gated with a noise tolerance, and only against a matching machine
   fingerprint;
 * a mutation self-test: the ``slow_event_loop`` switch
-  (:mod:`repro._mutation`) re-opens the seed-era simulator loop and must
-  trip the gate — the perf analogue of the exploration harness's
+  (:mod:`repro._mutation`) slows every message delivery and must trip
+  the gate — the perf analogue of the exploration harness's
   ``skip_cutter_gate``.
 
 Entry points: ``python -m repro bench`` (CLI),

@@ -323,7 +323,7 @@ def echo_wave_kernel():
     """One echo spanning wave on a mid-size sparse graph. Handlers are
     trivial, so the simulator loop dominates — this is the bench most
     sensitive to hot-path regressions (the ``slow_event_loop`` mutation
-    moves it by ~1.8x)."""
+    moves it by ~1.4–2x)."""
     g = gnp_connected(96, 0.08, seed=7)
 
     def run() -> dict[str, int]:
@@ -469,7 +469,7 @@ def cache_ops_kernel():
 def group_fanout_kernel():
     """Group fan-out machinery, in-process: encode one seed-varying cell
     group the parallel wire way, execute it through the worker entry
-    point (lockstep batch runner included), decode the record rows —
+    point (group runner included), decode the record rows —
     the per-group cost a ``--jobs N`` worker pays, minus the IPC."""
     from ..analysis.executor import (
         _decode_records,
@@ -496,7 +496,7 @@ def group_fanout_kernel():
 def batch_runner_kernel():
     """Multi-seed batch execution: one seed-varying cell group through
     the batching :class:`~repro.analysis.executor.SerialExecutor`
-    (template resolution + lockstep replica driving; the work metrics
+    (one template resolution per group; the work metrics
     are the summed per-record metrics, byte-identical to per-cell runs)."""
     from ..analysis.executor import SerialExecutor
 

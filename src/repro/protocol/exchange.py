@@ -125,7 +125,10 @@ class ExchangeMixin:
             raise ProtocolError(f"{self.node_id}: stray ChildAck from {sender}")
         self.pending_attach = None
         old_parent = self.parent
-        assert old_parent is not None
+        if old_parent is None:
+            raise ProtocolError(
+                f"{self.node_id}: ChildAck from {sender} but no parent to flip"
+            )
         self.parent = sender
         if self.got_cut:
             # single-hop fragment: the old parent is the cutter itself
@@ -140,7 +143,10 @@ class ExchangeMixin:
         if sender not in self.children:
             raise ProtocolError(f"{self.node_id}: FlipBack from non-child {sender}")
         old_parent = self.parent
-        assert old_parent is not None
+        if old_parent is None:
+            raise ProtocolError(
+                f"{self.node_id}: FlipBack from {sender} but no parent to flip"
+            )
         self.children.discard(sender)
         self.parent = sender
         if self.got_cut:

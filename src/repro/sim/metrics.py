@@ -56,19 +56,6 @@ class MessageStats:
             self.max_id_fields = fields
         self.total_bits += MESSAGE_TYPE_BITS + fields * self._id_bits
 
-    def record_send_legacy(self, msg: Message) -> None:
-        """The seed-era accounting shape: re-derives the field count via
-        :meth:`~repro.sim.messages.Message.field_values` instead of the
-        codec's compiled counter. Byte-identical totals; only the
-        ``slow_event_loop`` mutation routes sends through it."""
-        self.total_messages += 1
-        name = type(msg).__name__
-        self.by_type[name] = self.by_type.get(name, 0) + 1
-        fields = msg.id_field_count()
-        if fields > self.max_id_fields:
-            self.max_id_fields = fields
-        self.total_bits += MESSAGE_TYPE_BITS + fields * self._id_bits
-
     def record_delivery(self, depth: int, time: float) -> None:
         self.deliveries += 1
         if depth > self.max_causal_depth:

@@ -30,22 +30,17 @@ construction from the run configuration:
   charges message accounting through the compiled per-class counters of
   :mod:`repro.sim.codec` (no ``isinstance`` chain, no ``field_values``
   list build) and appends straight into the current time bucket.
-* **loops** — the fast loop (no trace, no monitors, no scheduler) walks
-  bucket lists with prebound handler tables (one dict lookup per event,
-  no ``Event`` materialization); the general loop shares the raw-tuple
-  path and adds the thin trace/monitor adapter. The handler tables are
+* **loops** — :meth:`Network.run` picks one of two. The fast loop
+  (unit delays; no trace, capture, scheduler or monitors) walks bucket
+  lists with prebound handler tables (one index per event, no ``Event``
+  materialization); the general loop pops raw tuples from any queue and
+  adds the thin trace/capture/monitor adapter. The handler tables are
   bound at run time, after fault plans have wrapped the processes.
 
-Chunked driving: :meth:`Network.run_chunk` processes events up to a stop
-mark and returns, so :func:`repro.sim.batch.run_lockstep` can interleave
-many replica networks; :meth:`Network.run` is one chunk to quiescence
-plus :meth:`Network.finish`.
-
-The ``slow_event_loop`` mutation re-opens the seed-era shape end to end:
-heap queue, per-pop :class:`Event` materialization, method-call stats,
-``field_values``-based send accounting and a per-delivery
-``message_bits`` recomputation — metrics stay byte-identical, only
-wall-clock regresses (the perf gate's sensitivity self-test).
+The ``slow_event_loop`` mutation wraps every ``on_message`` handler with
+a from-scratch ``message_bits`` recomputation — metrics stay
+byte-identical, only wall-clock regresses (the perf gate's sensitivity
+self-test).
 """
 
 from __future__ import annotations
@@ -58,8 +53,8 @@ from ..errors import ChannelError, SimulationError, TerminationError
 from ..graphs.graph import Graph
 from .codec import codec_entries, codec_entry
 from .delays import DelayModel, UnitDelay
-from .events import BucketQueue, Event, EventKind, EventQueue
-from .messages import MESSAGE_TYPE_BITS, Message
+from .events import BucketQueue, EventKind, EventQueue
+from .messages import MESSAGE_TYPE_BITS, Message, message_bits
 from .metrics import MessageStats, SimulationReport
 from .node import NodeContext, Process
 from .provenance import CausalCapture, swap_active
@@ -98,6 +93,18 @@ def _node_send(src: int, neighbors: tuple, nbset: frozenset, net_send):
     return send
 
 
+def _slow_handler(handler, n: int):
+    """``slow_event_loop`` mutation: recompute every delivered message's
+    bit size from scratch (the accounting :mod:`repro.sim.codec` compiles
+    away) and discard it, so only wall-clock time regresses."""
+
+    def on_message(sender: int, msg: Message) -> None:
+        message_bits(msg, n)
+        handler(sender, msg)
+
+    return on_message
+
+
 class Network:
     """Simulated asynchronous message-passing network over a graph.
 
@@ -119,7 +126,9 @@ class Network:
         Optional :class:`TraceRecorder`.
     monitors:
         Iterable of callables ``network -> None`` invoked every
-        *monitor_interval* processed events (invariant checking in tests).
+        *monitor_interval* processed events and once at quiescence
+        (invariant checking in tests; routes the run through the general
+        drive loop).
     scheduler:
         Optional :class:`~repro.sim.scheduler.SchedulerPolicy`. When set,
         the policy picks every delivery (the *delay* model is bypassed;
@@ -128,8 +137,8 @@ class Network:
         Optional :class:`~repro.sim.provenance.CausalCapture`. When set,
         every send/delivery is recorded with handler/clock parentage and
         primitive attribution; like a trace, a capture routes the run
-        through the general drive loop (the fast paths require
-        ``causal is None`` and stay byte-for-byte untouched).
+        through the general drive loop (the fast loop requires
+        ``causal is None`` and stays byte-for-byte untouched).
     """
 
     def __init__(
@@ -155,7 +164,6 @@ class Network:
         # Unit delays make per-link delivery times inherently non-decreasing
         # (global time is), so the FIFO clamp is skipped on that path.
         self._unit_delay = type(self.delay) is UnitDelay
-        self._mutated_slow = mutation_active("slow_event_loop")
         nodes = graph.nodes()
         dense = nodes == list(range(graph.n))
         self._dense = dense
@@ -164,7 +172,7 @@ class Network:
             self.queue: EventQueue = PolicyQueue(
                 scheduler, n=graph.n if dense else None
             )
-        elif self._unit_delay and not self._mutated_slow:
+        elif self._unit_delay:
             self.queue = BucketQueue()
         else:
             self.queue = EventQueue()
@@ -189,7 +197,6 @@ class Network:
             self._fifo_floor = {}
         self._in_flight = 0
         self._processed = 0
-        self._slow_accounting = self._mutated_slow
         # the unit-delay/no-policy/no-trace configuration gets a
         # specialized send closure over the bucket queue's internals;
         # everything else shares the general method
@@ -198,7 +205,6 @@ class Network:
             and scheduler is None
             and causal is None
             and self._unit_delay
-            and not self._mutated_slow
         ):
             send = self._make_unit_send()
         else:
@@ -281,8 +287,8 @@ class Network:
         return send
 
     def _send(self, src: int, dst: int, msg: Message) -> None:
-        """General send: any delay model, scheduler label times, tracing,
-        and the mutation's legacy accounting."""
+        """General send: any delay model, scheduler label times, tracing
+        and causal capture."""
         entry = codec_entries().get(msg.__class__)
         if entry is None:
             entry = codec_entry(msg.__class__)  # raises for non-Message
@@ -313,10 +319,7 @@ class Network:
         depth = self._clocks[src] + 1
         seq = queue.push_raw(deliver_at, _DELIVER, dst, src, msg, depth)
         self._in_flight += 1
-        if self._slow_accounting:
-            self.stats.record_send_legacy(msg)
-        else:
-            self.stats.record_send(msg)
+        self.stats.record_send(msg)
         if self._causal is not None:
             self._causal.on_send(seq, src, msg, depth)
         if self.trace is not None:
@@ -342,7 +345,7 @@ class Network:
 
     @property
     def processed(self) -> int:
-        """Events handled so far (across all chunks)."""
+        """Events handled so far."""
         return self._processed
 
     # -- engine ----------------------------------------------------------------
@@ -354,36 +357,19 @@ class Network:
         protocols in this library terminate by process, so hitting the cap
         is always a bug.
         """
-        processed = self.run_chunk(max_events)
+        if (
+            type(self.queue) is BucketQueue
+            and self.trace is None
+            and self._causal is None
+            and not self.monitors
+        ):
+            processed = self._drive_fast_bucket(max_events)
+        else:
+            processed = self._drive_general(max_events)
         if self.queue:
             raise TerminationError(
                 f"event budget {max_events} exhausted; protocol livelock?"
             )
-        return self.finish(processed)
-
-    def run_chunk(self, stop_at: int) -> int:
-        """Process events until quiescence or *stop_at* total events.
-
-        Returns the total processed so far (:attr:`processed`) — the
-        lockstep batch driver's stepping primitive. Loop shape is chosen
-        per chunk so an in-process mutation toggle behaves like a fresh
-        network would.
-        """
-        slow = mutation_active("slow_event_loop")
-        self._slow_accounting = slow
-        if slow:
-            return self._drive_mutated_slow(stop_at)
-        if self.trace is None and self.scheduler is None and self._causal is None:
-            if type(self.queue) is BucketQueue:
-                if not self.monitors:
-                    return self._drive_fast_bucket(stop_at)
-                return self._drive_fast_bucket_monitored(stop_at)
-            if not self.monitors:
-                return self._drive_fast_heap(stop_at)
-        return self._drive_general(stop_at)
-
-    def finish(self, processed: int) -> SimulationReport:
-        """Final monitor sweep + report (quiescence bookkeeping)."""
         for monitor in self.monitors:
             monitor(self)  # type: ignore[operator]
         return SimulationReport.from_stats(self.stats, processed, quiescent=True)
@@ -391,20 +377,19 @@ class Network:
     def _handler_tables(self):
         """Prebound per-node ``on_message`` / ``on_start`` tables for the
         drive loops — flat lists under dense ids (indexing beats hashing),
-        dicts otherwise. Built per chunk, after fault wrapping."""
+        dicts otherwise. Built per run, after fault wrapping."""
         procs = self.processes
+        on_message = [p.on_message for p in procs.values()]
+        if mutation_active("slow_event_loop"):
+            n = self.graph.n
+            on_message = [_slow_handler(h, n) for h in on_message]
+        on_start = [p.on_start for p in procs.values()]
         if self._dense:
-            return (
-                [p.on_message for p in procs.values()],
-                [p.on_start for p in procs.values()],
-            )
-        return (
-            {u: p.on_message for u, p in procs.items()},
-            {u: p.on_start for u, p in procs.items()},
-        )
+            return on_message, on_start
+        return dict(zip(procs, on_message)), dict(zip(procs, on_start))
 
     def _drive_fast_bucket(self, stop_at: int) -> int:
-        """Fast loop over the bucket queue: no tracing, no monitors."""
+        """Fast loop over the bucket queue: no trace, capture or monitors."""
         queue: BucketQueue = self.queue  # type: ignore[assignment]
         buckets = queue._buckets
         times = queue._times
@@ -440,180 +425,21 @@ class Network:
                 else:
                     on_start[target]()
         finally:
-            # keep the queue's cursor consistent for chunked callers and
-            # for error paths (budget exhaustion, handler exceptions)
+            # keep the queue's cursor consistent for the budget check and
+            # for error paths (handler exceptions)
             queue._cur = cur
             queue._cur_idx = idx
-            self._processed = processed
-        return processed
-
-    def _drive_fast_bucket_monitored(self, stop_at: int) -> int:
-        """The fast bucket loop plus the periodic monitor sweep.
-
-        Monitors read live network state (queue length, in-flight count,
-        process attributes), so the loop syncs the queue cursor and the
-        processed count before every sweep; between sweeps the only
-        per-event cost over :meth:`_drive_fast_bucket` is one int
-        compare. Sweep cadence matches the general loop exactly: after
-        every ``monitor_interval``-th processed event.
-        """
-        queue: BucketQueue = self.queue  # type: ignore[assignment]
-        buckets = queue._buckets
-        times = queue._times
-        clocks = self._clocks
-        stats = self.stats
-        monitors = self.monitors
-        interval = self.monitor_interval
-        on_message, on_start = self._handler_tables()
-        processed = self._processed
-        next_sweep = (processed // interval + 1) * interval
-        cur = queue._cur
-        idx = queue._cur_idx
-        try:
-            while processed < stop_at:
-                if idx >= len(cur):
-                    if not times:
-                        break
-                    t = heappop(times)
-                    cur = buckets.pop(t)
-                    idx = 0
-                    queue._now = t
-                time, _seq, kind, target, sender, payload, depth = cur[idx]
-                idx += 1
-                processed += 1
-                if kind:  # DELIVER
-                    self._in_flight -= 1
-                    if depth > clocks[target]:
-                        clocks[target] = depth
-                    stats.deliveries += 1
-                    if depth > stats.max_causal_depth:
-                        stats.max_causal_depth = depth
-                    if time > stats.max_sim_time:
-                        stats.max_sim_time = time
-                    on_message[target](sender, payload)
-                else:
-                    on_start[target]()
-                if processed == next_sweep:
-                    queue._cur = cur
-                    queue._cur_idx = idx
-                    self._processed = processed
-                    for monitor in monitors:
-                        monitor(self)  # type: ignore[operator]
-                    cur = queue._cur
-                    idx = queue._cur_idx
-                    next_sweep += interval
-        finally:
-            queue._cur = cur
-            queue._cur_idx = idx
-            self._processed = processed
-        return processed
-
-    def _drive_fast_heap(self, stop_at: int) -> int:
-        """Fast loop over the binary heap (random delay models)."""
-        queue = self.queue
-        heap = queue._heap
-        clocks = self._clocks
-        stats = self.stats
-        on_message, on_start = self._handler_tables()
-        processed = self._processed
-        try:
-            while heap and processed < stop_at:
-                time, _seq, kind, target, sender, payload, depth = heappop(heap)
-                queue._now = time
-                processed += 1
-                if kind:  # DELIVER
-                    self._in_flight -= 1
-                    if depth > clocks[target]:
-                        clocks[target] = depth
-                    stats.deliveries += 1
-                    if depth > stats.max_causal_depth:
-                        stats.max_causal_depth = depth
-                    if time > stats.max_sim_time:
-                        stats.max_sim_time = time
-                    on_message[target](sender, payload)
-                else:
-                    on_start[target]()
-        finally:
-            self._processed = processed
-        return processed
-
-    def _drive_mutated_slow(self, stop_at: int) -> int:
-        """``slow_event_loop`` mutation: the pre-PR 1 loop, resurrected.
-
-        Undoes the hot-path overhaul without touching semantics — one
-        :class:`Event` object is materialized per pop, clock/stat updates
-        go through method calls, every delivery recomputes the message's
-        identity-field count and bit size from scratch (the accounting
-        :mod:`repro.sim.codec` compiles away), and sends charge the
-        ``field_values``-based legacy accounting (see
-        :meth:`~repro.sim.metrics.MessageStats.record_send_legacy`; a
-        mutated network also keeps the binary heap instead of the bucket
-        queue). All metrics stay byte-identical to the fast path; only
-        wall-clock time regresses. Exists solely so the perf suite can
-        prove its time gate is regression-sensitive (mirroring how
-        ``skip_cutter_gate`` proves the exploration oracle works).
-        """
-        from .messages import message_bits
-
-        queue = self.queue
-        trace = self.trace
-        causal = self._causal
-        monitors = self.monitors
-        monitor_interval = self.monitor_interval
-        n = self.graph.n
-        processed = self._processed
-        prev_active = swap_active(causal) if causal is not None else None
-        try:
-            while queue and processed < stop_at:
-                event = Event(*queue.pop_raw())
-                processed += 1
-                proc = self.processes[event.target]
-                if event.kind is _START:
-                    if trace is not None:
-                        trace.emit(
-                            TraceRecord(event.time, "start", -1, event.target, None)
-                        )
-                    if causal is not None:
-                        causal.begin_start(event.target, event.time)
-                    proc.on_start()
-                else:
-                    self._in_flight -= 1
-                    if event.depth > self._clocks[event.target]:
-                        self._clocks[event.target] = event.depth
-                    self.stats.record_delivery(event.depth, event.time)
-                    # seed-era bit accounting: recomputed per delivery (and
-                    # discarded — record_send already charged the memoized
-                    # cost, so totals are unchanged)
-                    message_bits(event.payload, n)
-                    if trace is not None:
-                        trace.emit(
-                            TraceRecord(
-                                event.time, "deliver", event.sender, event.target,
-                                event.payload,
-                            )
-                        )
-                    if causal is not None:
-                        causal.begin_deliver(
-                            event.seq, event.target, event.sender, event.time,
-                            event.depth,
-                        )
-                    proc.on_message(event.sender, event.payload)
-                if monitors and processed % monitor_interval == 0:
-                    for monitor in monitors:
-                        monitor(self)  # type: ignore[operator]
-        finally:
-            if causal is not None:
-                swap_active(prev_active)
             self._processed = processed
         return processed
 
     def _drive_general(self, stop_at: int) -> int:
-        """Raw-tuple loop with the thin trace/monitor adapter bolted on.
+        """Raw-tuple loop with the thin trace/capture/monitor adapter.
 
-        Pops via the queue (so a :class:`PolicyQueue`'s policy-ordered
-        ``pop_raw`` and the bucket queue both slot in transparently); the
-        only additions over the fast loops are the two ``trace.emit``
-        calls and the periodic monitor sweep.
+        Pops via the queue (so the binary heap of random delay models, a
+        :class:`PolicyQueue`'s policy-ordered ``pop_raw`` and the bucket
+        queue all slot in transparently); the only additions over the
+        fast loop are the ``trace.emit`` / capture calls and the periodic
+        monitor sweep.
         """
         queue = self.queue
         pop_raw = queue.pop_raw
@@ -626,8 +452,7 @@ class Network:
         on_message, on_start = self._handler_tables()
         processed = self._processed
         # the capture becomes the primitives' stamp target for exactly
-        # this chunk (restored on exit), so lockstep-interleaved replica
-        # networks each attribute into their own capture
+        # this run (restored on exit)
         prev_active = swap_active(causal) if causal is not None else None
         try:
             while queue and processed < stop_at:

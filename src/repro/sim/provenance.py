@@ -24,12 +24,12 @@ delivered event, two parent links plus an ownership tag:
   (it persists across events; sections reset per event).
 
 Default-off and zero-overhead: a network without a capture keeps its
-fast drive loops byte-for-byte (the capture rides
+fast drive loop byte-for-byte (the capture rides
 ``Network._drive_general`` exactly like traces do), and an inactive
 :func:`stamp` is one module-global load plus a ``None`` check. The
-active capture pointer is swapped in per drive chunk (and restored on
-exit), so lockstep-interleaved replica networks each stamp into their
-own capture.
+active capture pointer is swapped in for the duration of one
+``Network.run`` (and restored on exit), so a network only ever stamps
+into its own capture.
 
 Everything recorded is a pure function of the run: serial, ``--jobs N``
 and warm-cache replays of the same spec produce byte-identical rows and

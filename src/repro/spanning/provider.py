@@ -98,14 +98,10 @@ def build_spanning_tree(
         factory = ExtinctionProcess
     else:
         factory = make_ghs_factory(graph)
-    net = Network(
-        graph,
-        factory,
-        delay=delay,
-        seed=seed,
-        trace=trace,
-        monitors=[all_terminated_at_quiescence()],
-    )
+    net = Network(graph, factory, delay=delay, seed=seed, trace=trace)
     report = net.run()
+    # the startup protocol must terminate by process (§3.1); checked once
+    # at quiescence, so the run itself stays on the fast drive loop
+    all_terminated_at_quiescence()(net)
     tree = extract_tree(net, graph)
     return SpanningTreeOutcome(tree=tree, report=report)

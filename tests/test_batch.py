@@ -1,8 +1,6 @@
-"""The multi-seed batch runner: batched and per-cell execution must be
-byte-identical — across algorithms, scheduler policies and fault plans —
-and the lockstep driver must reproduce solo-run reports exactly. This is
-the acceptance contract of the engine-v2 batching layer: a record's
-bytes never depend on which drive path produced it."""
+"""The multi-seed group runner: grouped and per-cell execution must be
+byte-identical — across algorithms, scheduler policies and fault plans.
+A record's bytes never depend on which execution path produced it."""
 
 import dataclasses
 
@@ -19,10 +17,6 @@ from repro.analysis.harness import SweepSpec, run_sweep
 from repro.errors import AnalysisError, ReproError
 from repro.exploration import artifact_bytes, corpus_paths, explore, load_artifact
 from repro.exploration.probe import probe_cell, probe_cells
-from repro.graphs.generators import make_family
-from repro.mdst.algorithm import build_mdst
-from repro.sim.batch import run_lockstep
-from repro.spanning.provider import build_spanning_tree
 from tests.test_exploration import CORPUS_DIR
 
 
@@ -154,37 +148,6 @@ class TestExecutorIntegration:
         assert record_bytes(records) == record_bytes(
             [execute_cell(c) for c in cells]
         )
-
-
-class TestLockstep:
-    def _build(self, seed):
-        graph = make_family("gnp_sparse", 16, seed=seed)
-        startup = build_spanning_tree(graph, method="echo", seed=seed)
-        return build_mdst(graph, startup.tree, seed=seed)
-
-    def test_lockstep_reports_match_solo_runs(self):
-        solo = []
-        for seed in range(3):
-            net, finalize = self._build(seed)
-            solo.append(dataclasses.asdict(finalize(net.run())))
-        nets, finals = [], []
-        for seed in range(3):
-            net, finalize = self._build(seed)
-            nets.append(net)
-            finals.append(finalize)
-        # a tiny chunk forces genuine interleaving between the replicas
-        reports = run_lockstep(nets, chunk=7)
-        batched = [
-            dataclasses.asdict(fin(rep)) for fin, rep in zip(finals, reports)
-        ]
-        assert batched == solo
-
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            run_lockstep([], chunk=0)
-
-    def test_empty_batch(self):
-        assert run_lockstep([]) == []
 
 
 class TestProbeBatching:

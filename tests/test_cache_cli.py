@@ -1,16 +1,16 @@
 """CLI surface of the packed cache: ``repro cache DIR --stats/--verify/
---prune/--migrate`` golden output lines and exit codes."""
+--prune`` golden output lines and exit codes."""
 
 import pytest
 
-from repro.analysis import ResultCache, RunSpec, cache_key, run_single
-from repro.analysis.cache import CACHE_SCHEMA_VERSION, _encode_payload
+from repro.analysis import ResultCache, RunSpec, run_single
+from repro.analysis.cache import CACHE_SCHEMA_VERSION
 from repro.cli import main
 
 
 @pytest.fixture
 def populated(tmp_path):
-    """A cache directory holding two packed entries + one legacy file."""
+    """A cache directory holding two packed entries."""
     cache = ResultCache(tmp_path)
     cache.put_many(
         [
@@ -18,11 +18,6 @@ def populated(tmp_path):
             for seed in range(2)
         ]
     )
-    spec = RunSpec(family="ring", n=8, seed=2)
-    key = cache_key(spec)
-    legacy = tmp_path / key[:2] / f"{key}.json"
-    legacy.parent.mkdir(parents=True)
-    legacy.write_bytes(_encode_payload(spec, run_single("ring", 8, seed=2)))
     return tmp_path
 
 
@@ -33,8 +28,7 @@ class TestCacheStats:
         packed_bytes = ResultCache(populated).stats()["bytes"]
         assert out == (
             f"cache {populated}: 2 packed entr(ies) in 1 segment(s) "
-            f"({packed_bytes} bytes), 1 legacy file(s), "
-            f"schema v{CACHE_SCHEMA_VERSION}\n"
+            f"({packed_bytes} bytes), schema v{CACHE_SCHEMA_VERSION}\n"
         )
 
     def test_empty_directory(self, capsys, tmp_path):
@@ -80,25 +74,6 @@ class TestCachePrune:
         )
 
 
-class TestCacheMigrate:
-    def test_packs_legacy_files(self, capsys, populated):
-        assert main(["cache", str(populated), "--migrate"]) == 0
-        assert capsys.readouterr().out == (
-            "cache migrate: packed 1 legacy entr(ies)\n"
-        )
-        assert not list(populated.glob("??/*.json"))
-        # the migrated entry is served from the packed store
-        assert ResultCache(populated).get(RunSpec(family="ring", n=8, seed=2))
-
-    def test_migrate_is_idempotent(self, capsys, populated):
-        assert main(["cache", str(populated), "--migrate"]) == 0
-        capsys.readouterr()
-        assert main(["cache", str(populated), "--migrate"]) == 0
-        assert capsys.readouterr().out == (
-            "cache migrate: packed 0 legacy entr(ies)\n"
-        )
-
-
 class TestCacheArgs:
     def test_exactly_one_action_required(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -123,7 +98,6 @@ class TestCacheStatsJson:
         assert out == json.dumps(stats, sort_keys=True) + "\n"
         data = json.loads(out)
         assert data["entries"] == 2
-        assert data["legacy_files"] == 1
         assert data["schema"] == CACHE_SCHEMA_VERSION
 
     def test_json_requires_stats(self, capsys, populated):

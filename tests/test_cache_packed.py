@@ -1,14 +1,13 @@
 """Packed two-tier ResultCache: segment/index layout, batched lookups,
 the LRU memory tier, corruption robustness (every mode is a warned miss,
-never an exception), crash-safety ordering, and the legacy per-file
-layout (read-through + migrate + interchangeability)."""
+never an exception), crash-safety ordering, and leaving alone the files
+under the root that the cache did not write."""
 
 import json
 
 import pytest
 
 from repro.analysis import ResultCache, RunSpec, cache_key, run_single
-from repro.analysis.cache import _encode_payload
 
 
 def make_pairs(count, family="ring", n=8):
@@ -20,15 +19,6 @@ def make_pairs(count, family="ring", n=8):
         spec = RunSpec(family=family, n=n, seed=seed)
         pairs.append((spec, run_single(family, n, seed=seed)))
     return pairs
-
-
-def write_legacy_entry(root, spec, record, *, key=None):
-    """Write one entry in the pre-packed one-file-per-entry layout."""
-    key = key or cache_key(spec)
-    path = root / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(_encode_payload(spec, record))
-    return path
 
 
 class TestPackedLayout:
@@ -187,14 +177,11 @@ class TestCrashSafety:
 class TestMaintenance:
     def test_stats_counts_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
-        pairs = make_pairs(3)
-        cache.put_many(pairs[:2])
-        write_legacy_entry(tmp_path, *pairs[2])
+        cache.put_many(make_pairs(2))
         s = cache.stats()
         assert s["entries"] == 2
         assert s["segments"] == 1
         assert s["bytes"] > 0
-        assert s["legacy_files"] == 1
         assert s["schema"] >= 5
 
     def test_verify_clean_store(self, tmp_path):
@@ -232,72 +219,20 @@ class TestMaintenance:
         assert current.prune() == 0  # idempotent
 
 
-class TestLegacyLayout:
-    def test_read_through_serves_legacy_entries(self, tmp_path):
-        (spec, record), *_ = make_pairs(1)
-        write_legacy_entry(tmp_path, spec, record)
+class TestForeignFiles:
+    def test_len_and_clear_ignore_files_the_cache_did_not_write(self, tmp_path):
+        """Only the index and the segments belong to the cache: a file in
+        the old ``<2-hex>/<key>.json`` shape is neither counted nor
+        deleted."""
         cache = ResultCache(tmp_path)
-        assert cache.get(spec) == record
-        assert len(cache) == 1
-
-    def test_undecodable_legacy_entry_is_a_warned_miss(self, tmp_path):
-        (spec, record), *_ = make_pairs(1)
-        path = write_legacy_entry(tmp_path, spec, record)
-        path.write_text("{ not json", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="undecodable legacy entry"):
-            assert ResultCache(tmp_path).get(spec) is None
-
-    def test_migrate_packs_deletes_and_stays_interchangeable(self, tmp_path):
-        pairs = make_pairs(3)
-        for spec, record in pairs:
-            write_legacy_entry(tmp_path, spec, record)
-        cache = ResultCache(tmp_path)
-        before = cache.get_many([s for s, _ in pairs])
-        assert cache.migrate() == 3
-        assert not list(tmp_path.glob("??/*.json"))  # legacy files gone
-        after = ResultCache(tmp_path).get_many([s for s, _ in pairs])
-        assert after == before == [r for _, r in pairs]
-        assert cache.verify() == []
-
-    def test_migrate_tags_stale_keys_unknown_for_prune(self, tmp_path):
-        (spec, record), *_ = make_pairs(1)
-        # a legacy file whose name no current key can reproduce (written
-        # under an older schema): migrated verbatim, never served, and
-        # prune clears it
-        write_legacy_entry(tmp_path, spec, record, key="ab" * 32)
-        cache = ResultCache(tmp_path)
-        assert cache.migrate() == 1
-        assert cache.get(spec) is None
-        assert cache.prune() == 1
-        assert len(ResultCache(tmp_path)) == 0
-
-    def test_migrate_skips_undecodable_files(self, tmp_path):
         pairs = make_pairs(2)
-        write_legacy_entry(tmp_path, *pairs[0])
-        bad = write_legacy_entry(tmp_path, *pairs[1])
-        bad.write_text("{ not json", encoding="utf-8")
-        cache = ResultCache(tmp_path)
-        with pytest.warns(RuntimeWarning, match="skipping undecodable"):
-            assert cache.migrate() == 1
-        assert bad.exists()  # never deleted: the bytes are all there is
-        assert ResultCache(tmp_path).get(pairs[0][0]) == pairs[0][1]
-
-    def test_migrate_preserves_salted_stores(self, tmp_path):
-        (spec, record), *_ = make_pairs(1)
-        salted = ResultCache(tmp_path, salt="exploration-probe:1")
-        key = cache_key(spec, salt="exploration-probe:1")
-        write_legacy_entry(tmp_path, spec, record, key=key)
-        assert salted.migrate() == 1
-        assert ResultCache(tmp_path, salt="exploration-probe:1").get(spec) == record
-        assert ResultCache(tmp_path).get(spec) is None
-
-    def test_clear_removes_both_layouts(self, tmp_path):
-        pairs = make_pairs(2)
-        cache = ResultCache(tmp_path)
-        cache.put_many(pairs[:1])
-        write_legacy_entry(tmp_path, *pairs[1])
+        cache.put_many(pairs)
+        notes = tmp_path / "ab" / "notes.json"
+        notes.parent.mkdir()
+        notes.write_text("{}", encoding="utf-8")
         assert len(cache) == 2
         assert cache.clear() == 2
+        assert notes.read_text(encoding="utf-8") == "{}"
         assert len(ResultCache(tmp_path)) == 0
 
 

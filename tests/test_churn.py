@@ -219,7 +219,7 @@ class TestChurnRunPath:
             SweepSpec(churns=())
 
     def test_batched_equals_per_cell_under_churn(self):
-        """The lockstep batch runner must agree bit-for-bit with per-cell
+        """The seed-group runner must agree bit-for-bit with per-cell
         execution when a churn plan is active (same wrappers, same seeds,
         same stall handling)."""
         specs = [

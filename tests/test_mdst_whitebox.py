@@ -13,6 +13,7 @@ from repro.graphs import (
     torus,
 )
 from repro.mdst import MDSTConfig, run_mdst
+from repro.protocol.exchange import ExchangeMixin
 from repro.sim import (
     ExponentialDelay,
     TraceRecorder,
@@ -235,3 +236,29 @@ class TestCutterCrossReplyRace:
         assert res.final_tree.is_spanning_tree_of(graph)
         assert res.final_degree <= res.initial_degree
         assert res.report.quiescent
+
+
+class TestExchangeWithoutParent:
+    """Under churn a node can receive ChildAck / FlipBack after it lost
+    its parent. That is a protocol failure the fuzzer records as a
+    finding, so it must surface as ProtocolError (not a bare assert,
+    which ``probe_cell`` does not convert and ``python -O`` strips)."""
+
+    class Host(ExchangeMixin):
+        def __init__(self):
+            self.node_id = 3
+            self.parent = None
+            self.children = {5}
+            self.pending_attach = 5
+            self.got_cut = False
+            self.sent = []
+
+        def send(self, dst, msg):
+            self.sent.append((dst, msg))
+
+    @pytest.mark.parametrize("handler", ["_on_child_ack", "_on_flip_back"])
+    def test_handler_raises_protocol_error_naming_node_and_sender(self, handler):
+        host = self.Host()
+        with pytest.raises(ProtocolError, match=r"^3: .* from 5 but no parent"):
+            getattr(host, handler)(5)
+        assert host.sent == []

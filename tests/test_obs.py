@@ -213,7 +213,7 @@ class TestBackendIdentity:
         cold = sweep_trace(cache=cache)
         warm = sweep_trace(cache=cache)
         assert cold.counters["cache.misses"] == 3
-        assert cold.counters["exec.lockstep.replicas"] == 3
+        assert cold.counters["exec.cells.batched"] == 3
         assert warm.counters["cache.hits.disk"] == 3
         assert "cache.misses" not in warm.counters
         assert not any(n.startswith("exec.") for n in warm.counters)

@@ -30,7 +30,7 @@ counters:
   cache.misses       1
   exec.groups        1
 
-cache: 3 hit(s) (2 memory, 1 disk, 0 legacy), 1 miss(es), 1 corruption(s) — hit rate 75.0%
+cache: 3 hit(s) (2 memory, 1 disk), 1 miss(es), 1 corruption(s) — hit rate 75.0%
 
 events: 1
   cache.corruption  x1

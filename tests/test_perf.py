@@ -425,7 +425,7 @@ class TestSuiteRunner:
 
 class TestMutationSelfTest:
     """The perf analogue of the exploration harness's skip_cutter_gate
-    self-test: the gate must notice the re-opened seed-era event loop."""
+    self-test: the gate must notice the slowed message delivery."""
 
     @pytest.fixture
     def loop_suite(self, private_registry):
@@ -493,7 +493,7 @@ class TestEdgeBranches:
             BenchResult.from_json_dict({"name": "x"})
 
     def test_mutated_slow_loop_preserves_traces(self):
-        """The seed-era loop under ``slow_event_loop`` must stay
+        """Delivery under ``slow_event_loop`` must stay
         byte-identical in behaviour — including the trace channel."""
         from repro.graphs import gnp_connected
         from repro.sim.trace import TraceRecorder

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NotConnectedError, ReproError
+from repro.errors import NotConnectedError, ReproError, StallError
 from repro.graphs import (
     Graph,
     complete,
@@ -16,7 +16,7 @@ from repro.graphs import (
     star,
     wheel,
 )
-from repro.sim import ExponentialDelay, PerLinkDelay, UniformDelay
+from repro.sim import ExponentialDelay, PerLinkDelay, Process, UniformDelay
 from repro.spanning import (
     bfs_tree,
     build_spanning_tree,
@@ -184,6 +184,39 @@ class TestProvider:
     def test_disconnected(self):
         with pytest.raises(NotConnectedError):
             build_spanning_tree(Graph(edges=[(0, 1), (2, 3)]))
+
+    def test_startup_that_never_halts_is_a_stall(self, monkeypatch):
+        """The startup protocol must terminate by process (§3.1): nodes
+        that go quiet without halting fail the check made after the
+        run with StallError (``extract_tree`` alone would raise a plain
+        ProtocolError)."""
+        import repro.spanning.provider as provider
+
+        class Mute(Process):
+            def on_message(self, sender, msg):  # pragma: no cover - nothing is sent
+                raise AssertionError("no message expected")
+
+        monkeypatch.setattr(provider, "make_echo_factory", lambda initiator: Mute)
+        with pytest.raises(StallError, match="never terminated"):
+            build_spanning_tree(ring(4), method="echo")
+
+    def test_echo_startup_on_unit_delays_stays_on_the_fast_loop(self, monkeypatch):
+        from repro.sim.network import Network
+
+        general = Network._drive_general
+        calls = []
+
+        def spy(net, stop_at):
+            calls.append(stop_at)
+            return general(net, stop_at)
+
+        monkeypatch.setattr(Network, "_drive_general", spy)
+        g = gnp_connected(16, 0.3, seed=1)
+        assert build_spanning_tree(g, method="echo").tree.is_spanning_tree_of(g)
+        assert calls == []
+        # the spy does see a run that needs the general loop
+        build_spanning_tree(g, method="echo", delay=UniformDelay(), seed=1)
+        assert len(calls) == 1
 
     def test_single_node(self):
         g = Graph(nodes=[4])
