@@ -126,6 +126,54 @@ GOLDEN_WORKLOADS = [
     ("fr_local", "ring", 10, 0),
 ]
 
+#: Per-section and per-phase (messages, bits) tallies of each golden
+#: workload. A trace digest cannot see a ``stamp()`` that moved between
+#: primitives; these tallies can.
+GOLDEN_TALLIES = {
+    ("blin_butelle", "gnp_sparse", 12, 3): {
+        "sections": {
+            "barrier": [12, 156],
+            "convergecast": [58, 1126],
+            "protocol": [75, 935],
+            "root_migration": [4, 68],
+            "wave": [137, 1961],
+        },
+        "phases": {},
+    },
+    ("blin_butelle", "ring", 10, 0): {
+        "sections": {"convergecast": [11, 163], "protocol": [16, 152]},
+        "phases": {},
+    },
+    ("blin_butelle", "pref_attach", 12, 1): {
+        "sections": {
+            "barrier": [12, 156],
+            "convergecast": [58, 1082],
+            "exchange": [5, 33],
+            "protocol": [112, 1468],
+            "root_migration": [12, 236],
+            "wave": [204, 3352],
+        },
+        "phases": {},
+    },
+    ("fr_local", "gnp_sparse", 12, 3): {
+        "sections": {
+            "convergecast": [47, 939],
+            "protocol": [62, 794],
+            "sequencer": [14, 182],
+            "wave": [100, 1460],
+        },
+        "phases": {"improve": [124, 1824], "search": [99, 1551]},
+    },
+    ("fr_local", "ring", 10, 0): {
+        "sections": {
+            "convergecast": [11, 199],
+            "protocol": [14, 126],
+            "sequencer": [2, 26],
+        },
+        "phases": {"search": [27, 351]},
+    },
+}
+
 
 def captured_run(algorithm, family, n, seed):
     cap = CausalCapture()
@@ -166,6 +214,18 @@ class TestCriticalPath:
         sections = cap.summary()["sections"]
         assert sum(m for m, _ in sections.values()) == record.messages
         assert sum(b for _, b in sections.values()) == record.bits
+
+    @pytest.mark.parametrize(
+        "algorithm,family,n,seed", GOLDEN_WORKLOADS
+    )
+    def test_section_and_phase_tallies_are_pinned(
+        self, algorithm, family, n, seed
+    ):
+        cap, _ = captured_run(algorithm, family, n, seed)
+        summary = cap.summary()
+        pinned = GOLDEN_TALLIES[(algorithm, family, n, seed)]
+        assert summary["sections"] == pinned["sections"]
+        assert summary["phases"] == pinned["phases"]
 
     def test_fr_local_attributes_phases(self):
         cap, record = captured_run("fr_local", "gnp_sparse", 12, 3)

@@ -11,6 +11,7 @@ protocol behaviour, not just its packaging.
 
 import hashlib
 
+from repro.algorithms.fr_local import run_fr_local
 from repro.graphs import complete, gnp_connected
 from repro.mdst import MDSTConfig, run_mdst
 from repro.sim import ExponentialDelay, TraceRecorder
@@ -38,6 +39,12 @@ def mdst_digest(graph, tree, *, mode="concurrent", delay=None, seed=0) -> str:
     return trace_digest(tr.records)
 
 
+def fr_digest(graph, tree, *, delay=None, seed=0) -> str:
+    tr = TraceRecorder(capacity=10**6)
+    run_fr_local(graph, tree, delay=delay, seed=seed, trace=tr)
+    return trace_digest(tr.records)
+
+
 def spanning_digest(graph, method, *, seed=0) -> str:
     tr = TraceRecorder(capacity=10**6)
     build_spanning_tree(graph, method=method, seed=seed, trace=tr)
@@ -60,6 +67,17 @@ GOLDEN = {
     # random initial tree + exponential delays (the PR 1 race regression shape)
     "mdst_gnp6_race": (
         "87d8f353c59d9fa50e5f9be533bb579a0ce5d625620fb13880b494f5889f466b"
+    ),
+    # fr_local on the same shapes, pinned before both processes moved
+    # onto the shared improvement-round base
+    "fr_gnp18": (
+        "08828a7c4503891512c3c539a97f84c7cdfcb8724cafa7cfba2e5b27514f4a8f"
+    ),
+    "fr_k10_exponential": (
+        "7bba27b46788e5814aa8c46725e56f8e4404aa27194b0dcead6e8f9552f40a3a"
+    ),
+    "fr_gnp6_race": (
+        "dc89e0c7fcdaf5fec57e512fc589d064a8218c72ee4033995322a6e650df3a98"
     ),
     # spanning providers refactored onto the primitives
     "echo_gnp16": (
@@ -100,6 +118,27 @@ class TestGoldenTraces:
         assert (
             mdst_digest(g, t, delay=ExponentialDelay(), seed=15)
             == GOLDEN["mdst_gnp6_race"]
+        )
+
+    def test_fr_gnp18(self):
+        g = gnp_connected(18, 0.3, seed=2)
+        assert fr_digest(g, greedy_hub_tree(g)) == GOLDEN["fr_gnp18"]
+
+    def test_fr_k10_exponential(self):
+        g = complete(10)
+        assert (
+            fr_digest(
+                g, greedy_hub_tree(g), delay=ExponentialDelay(mean=2.0), seed=5
+            )
+            == GOLDEN["fr_k10_exponential"]
+        )
+
+    def test_fr_gnp6_race(self):
+        g = gnp_connected(6, 0.3, seed=3)
+        t = random_spanning_tree(g, seed=0)
+        assert (
+            fr_digest(g, t, delay=ExponentialDelay(), seed=15)
+            == GOLDEN["fr_gnp6_race"]
         )
 
     def test_echo_spanning(self):
