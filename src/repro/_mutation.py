@@ -39,8 +39,9 @@ MUTATION_ENV = "REPRO_MUTATIONS"
 #: Every switch wired into a protocol, with the bug it re-opens.
 KNOWN_MUTATIONS: dict[str, str] = {
     "skip_cutter_gate": (
-        "MDegST cutter chooses while its own CousinReply is still in "
-        "flight (the PR 1 cross-reply race)"
+        "the cutter of either registered algorithm chooses while its "
+        "own CousinReply is still in flight (the cross-reply race, "
+        "gated once in the shared improvement round)"
     ),
     "slow_event_loop": (
         "every delivered message's bit size is recomputed from scratch "

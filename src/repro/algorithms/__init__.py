@@ -5,11 +5,13 @@ Importing this package registers the built-in algorithms:
 * ``blin_butelle`` — the paper's MDegST protocol (migrating round root,
   concurrent same-cutter exchanges, single-target polish);
 * ``fr_local`` — Fürer–Raghavachari-style local improvement with a
-  fixed coordinator and full-fragment candidate search, built from the
-  :mod:`repro.protocol` primitives.
+  fixed coordinator and full-fragment candidate search.
 
-Add an algorithm by calling :func:`register_algorithm` with a runner
-matching the contract documented in :mod:`repro.algorithms.registry`;
+Both subclass :class:`repro.protocol.rounds.ImprovementProcess`, the
+shared improvement round, and override only its policy hooks. Add an
+algorithm the same way, then call :func:`register_algorithm` with a
+runner matching the contract documented in
+:mod:`repro.algorithms.registry`;
 it immediately becomes available to ``run_sweep`` (``algorithms`` axis),
 ``python -m repro sweep --algorithm`` and ``repro compare``.
 """

@@ -5,90 +5,58 @@ local-improvement scheme of Fürer & Raghavachari (reference [3] of the
 paper) and of later distributed treatments (Dinitz–Halldórsson;
 Lavault & Valencia-Pabon, see PAPERS.md): a *fixed* coordinator — the
 initial tree root — sequences rounds, and each round executes one F-R
-improvement step at the currently worst vertex. Structurally it differs
-from the Blin–Butelle protocol in three ways:
+improvement step at the currently worst vertex.
 
-* **no root migration** — the coordinator never moves; the improvement
-  order is routed down the recorded via pointers instead of walking the
-  root there with path reversal (``ImproveOrder`` vs ``MoveRoot``);
-* **full-fragment candidate search** — the target vertex *w* cuts *all*
-  its incident tree edges, including the parent edge, so the fragments
-  are exactly the components of T − w: every F-R improvement for *w*
-  (a non-tree edge with endpoint degrees ≤ k−2 joining two different
-  components, i.e. a cycle through *w*) is visible in one wave. The
-  parent-side component floods *bidirectionally* over the tree (the
-  wave+echo primitive over arbitrary peer sets);
-* **single improver per round** — the classic sequential F-R schedule,
-  which makes the round barrier a countdown of one and the quality
-  argument identical to the sequential baseline's: the protocol only
-  terminates when *no* maximum-degree vertex admits a direct
-  improvement, the same fixpoint class as
-  :func:`repro.sequential.fuerer_raghavachari`.
+The round itself is :class:`~repro.protocol.rounds.ImprovementProcess`,
+shared with the Blin–Butelle protocol; :class:`FRProcess` overrides its
+policy hooks:
 
-Everything is assembled from :mod:`repro.protocol` primitives —
-:class:`~repro.protocol.Convergecast` (SearchDegree),
-:class:`~repro.protocol.WaveEchoTracker` (fragment waves with the
-cross-edge drain repair), :class:`~repro.protocol.CountdownBarrier` and
-:class:`~repro.protocol.PhaseSequencer` (coordinator round control) —
-and reuses the MDegST message vocabulary plus one new message,
-:class:`ImproveOrder` (2 identity fields, respecting the O(log n)
-message-size claim).
-
-The parent-side fragment carries the sentinel cut-child identity
-:data:`PARENT_SIDE`; in the candidate-booking order it sorts *last*, so
-a candidate crossing into the parent-side component is always booked —
-and therefore re-rooted — on the child-fragment side, keeping the global
-root in place.
+* **where the coordinator sits** (``_route_round``) — nowhere new: the
+  coordinator never moves, and the improvement order is routed down the
+  recorded via pointers (:class:`ImproveOrder`, two identity-sized
+  fields) instead of walking the root there with path reversal;
+* **which way the wave goes** (``BOTH_WAYS``) — both ways: the target
+  vertex *w* cuts *all* its incident tree edges, including the parent
+  edge, so the fragments are exactly the components of T − w and every
+  F-R improvement for *w* (a non-tree edge with endpoint degrees ≤ k−2
+  joining two different components, i.e. a cycle through *w*) is
+  visible in one wave. The parent-side component carries the sentinel
+  cut-child identity :data:`PARENT_SIDE`, floods over the tree in every
+  direction except the one it arrived from, and echoes back to
+  ``wave_origin``. In the candidate-booking order it sorts *last*, so a
+  candidate crossing into the parent-side component is always booked —
+  and re-rooted — on the child-fragment side, keeping the global root
+  in place;
+* **the round-end rule** (``single=True``, ``_open_round``,
+  ``_collect``) — one F-R step per round: the round barrier is a
+  countdown of one, a :class:`~repro.protocol.PhaseSequencer` names the
+  ``search`` and ``improve`` phases, and the protocol only terminates
+  when *no* maximum-degree vertex admits a direct improvement, the same
+  fixpoint class as :func:`repro.sequential.fuerer_raghavachari`;
+* **the send order** (``_order``) — broadcasts go out in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import NotConnectedError, ProtocolError, ReproError
+from ..errors import ProtocolError
 from ..graphs.graph import Graph
-from ..graphs.traversal import is_connected
 from ..graphs.trees import RootedTree
-from ..mdst.algorithm import finalize_protocol_run, trivial_result
-from ..mdst.messages import (
-    BfsWave,
-    ChildAck,
-    ChildMsg,
-    CousinReply,
-    Cut,
-    DegreeReport,
-    ExchangeDone,
-    FlipBack,
-    ImproveReport,
-    Search,
-    Terminate,
-    Update,
-    WaveEcho,
-)
-from ..mdst.node import Agg, DegreeAggregate, FragId
+from ..mdst.algorithm import build_protocol, run_protocol
+from ..mdst.messages import BfsWave
 from ..mdst.result import MDSTResult
-from ..protocol import (
-    Convergecast,
-    CountdownBarrier,
-    ExchangeMixin,
-    PhaseSequencer,
-    WaveEchoTracker,
+from ..protocol import CountdownBarrier, PhaseSequencer
+from ..protocol.rounds import (
+    PARENT_SIDE,
+    DegreeAggregate,
+    ImprovementProcess,
+    process_factory,
 )
-from ..sim.delays import DelayModel
-from ..sim.faults import FaultPlan, wrap_factory
 from ..sim.messages import Message
-from ..sim.monitors import parent_pointers_form_forest
-from ..sim.network import Network
-from ..sim.node import NodeContext, Process
-from ..sim.provenance import CausalCapture
-from ..sim.scheduler import SchedulerPolicy
-from ..sim.trace import TraceRecorder
-from ..spanning.provider import build_spanning_tree
+from ..sim.node import NodeContext
 
 __all__ = ["PARENT_SIDE", "ImproveOrder", "FRProcess", "run_fr_local"]
-
-#: sentinel cut-child identity of the parent-side fragment (sorts last)
-PARENT_SIDE = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,14 +69,12 @@ class ImproveOrder(Message):
     target: int
 
 
-def _frag_key(frag: FragId) -> tuple[int, int]:
-    """Candidate-booking order: the parent-side fragment sorts last, so
-    exchanges always re-root a child-side fragment."""
-    return (1, 0) if frag[1] == PARENT_SIDE else (0, frag[1])
-
-
-class FRProcess(ExchangeMixin, Process):
+class FRProcess(ImprovementProcess):
     """One network node running the FR-style improvement protocol."""
+
+    TAG = "fr-"
+    BOTH_WAYS = True
+    STRAY_ECHO = "{node}:fr-wave: unexpected echo from {sender}"
 
     def __init__(
         self,
@@ -118,182 +84,62 @@ class FRProcess(ExchangeMixin, Process):
         target_degree: int = 2,
         max_rounds: int | None = None,
     ) -> None:
-        super().__init__(ctx)
-        self.parent = parent
-        self.children = set(children)
-        self.target_degree = target_degree
-        self.max_rounds = max_rounds
-        # -- cross-round state --
-        self.stuck = False
-        self.round_index = 0
-        # -- coordinator state (the root; never migrates) --
-        self.is_coordinator = parent is None
+        super().__init__(
+            ctx,
+            parent,
+            children,
+            single=True,
+            polish=False,
+            target_degree=target_degree,
+            max_rounds=max_rounds,
+        )
+        self.is_coordinator = parent is None  # never migrates
         self.phase = PhaseSequencer(("search", "improve"))
-        self.barrier: CountdownBarrier | None = None
-        self.improved_any = False
-        self.improved_count = 0
-        self._reset_round_state()
 
-    # ------------------------------------------------------------------
-    # round-state management
-    # ------------------------------------------------------------------
+    _order = staticmethod(sorted)
 
-    def _reset_round_state(self) -> None:
-        self.search: Convergecast | None = None
-        self.frag: FragId | None = None
-        self.round_k = 0
-        self.got_cut = False
-        self.wave = WaveEchoTracker(name=f"{self.node_id}:fr-wave")
-        self.wave_origin: int | None = None  # tree peer the wave came from
-        self.is_cutter = False
-        self.cutter_k = 0
-        self.cutter_wave = WaveEchoTracker(name=f"{self.node_id}:fr-cutter")
-        self.awaiting_exchange = False
-        self.pending_attach: int | None = None
+    # -- round-end rule: one F-R step per round ----------------------------
 
-    def degree(self) -> int:
-        return len(self.children) + (0 if self.parent is None else 1)
-
-    def _tree_peers(self) -> set[int]:
-        peers = set(self.children)
-        if self.parent is not None:
-            peers.add(self.parent)
-        return peers
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-
-    def on_start(self) -> None:
-        if self.is_coordinator:
-            self._begin_round(reset=False)
-
-    def on_message(self, sender: int, msg: Message) -> None:
-        handler = self._DISPATCH.get(msg.__class__) or self._dispatch_lookup(msg)
-        if handler is None:  # pragma: no cover - defensive
-            raise ProtocolError(f"fr_local got unknown message {msg!r}")
-        handler(self, sender, msg)
-
-    # ------------------------------------------------------------------
-    # phase 1: SearchDegree (single-target shape, eligible aggregate)
-    # ------------------------------------------------------------------
-
-    def _begin_round(self, reset: bool) -> None:
-        self.round_index += 1
-        if self.max_rounds is not None and self.round_index > self.max_rounds:
-            self.ctx.mark("capped", self.round_index)
-            self._terminate_all()
-            return
-        if reset:
-            self.stuck = False
-        self._reset_round_state()
+    def _open_round(self) -> None:
         self.phase.reset()  # -> "search"
-        self.improved_any = False
-        self.improved_count = 0
         self.barrier = CountdownBarrier(
             1, self._round_done, name=f"{self.node_id}:fr-barrier"
         )
-        self._search_init()
-        for c in sorted(self.children):
-            self.send(c, Search(reset=reset, single=True))
-        assert self.search is not None
-        self.search.open()
 
-    def _search_init(self) -> None:
-        own: Agg = (self.degree(), self.node_id)
-        self.search = Convergecast(
-            DegreeAggregate(own, stuck=self.stuck),
-            self.children,
-            on_complete=self._search_complete,
-            name=f"{self.node_id}:fr-search",
-        )
+    def _collect(self, improved: bool) -> None:
+        self.phase.require("improve", "improvement report")
+        super()._collect(improved)
 
-    def _on_search(self, sender: int, msg: Search) -> None:
-        if sender != self.parent:
-            raise ProtocolError(f"{self.node_id}: Search from non-parent {sender}")
-        self._reset_round_state()
-        if msg.reset:
-            self.stuck = False
-        self._search_init()
-        for c in sorted(self.children):
-            self.send(c, Search(reset=msg.reset, single=True))
-        assert self.search is not None
-        self.search.open()
+    # -- coordinator: fixed, orders routed down the via pointers -----------
 
-    def _on_degree_report(self, sender: int, msg: DegreeReport) -> None:
-        if self.search is None:
-            raise ProtocolError(
-                f"{self.node_id}: unexpected DegreeReport from {sender}"
-            )
-        self.search.absorb(sender, msg)
+    def _round_mode(self) -> str:
+        return "fr"
 
-    def _search_complete(self, agg: DegreeAggregate) -> None:
-        if self.is_coordinator:
-            self._finish_search(agg)
-        else:
-            assert self.parent is not None
-            elig = agg.elig
-            self.send(
-                self.parent,
-                DegreeReport(
-                    deg=agg.max[0],
-                    node=agg.max[1],
-                    elig_deg=None if elig is None else elig[0],
-                    elig_node=None if elig is None else elig[1],
-                ),
-            )
-
-    def _finish_search(self, agg: DegreeAggregate) -> None:
-        k = agg.max[0]
-        if k <= self.target_degree:
-            self.ctx.mark("final_k", k)
-            self._terminate_all()
-            return
-        if agg.elig is None or agg.elig[0] < k:
-            # every maximum-degree vertex failed a direct improvement on
-            # the current tree: the F-R fixpoint — certified local optimum
-            self.ctx.mark("final_k", k)
-            self._terminate_all()
-            return
-        target = agg.elig[1]
-        self.ctx.mark(
-            "round",
-            {"index": self.round_index, "k": k, "cutters": 1, "mode": "fr"},
-        )
+    def _route_round(self, k: int, agg: DegreeAggregate) -> None:
+        assert agg.elig is not None
         self.phase.advance()  # -> "improve"
-        if target == self.node_id:
-            self._start_improve(k)
-        else:
-            via = agg.via_elig
-            if via is None:
-                raise ProtocolError(
-                    f"{self.node_id}: eligible target {target} with no via pointer"
-                )
-            self.send(via, ImproveOrder(k=k, target=target))
-
-    # ------------------------------------------------------------------
-    # phase 2: order routing (no root migration)
-    # ------------------------------------------------------------------
+        self._pass_order(k, agg.elig[1])
 
     def _on_improve_order(self, sender: int, msg: ImproveOrder) -> None:
         if sender != self.parent:
             raise ProtocolError(
                 f"{self.node_id}: ImproveOrder from non-parent {sender}"
             )
-        if msg.target == self.node_id:
-            self._start_improve(msg.k)
+        self._pass_order(msg.k, msg.target)
+
+    def _pass_order(self, k: int, target: int) -> None:
+        """Start the improvement here, or pass the order one hop down the
+        eligible via pointer toward *target*."""
+        if target == self.node_id:
+            self._start_improve(k)
             return
         agg = None if self.search is None else self.search.aggregate
         via = None if agg is None else agg.via_elig
         if via is None:
             raise ProtocolError(
-                f"{self.node_id}: ImproveOrder for {msg.target} with no via pointer"
+                f"{self.node_id}: ImproveOrder for {target} with no via pointer"
             )
-        self.send(via, ImproveOrder(k=msg.k, target=msg.target))
-
-    # ------------------------------------------------------------------
-    # phase 3: cut + bidirectional fragment waves
-    # ------------------------------------------------------------------
+        self.send(via, ImproveOrder(k=k, target=target))
 
     def _start_improve(self, k: int) -> None:
         """The target vertex cuts *all* its tree edges: child subtrees and
@@ -302,11 +148,7 @@ class FRProcess(ExchangeMixin, Process):
             raise ProtocolError(
                 f"{self.node_id}: improvement target degree {self.degree()} != k={k}"
             )
-        self.is_cutter = True
-        self.cutter_k = k
-        self.cutter_wave.arm(echo=self._tree_peers(), cross=())
-        for c in sorted(self.children):
-            self.send(c, Cut(k=k, cutter=self.node_id))
+        self._act_as_cutter(k)
         if self.parent is not None:
             self.send(
                 self.parent,
@@ -320,220 +162,12 @@ class FRProcess(ExchangeMixin, Process):
         # pseudo-membership so cross probes aimed at the cutter get
         # well-formed replies; shares the parent-side identity, which can
         # never book a candidate (degree k blocks it anyway)
-        self.frag = (self.node_id, PARENT_SIDE)
-        self.round_k = k
-        cross = set(self.neighbors) - self._tree_peers()
-        self.wave.arm(echo=(), cross=cross)
-        cross_wave = BfsWave(
-            k=k, frag_root=self.node_id, frag_child=PARENT_SIDE, tree=False
-        )
-        for t in sorted(cross):
-            self.send(t, cross_wave)
-        for s, _wk, fr, fc in self.wave.take_deferred():
-            self._handle_cousin(s, (fr, fc))
-        self._maybe_cutter_choose()
-
-    def _on_cut(self, sender: int, msg: Cut) -> None:
-        if sender != self.parent:
-            raise ProtocolError(f"{self.node_id}: Cut from non-parent {sender}")
-        self.got_cut = True
-        self._member_init(msg.k, (msg.cutter, self.node_id), origin=sender)
-
-    def _on_wave(self, sender: int, msg: BfsWave) -> None:
-        if msg.tree:
-            if sender not in self._tree_peers():
-                raise ProtocolError(
-                    f"{self.node_id}: tree wave from non-tree-peer {sender}"
-                )
-            self._member_init(
-                msg.k, (msg.frag_root, msg.frag_child), origin=sender
-            )
-        else:
-            if self.frag is None:
-                self.wave.defer((sender, msg.k, msg.frag_root, msg.frag_child))
-            else:
-                self._handle_cousin(sender, (msg.frag_root, msg.frag_child))
-
-    def _member_init(self, k: int, frag: FragId, origin: int) -> None:
-        """Adopt the fragment identity and flood on over every tree edge
-        except the one the wave arrived on (bidirectional: the
-        parent-side component spreads up as well as down)."""
-        if self.frag is not None:
-            raise ProtocolError(f"{self.node_id}: second fragment id in one round")
-        self.frag = frag
-        self.round_k = k
-        self.wave_origin = origin
-        onward = self._tree_peers() - {origin}
-        cross = set(self.neighbors) - self._tree_peers()
-        self.wave.arm(echo=onward, cross=cross)
-        tree_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=True)
-        for t in sorted(onward):
-            self.send(t, tree_wave)
-        cross_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=False)
-        for t in sorted(cross):
-            self.send(t, cross_wave)
-        for s, _wk, fr, fc in self.wave.take_deferred():
-            self._handle_cousin(s, (fr, fc))
-        self._maybe_echo()
-
-    def _handle_cousin(self, sender: int, other: FragId) -> None:
-        assert self.frag is not None
-        mine = self.frag
-        self.send(
-            sender,
-            CousinReply(frag_root=mine[0], frag_child=mine[1], deg=self.degree()),
-        )
-
-    def _on_cousin_reply(self, sender: int, msg: CousinReply) -> None:
-        self.wave.cross_from(sender)
-        assert self.frag is not None
-        other = (msg.frag_root, msg.frag_child)
-        k = self.round_k
-        # the smaller fragment identity books; the parent side sorts last
-        # so candidates into it are booked (and re-rooted) child-side
-        if (
-            other[0] == self.frag[0]
-            and _frag_key(other) > _frag_key(self.frag)
-            and self.degree() <= k - 2
-            and msg.deg <= k - 2
-        ):
-            cand = (max(self.degree(), msg.deg), self.node_id, sender)
-            self.wave.consider(cand, via=None)
-        self._maybe_echo()
-        self._maybe_cutter_choose()
-
-    def _maybe_echo(self) -> None:
-        if self.is_cutter or self.wave_origin is None:
-            return
-        if not self.wave.finish_once():
-            return
-        best = self.wave.best
-        if best is None:
-            self.send(self.wave_origin, WaveEcho(local=None, remote=None, deg=None))
-        else:
-            deg, local, remote = best
-            self.send(
-                self.wave_origin, WaveEcho(local=local, remote=remote, deg=deg)
-            )
-
-    def _on_wave_echo(self, sender: int, msg: WaveEcho) -> None:
-        if self.is_cutter and sender in self.cutter_wave.expected_echo:
-            self.cutter_wave.echo_from(sender)
-            if msg.local is not None:
-                assert msg.remote is not None and msg.deg is not None
-                self.cutter_wave.consider(
-                    (msg.deg, msg.local, msg.remote), via=sender
-                )
-            self._maybe_cutter_choose()
-            return
-        self.wave.echo_from(sender)
-        if msg.local is not None:
-            assert msg.remote is not None and msg.deg is not None
-            self.wave.consider((msg.deg, msg.local, msg.remote), via=sender)
-        self._maybe_echo()
-
-    # ------------------------------------------------------------------
-    # phase 4: choose + exchange (shared MDegST machinery)
-    # ------------------------------------------------------------------
-
-    def _maybe_cutter_choose(self) -> None:
-        if not self.is_cutter:
-            return
-        cw = self.cutter_wave
-        if cw.echoed or cw.expected_echo or self.wave.expected_cross:
-            return
-        cw.echoed = True
-        self._cutter_choose()
-
-    def _cutter_choose(self) -> None:
-        best = self.cutter_wave.best
-        if best is None:
-            self._improve_finish(improved=False)
-            return
-        deg, local, remote = best
-        via = self.cutter_wave.via_best
-        if via is None or via == self.parent:
-            raise ProtocolError(
-                f"{self.node_id}: candidate booked on the parent side"
-            )
-        if deg > self.cutter_k - 2:
-            raise ProtocolError(
-                f"cutter {self.node_id}: candidate degree {deg} > k-2"
-            )
-        self.awaiting_exchange = True
-        self.send(via, Update(local=local, remote=remote))
-
-    # Update routing, attach/flip handshake and ExchangeDone handling come
-    # from ExchangeMixin (repro.protocol.exchange) — shared with MDegST.
-
-    def _exchange_finished(self) -> None:
-        self._improve_finish(improved=True)
-
-    def _improve_finish(self, improved: bool) -> None:
-        self.is_cutter = False
-        if not improved:
-            self.stuck = True
-        if self.is_coordinator:
-            self._collect(improved)
-        else:
-            assert self.parent is not None
-            self.send(self.parent, ImproveReport(improved=improved))
-
-    # ------------------------------------------------------------------
-    # phase 5: barrier and round transition
-    # ------------------------------------------------------------------
-
-    def _on_improve_report(self, msg: ImproveReport) -> None:
-        if self.is_coordinator:
-            self._collect(msg.improved)
-        else:
-            assert self.parent is not None
-            self.send(self.parent, ImproveReport(improved=msg.improved))
-
-    def _collect(self, improved: bool) -> None:
-        self.phase.require("improve", "improvement report")
-        self.improved_any |= improved
-        self.improved_count += int(improved)
-        assert self.barrier is not None
-        self.barrier.arrive()
-
-    def _round_done(self) -> None:
-        self.ctx.mark(
-            "round_end",
-            {"index": self.round_index, "improved": self.improved_count},
-        )
-        # improvements invalidate stuck flags (the tree changed); a stuck
-        # target excludes itself from the next eligible aggregate
-        self._begin_round(reset=self.improved_any)
-
-    def _terminate_all(self) -> None:
-        for c in self.children:
-            self.send(c, Terminate())
-        self.halt()
-
-    def _on_terminate(self) -> None:
-        for c in self.children:
-            self.send(c, Terminate())
-        self.halt()
+        self._member_init(k, (self.node_id, PARENT_SIDE), origin=None)
 
 
-# Dispatch table (engine v2): mirrors MDSTProcess._DISPATCH with the
-# variant's ImproveOrder in place of the MoveRoot/MoveRootAck pair.
 FRProcess._DISPATCH = {
-    Search: FRProcess._on_search,
-    DegreeReport: FRProcess._on_degree_report,
+    **ImprovementProcess._DISPATCH,
     ImproveOrder: FRProcess._on_improve_order,
-    Cut: FRProcess._on_cut,
-    BfsWave: FRProcess._on_wave,
-    CousinReply: FRProcess._on_cousin_reply,
-    WaveEcho: FRProcess._on_wave_echo,
-    Update: FRProcess._on_update,
-    ChildMsg: lambda self, sender, msg: self._on_child(sender),
-    ChildAck: lambda self, sender, msg: self._on_child_ack(sender),
-    FlipBack: lambda self, sender, msg: self._on_flip_back(sender),
-    ExchangeDone: lambda self, sender, msg: self._on_exchange_done(sender),
-    ImproveReport: lambda self, sender, msg: self._on_improve_report(msg),
-    Terminate: lambda self, sender, msg: self._on_terminate(),
 }
 
 
@@ -543,118 +177,51 @@ def make_fr_factory(
     max_rounds: int | None = None,
 ):
     """Factory closure binding the initial tree and knobs."""
-    children: dict[int, set[int]] = {u: set() for u in tree_parents}
-    for u, p in tree_parents.items():
-        if p is not None:
-            children[p].add(u)
-
-    def factory(ctx: NodeContext) -> FRProcess:
-        return FRProcess(
-            ctx,
-            parent=tree_parents[ctx.node_id],
-            children=children[ctx.node_id],
-            target_degree=target_degree,
-            max_rounds=max_rounds,
-        )
-
-    return factory
+    return process_factory(
+        FRProcess, tree_parents, target_degree=target_degree, max_rounds=max_rounds
+    )
 
 
 def run_fr_local(
     graph: Graph,
     initial_tree: RootedTree | None = None,
     *,
-    initial_method: str = "echo",
-    mode: str = "concurrent",  # accepted for axis compatibility; unused
-    max_rounds: int | None = None,
-    seed: int = 0,
-    delay: DelayModel | None = None,
-    trace: TraceRecorder | None = None,
-    check_invariants: bool = False,
     max_events: int = 5_000_000,
-    faults: FaultPlan | None = None,
-    scheduler: SchedulerPolicy | None = None,
-    causal: CausalCapture | None = None,
+    **options,
 ) -> MDSTResult:
     """Run the FR-style local-improvement protocol to termination.
 
     Same contract as :func:`repro.mdst.algorithm.run_mdst`: returns a
     certified :class:`~repro.mdst.result.MDSTResult` (spanning tree,
-    degree never worse than the initial tree's). ``mode`` is accepted so
-    sweep grids can cross algorithms with the mode axis, but the
-    protocol has a single schedule.
+    degree never worse than the initial tree's). The keyword *options*
+    are those of :func:`build_fr_local`.
     """
-    net, finalize = build_fr_local(
-        graph,
-        initial_tree,
-        initial_method=initial_method,
-        mode=mode,
-        max_rounds=max_rounds,
-        seed=seed,
-        delay=delay,
-        trace=trace,
-        check_invariants=check_invariants,
-        faults=faults,
-        scheduler=scheduler,
-        causal=causal,
+    return run_protocol(
+        build_fr_local, graph, initial_tree, max_events=max_events, **options
     )
-    report = net.run(max_events=max_events) if net is not None else None
-    return finalize(report)
 
 
 def build_fr_local(
     graph: Graph,
     initial_tree: RootedTree | None = None,
     *,
-    initial_method: str = "echo",
     mode: str = "concurrent",
     max_rounds: int | None = None,
-    seed: int = 0,
-    delay: DelayModel | None = None,
-    trace: TraceRecorder | None = None,
-    check_invariants: bool = False,
-    faults: FaultPlan | None = None,
-    scheduler: SchedulerPolicy | None = None,
-    causal: CausalCapture | None = None,
+    **options,
 ):
     """Build half of :func:`run_fr_local` (same ``(net, finalize)``
-    contract as :func:`repro.mdst.algorithm.build_mdst`)."""
-    del mode  # single-schedule protocol
-    if graph.n == 0:
-        raise ReproError("empty graph")
-    if not is_connected(graph):
-        raise NotConnectedError("fr_local requires a connected network")
-    if initial_tree is None:
-        initial_tree = build_spanning_tree(
-            graph, method=initial_method, seed=seed
-        ).tree
-    if not initial_tree.is_spanning_tree_of(graph):
-        raise ReproError("initial_tree is not a spanning tree of graph")
-    # Graph enforces non-negative identities, so PARENT_SIDE (-1) can
-    # never collide with a real cut-child id.
-
-    if graph.n <= 2:
-        result = trivial_result(graph, initial_tree)
-        return None, lambda report: result
-
-    factory = make_fr_factory(
-        initial_tree.parent_map(), max_rounds=max_rounds
-    )
-    if faults:
-        factory = wrap_factory(factory, faults)
-    monitors = [parent_pointers_form_forest()] if check_invariants else []
-    net = Network(
+    contract as :func:`repro.mdst.algorithm.build_mdst`, whose keyword
+    options it takes). ``mode`` is accepted so sweep grids can cross
+    algorithms with the mode axis, but the protocol has a single
+    schedule."""
+    del mode
+    return build_protocol(
         graph,
-        factory,
-        delay=delay,
-        seed=seed,
-        trace=trace,
-        monitors=monitors,
-        scheduler=scheduler,
-        causal=causal,
+        initial_tree,
+        lambda parents: make_fr_factory(parents, max_rounds=max_rounds),
+        name="fr_local",
+        **options,
     )
-    tree = initial_tree
-    return net, lambda report: finalize_protocol_run(net, graph, tree, report)
 
 
 def _register() -> None:

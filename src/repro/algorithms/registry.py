@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ..errors import ReproError
@@ -105,75 +106,24 @@ def run_algorithm(name: str, graph, initial_tree=None, **kwargs):
 
 
 def _register_builtin_blin() -> None:
-    from ..mdst.algorithm import run_mdst
+    from ..mdst.algorithm import build_mdst, run_protocol
     from ..mdst.config import MDSTConfig
-
-    def _run_blin(
-        graph,
-        initial_tree=None,
-        *,
-        initial_method: str = "echo",
-        mode: str = "concurrent",
-        max_rounds: int | None = None,
-        seed: int = 0,
-        delay=None,
-        trace=None,
-        check_invariants: bool = False,
-        max_events: int = 5_000_000,
-        faults=None,
-        scheduler=None,
-        causal=None,
-    ):
-        return run_mdst(
-            graph,
-            initial_tree,
-            initial_method=initial_method,
-            config=MDSTConfig(mode=mode, max_rounds=max_rounds),
-            seed=seed,
-            delay=delay,
-            trace=trace,
-            check_invariants=check_invariants,
-            max_events=max_events,
-            faults=faults,
-            scheduler=scheduler,
-            causal=causal,
-        )
 
     def _build_blin(
         graph,
         initial_tree=None,
         *,
-        initial_method: str = "echo",
         mode: str = "concurrent",
         max_rounds: int | None = None,
-        seed: int = 0,
-        delay=None,
-        trace=None,
-        check_invariants: bool = False,
-        faults=None,
-        scheduler=None,
-        causal=None,
+        **options,
     ):
-        from ..mdst.algorithm import build_mdst
-
-        return build_mdst(
-            graph,
-            initial_tree,
-            initial_method=initial_method,
-            config=MDSTConfig(mode=mode, max_rounds=max_rounds),
-            seed=seed,
-            delay=delay,
-            trace=trace,
-            check_invariants=check_invariants,
-            faults=faults,
-            scheduler=scheduler,
-            causal=causal,
-        )
+        config = MDSTConfig(mode=mode, max_rounds=max_rounds)
+        return build_mdst(graph, initial_tree, config=config, **options)
 
     register_algorithm(
         Algorithm(
             name="blin_butelle",
-            run=_run_blin,
+            run=partial(run_protocol, _build_blin),
             description=(
                 "Blin & Butelle MDegST: migrating round root, concurrent "
                 "same-cutter exchanges with single-target polish"

@@ -5,7 +5,8 @@ in fixed priority order:
 
 1. **n** — smallest failing instance size (scan upward from the
    3-node floor: probes at small n are the cheap ones, and the first
-   hit is by construction the minimum);
+   hit is by construction the minimum; sizes the family cannot be
+   built at, such as a 3-node wheel, are skipped);
 2. **seed** — smallest failing seed in ``[0, seed)``;
 3. **churn** — a bug that fires without mid-run churn beats one that
    needs a churn plan, so the churn-free cell is tried first;
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, GraphError
+from ..graphs.generators import make_family
 from ..sim.churn import NO_CHURN
 from ..sim.scheduler import (
     NO_SCHEDULER,
@@ -100,6 +102,12 @@ def shrink(
         if key in memo:
             return memo[key]
         if probes >= max_probes:
+            return None
+        try:
+            make_family(candidate.family, candidate.n, seed=candidate.seed)
+        except GraphError:
+            # the family has no instance of this size: not a counterexample
+            memo[key] = None
             return None
         probes += 1
         result = explore_one(candidate, exact_limit=exact_limit)

@@ -1,6 +1,11 @@
-"""The paper's contribution: the distributed MDegST protocol."""
+"""The paper's contribution: the distributed MDegST protocol.
 
-from .algorithm import run_mdst
+``run_mdst``, ``MDSTProcess`` and ``make_mdst_factory`` resolve lazily
+(PEP 562): :mod:`repro.protocol.rounds` imports :mod:`repro.mdst.messages`,
+and :mod:`repro.mdst.node` subclasses that module's base, so importing
+this package must not import ``node`` eagerly.
+"""
+
 from .config import MDSTConfig
 from .messages import (
     BfsWave,
@@ -17,8 +22,9 @@ from .messages import (
     Update,
     WaveEcho,
 )
-from .node import MDSTProcess, make_mdst_factory
 from .result import MDSTResult, RoundInfo
+
+_LAZY = {"run_mdst": "algorithm", "MDSTProcess": "node", "make_mdst_factory": "node"}
 
 __all__ = [
     "run_mdst",
@@ -41,3 +47,13 @@ __all__ = [
     "ImproveReport",
     "Terminate",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # cache for next access
+    return value

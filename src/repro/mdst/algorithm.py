@@ -1,5 +1,9 @@
 """Top-level runner: wire a graph + initial tree into the simulator, run
-the MDegST protocol to termination, extract and certify the result."""
+the MDegST protocol to termination, extract and certify the result.
+
+:func:`build_protocol` and :func:`run_protocol` are that sequence for
+any registered algorithm; :func:`build_mdst` and :func:`run_mdst` bind it
+to the MDegST process."""
 
 from __future__ import annotations
 
@@ -25,40 +29,114 @@ from .result import MDSTResult, RoundInfo
 __all__ = [
     "run_mdst",
     "build_mdst",
+    "run_protocol",
+    "build_protocol",
     "trivial_result",
     "finalize_protocol_run",
     "extract_final_tree",
     "rounds_from_marks",
 ]
 
+#: ``(net, finalize)``: ``net`` is ``None`` when there is nothing to
+#: simulate, and ``finalize(report)`` certifies and packages the outcome
+Built = tuple[Network | None, Callable[[SimulationReport | None], MDSTResult]]
+
 
 def run_mdst(
     graph: Graph,
     initial_tree: RootedTree | None = None,
     *,
-    initial_method: str = "echo",
+    max_events: int = 5_000_000,
+    **options,
+) -> MDSTResult:
+    """Run the distributed MDegST algorithm of Blin & Butelle on *graph*.
+
+    The keyword *options* are those of :func:`build_mdst`; *max_events*
+    bounds the simulation.
+
+    Returns
+    -------
+    MDSTResult
+        Final tree + per-round log + simulation metrics, already
+        certified: the output is a spanning tree of *graph* whose degree
+        never exceeds the initial tree's.
+    """
+    return run_protocol(
+        build_mdst, graph, initial_tree, max_events=max_events, **options
+    )
+
+
+def build_mdst(
+    graph: Graph,
+    initial_tree: RootedTree | None = None,
+    *,
     config: MDSTConfig | None = None,
+    **options,
+) -> Built:
+    """The build half of :func:`run_mdst` (see :func:`build_protocol`).
+
+    config:
+        Protocol options (:class:`MDSTConfig`); defaults to the faithful
+        concurrent mode with single-target polish.
+    """
+    cfg = config or MDSTConfig()
+    return build_protocol(
+        graph,
+        initial_tree,
+        lambda parents: make_mdst_factory(parents, cfg),
+        name="MDegST",
+        **options,
+    )
+
+
+def run_protocol(
+    build: Callable[..., Built],
+    graph: Graph,
+    initial_tree: RootedTree | None = None,
+    *,
+    max_events: int = 5_000_000,
+    **options,
+) -> MDSTResult:
+    """Build with *build*, run the network to quiescence and finalize: the
+    one-call form of any ``(net, finalize)`` build function."""
+    net, finalize = build(graph, initial_tree, **options)
+    report = net.run(max_events=max_events) if net is not None else None
+    return finalize(report)
+
+
+def build_protocol(
+    graph: Graph,
+    initial_tree: RootedTree | None,
+    make_factory: Callable[[dict[int, int | None]], Callable],
+    *,
+    name: str,
+    initial_method: str = "echo",
     seed: int = 0,
     delay: DelayModel | None = None,
     trace: TraceRecorder | None = None,
     check_invariants: bool = False,
-    max_events: int = 5_000_000,
     faults: FaultPlan | None = None,
     scheduler: SchedulerPolicy | None = None,
     causal: CausalCapture | None = None,
-) -> MDSTResult:
-    """Run the distributed MDegST algorithm of Blin & Butelle on *graph*.
+) -> Built:
+    """Validate inputs and construct the network of one protocol run.
+
+    Returns ``(net, finalize)``, where ``finalize(report)`` certifies and
+    packages the protocol outcome. ``net`` is ``None`` for the trivial
+    ``n <= 2`` case (nothing to simulate; ``finalize`` then ignores its
+    argument). The split form lets a caller drive and time ``net.run()``
+    itself; :func:`run_protocol` is build + run + finalize.
 
     Parameters
     ----------
+    make_factory:
+        Maps the initial tree's parent map to the per-node process
+        factory of the protocol named *name*.
     initial_tree:
         The startup spanning tree (§3.1). When ``None`` it is built with
         :func:`repro.spanning.build_spanning_tree` using
         *initial_method* (its construction cost is **not** included in
         the returned report, matching the paper's accounting).
-    config:
-        Protocol options (:class:`MDSTConfig`); defaults to the faithful
-        concurrent mode with single-target polish.
     seed / delay:
         Delay-model seeding; the default is the paper's unit-delay
         analysis assumption.
@@ -81,57 +159,11 @@ def run_mdst(
         per-message provenance on the protocol network (the startup
         spanning-tree construction is excluded, matching the paper's
         accounting — and this report's ``causal_time``).
-
-    Returns
-    -------
-    MDSTResult
-        Final tree + per-round log + simulation metrics, already
-        certified: the output is a spanning tree of *graph* whose degree
-        never exceeds the initial tree's.
-    """
-    net, finalize = build_mdst(
-        graph,
-        initial_tree,
-        initial_method=initial_method,
-        config=config,
-        seed=seed,
-        delay=delay,
-        trace=trace,
-        check_invariants=check_invariants,
-        faults=faults,
-        scheduler=scheduler,
-        causal=causal,
-    )
-    report = net.run(max_events=max_events) if net is not None else None
-    return finalize(report)
-
-
-def build_mdst(
-    graph: Graph,
-    initial_tree: RootedTree | None = None,
-    *,
-    initial_method: str = "echo",
-    config: MDSTConfig | None = None,
-    seed: int = 0,
-    delay: DelayModel | None = None,
-    trace: TraceRecorder | None = None,
-    check_invariants: bool = False,
-    faults: FaultPlan | None = None,
-    scheduler: SchedulerPolicy | None = None,
-    causal: CausalCapture | None = None,
-) -> tuple[Network | None, "Callable[[SimulationReport | None], MDSTResult]"]:
-    """The build half of :func:`run_mdst`: validate inputs, construct the
-    network, and return ``(net, finalize)``, where ``finalize(report)``
-    certifies and packages the protocol outcome. ``net`` is ``None`` for
-    the trivial ``n <= 2`` case (nothing to simulate; ``finalize`` then
-    ignores its argument). ``run_mdst`` is build + run + finalize; the
-    split form lets a caller drive and time ``net.run()`` itself.
     """
     if graph.n == 0:
         raise ReproError("empty graph")
     if not is_connected(graph):
-        raise NotConnectedError("MDegST requires a connected network")
-    cfg = config or MDSTConfig()
+        raise NotConnectedError(f"{name} requires a connected network")
     if initial_tree is None:
         initial_tree = build_spanning_tree(
             graph, method=initial_method, seed=seed
@@ -144,7 +176,7 @@ def build_mdst(
         result = trivial_result(graph, initial_tree)
         return None, lambda report: result
 
-    factory = make_mdst_factory(initial_tree.parent_map(), cfg)
+    factory = make_factory(initial_tree.parent_map())
     if faults:
         factory = wrap_factory(factory, faults)
     monitors = [parent_pointers_form_forest()] if check_invariants else []

@@ -1,132 +1,47 @@
 """Per-node state machine of the distributed MDegST protocol (§3 of the
 paper, with the repairs of DESIGN.md §4).
 
-Round structure (driven by the current root):
+The round itself — SearchDegree, Cut + BFS waves, choose + exchange and
+the round barrier — is :class:`~repro.protocol.rounds.ImprovementProcess`.
+This module adds the Blin–Butelle policies:
 
-1. **SearchDegree** — ``Search`` broadcast down the tree; ``DegreeReport``
-   convergecast computes (max degree k, minimum-identity holder), the
-   holder count (concurrent-mode barrier) and the same aggregate over
-   non-stuck nodes (single-mode target selection). Each node records
-   *via* pointers (which child reported the winning aggregate).
-2. **MoveRoot** — the root walks to the target max-degree node along via
-   pointers, reversing the path (the paper's path-reversal technique).
-3. **Cut + BFS** — the new root (and, in concurrent mode, every
-   max-degree node discovered by the waves) virtually cuts its children;
-   each cut child floods its fragment with ``BfsWave`` carrying the
-   fragment identity (cutter, cut-child). Replies across non-tree edges
-   (``CousinReply``) flow from the larger fragment identity to the
-   smaller and carry the replier's degree; candidates — outgoing edges
-   with both endpoint degrees ≤ k−2 joining two *different fragments of
-   the same cutter* — aggregate up with ``WaveEcho`` to the cutter.
-4. **Choose + exchange** — the cutter picks the candidate minimizing
-   (max endpoint degree, ids); ``Update`` travels the recorded via chain
-   to the local endpoint, which attaches under the remote endpoint
-   (``ChildMsg``); ``FlipBack`` re-roots the fragment one hop at a time
-   back to the old fragment root, which reports ``ExchangeDone`` to the
-   cutter. The cutter's degree drops by one.
-5. **Barrier** — every cutter sends ``ImproveReport`` up to the root;
-   when all are in, the root starts the next round (``reset`` clearing
-   stuck flags after any improvement) or terminates (all stuck or
-   k ≤ 2), broadcasting ``Terminate``.
+* **the coordinator migrates** — after SearchDegree the root walks to
+  the target max-degree node along the via pointers, reversing the path
+  (``MoveRoot``/``MoveRootAck``, the paper's path-reversal technique),
+  and the target roots the round;
+* **the wave goes down from the cut** — a cutter cuts its children
+  only; each fragment floods its subtree and echoes to its parent;
+* **concurrent cutters with single-target polish** — in ``concurrent``
+  mode every max-degree node a wave reaches cuts too, and the round
+  barrier counts them all; when a concurrent round improves nothing the
+  protocol continues with single-target rounds (``MDSTConfig.polish``);
+* **set-order sends** — broadcasts follow the children set's own order.
 
 Invariants maintained at *every* instant (checked by monitors in tests):
 parent pointers form a tree spanning all nodes; the tree's maximum degree
 never increases; every tree edge is a graph edge.
-
-The bookkeeping discipline of each step is delegated to the
-``repro.protocol`` primitives — :class:`~repro.protocol.Convergecast`
-for SearchDegree, :class:`~repro.protocol.WaveEchoTracker` for the
-fragment waves and the cutter's aggregation,
-:class:`~repro.protocol.RootMigration` for the MoveRoot handshake and
-:class:`~repro.protocol.CountdownBarrier` for the round barrier — while
-this class keeps ownership of message construction and send order
-(byte-identical traces, enforced by ``tests/test_protocol_regression``).
 """
 
 from __future__ import annotations
 
-from .._mutation import mutation_active
 from ..errors import ProtocolError
-from ..protocol import (
-    Convergecast,
-    CountdownBarrier,
-    ExchangeMixin,
-    RootMigration,
-    WaveEchoTracker,
+from ..protocol.phases import CountdownBarrier
+from ..protocol.rounds import (
+    Agg,
+    DegreeAggregate,
+    FragId,
+    ImprovementProcess,
+    process_factory,
 )
-from ..sim.messages import Message
-from ..sim.node import NodeContext, Process
+from ..protocol.token import RootMigration
+from ..sim.node import NodeContext
 from .config import MDSTConfig
-from .messages import (
-    BfsWave,
-    ChildAck,
-    ChildMsg,
-    CousinReply,
-    Cut,
-    DegreeReport,
-    ExchangeDone,
-    FlipBack,
-    ImproveReport,
-    MoveRoot,
-    MoveRootAck,
-    Search,
-    Terminate,
-    Update,
-    WaveEcho,
-)
+from .messages import MoveRoot, MoveRootAck
 
-__all__ = ["DegreeAggregate", "MDSTProcess", "make_mdst_factory"]
-
-FragId = tuple[int, int]
-#: aggregate = (degree, node-id); "better" = higher degree, then lower id
-Agg = tuple[int, int]
+__all__ = ["Agg", "DegreeAggregate", "FragId", "MDSTProcess", "make_mdst_factory"]
 
 
-def _better(a: Agg | None, b: Agg | None) -> bool:
-    """True iff aggregate *a* beats *b* (higher degree, then lower id)."""
-    if a is None:
-        return False
-    if b is None:
-        return True
-    return (a[0], -a[1]) > (b[0], -b[1])
-
-
-class DegreeAggregate:
-    """Pluggable SearchDegree aggregation for the tree convergecast.
-
-    Tracks the subtree's (max degree, min-id holder) aggregate, the
-    holder count (concurrent-mode barrier), the same aggregate restricted
-    to non-stuck nodes (single-mode target selection), and *via* pointers
-    recording which child reported each winner — the routing state the
-    MoveRoot / ImproveOrder walks follow afterwards.
-    """
-
-    __slots__ = ("max", "count", "elig", "via_max", "via_elig")
-
-    def __init__(self, own: Agg, stuck: bool) -> None:
-        self.max: Agg = own
-        self.count = 1
-        self.elig: Agg | None = None if stuck else own
-        self.via_max: int | None = None  # None = self
-        self.via_elig: int | None = None
-
-    def absorb(self, child: int, msg: DegreeReport) -> None:
-        sub: Agg = (msg.deg, msg.node)
-        if sub[0] > self.max[0]:
-            self.count = msg.count or 0
-        elif sub[0] == self.max[0]:
-            self.count += msg.count or 0
-        if _better(sub, self.max):
-            self.max = sub
-            self.via_max = child
-        if msg.elig_deg is not None and msg.elig_node is not None:
-            esub: Agg = (msg.elig_deg, msg.elig_node)
-            if _better(esub, self.elig):
-                self.elig = esub
-                self.via_elig = child
-
-
-class MDSTProcess(ExchangeMixin, Process):
+class MDSTProcess(ImprovementProcess):
     """One network node running the MDegST protocol."""
 
     def __init__(
@@ -136,192 +51,51 @@ class MDSTProcess(ExchangeMixin, Process):
         children: set[int],
         config: MDSTConfig,
     ) -> None:
-        super().__init__(ctx)
-        # -- tree view (mutates across rounds) --
-        self.parent = parent
-        self.children = set(children)
+        super().__init__(
+            ctx,
+            parent,
+            children,
+            single=config.mode == "single",
+            polish=config.polish,
+            target_degree=config.target_degree,
+            max_rounds=config.max_rounds,
+        )
         self.config = config
-        # -- cross-round flags --
-        self.stuck = False
-        self.single = config.mode == "single"
-        self.round_index = 0
-        # -- coordinator state (valid when this node roots the round) --
-        self.is_coordinator = False
-        self.coord_k = 0
-        self.barrier: CountdownBarrier | None = None
-        self.improved_any = False
-        self.improved_count = 0
         # -- MoveRoot handoff state (cleared by the ack, not by round reset) --
         self.migration = RootMigration()
-        # -- per-round state --
-        self._reset_round_state()
 
-    # ------------------------------------------------------------------
-    # round-state management
-    # ------------------------------------------------------------------
+    # -- coordinator: MoveRoot path reversal ------------------------------
 
-    def _reset_round_state(self) -> None:
-        self.my_deg = 0
-        # SearchDegree convergecast (None until the round's Search arrives)
-        self.search: Convergecast | None = None
-        # fragment membership wave (unarmed until a fragment id is adopted)
-        self.frag: FragId | None = None
-        self.round_k = 0
-        self.got_cut = False
-        self.wave = WaveEchoTracker(name=f"{self.node_id}:wave")
-        # cutter role (the cutter aggregates its cut fragments' echoes)
-        self.is_cutter = False
-        self.cutter_k = 0
-        self.cutter_wave = WaveEchoTracker(name=f"{self.node_id}:cutter")
-        self.awaiting_exchange = False
-        # exchange endpoint state
-        self.pending_attach: int | None = None
+    def _round_mode(self) -> str:
+        return "single" if self.single else "concurrent"
 
-    def degree(self) -> int:
-        """Current tree degree (children + parent edge)."""
-        return len(self.children) + (0 if self.parent is None else 1)
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-
-    def on_start(self) -> None:
-        if self.parent is None:
-            self._begin_round(reset=False)
-
-    def on_message(self, sender: int, msg: Message) -> None:
-        handler = self._DISPATCH.get(msg.__class__) or self._dispatch_lookup(msg)
-        if handler is None:  # pragma: no cover - defensive
-            raise ProtocolError(f"MDST got unknown message {msg!r}")
-        handler(self, sender, msg)
-
-    # ------------------------------------------------------------------
-    # phase 1: SearchDegree
-    # ------------------------------------------------------------------
-
-    def _begin_round(self, reset: bool) -> None:
-        """Coordinator starts a round: broadcast Search, await reports."""
-        self.round_index += 1
-        if (
-            self.config.max_rounds is not None
-            and self.round_index > self.config.max_rounds
-        ):
-            self.ctx.mark("capped", self.round_index)
-            self._terminate_all()
-            return
-        if reset:
-            self.stuck = False
-        self._reset_round_state()
-        self.is_coordinator = True
-        self.improved_any = False
-        self.improved_count = 0
-        self._search_init()
-        for c in self.children:
-            self.send(c, Search(reset=reset, single=self.single))
-        assert self.search is not None
-        self.search.open()
-
-    def _search_init(self) -> None:
-        """Seed the convergecast with this node's own degree."""
-        self.my_deg = self.degree()
-        own: Agg = (self.my_deg, self.node_id)
-        self.search = Convergecast(
-            DegreeAggregate(own, stuck=self.stuck),
-            self.children,
-            on_complete=self._search_complete,
-            name=f"{self.node_id}:search",
-        )
-
-    def _on_search(self, sender: int, msg: Search) -> None:
-        if sender != self.parent:
-            raise ProtocolError(
-                f"{self.node_id}: Search from non-parent {sender}"
-            )
-        self._reset_round_state()
-        self.single = msg.single
-        if msg.reset:
-            self.stuck = False
-        self._search_init()
-        for c in self.children:
-            self.send(c, Search(reset=msg.reset, single=msg.single))
-        assert self.search is not None
-        self.search.open()
-
-    def _on_degree_report(self, sender: int, msg: DegreeReport) -> None:
-        if self.search is None:
-            raise ProtocolError(
-                f"{self.node_id}: unexpected DegreeReport from {sender}"
-            )
-        self.search.absorb(sender, msg)
-
-    def _search_complete(self, agg: DegreeAggregate) -> None:
-        """Subtree aggregation done — report up, or act as coordinator."""
-        if self.is_coordinator:
-            self._finish_search(agg)
-        else:
-            self._send_degree_report(agg)
-
-    def _send_degree_report(self, agg: DegreeAggregate) -> None:
-        assert self.parent is not None
+    def _route_round(self, k: int, agg: DegreeAggregate) -> None:
         if self.single:
-            elig = agg.elig
-            msg = DegreeReport(
-                deg=agg.max[0],
-                node=agg.max[1],
-                elig_deg=None if elig is None else elig[0],
-                elig_node=None if elig is None else elig[1],
-            )
+            assert agg.elig is not None
+            target, count = agg.elig[1], None
         else:
-            msg = DegreeReport(deg=agg.max[0], node=agg.max[1], count=agg.count)
-        self.send(self.parent, msg)
-
-    def _finish_search(self, agg: DegreeAggregate) -> None:
-        """Coordinator: aggregation done — move the root or terminate."""
-        k = agg.max[0]
-        if k <= self.config.target_degree:
-            self.ctx.mark("final_k", k)
-            self._terminate_all()
-            return
-        if self.single:
-            if agg.elig is None or agg.elig[0] < k:
-                # every maximum-degree node is known stuck: local optimum
-                self.ctx.mark("final_k", k)
-                self._terminate_all()
-                return
-            target = agg.elig[1]
-            via = agg.via_elig
-            count = None
-        else:
-            target = agg.max[1]
-            via = agg.via_max
-            count = agg.count
-        self.ctx.mark(
-            "round",
-            {
-                "index": self.round_index,
-                "k": k,
-                "cutters": 1 if self.single else agg.count,
-                "mode": "single" if self.single else "concurrent",
-            },
-        )
+            target, count = agg.max[1], agg.count
         if target == self.node_id:
             self._become_round_root(k, count)
-        else:
-            # relinquish the root: reverse one hop toward the target; we
-            # stay parentless until the next hop acknowledges (repair:
-            # keeps parent pointers a forest at every instant)
-            assert via is not None
-            self.is_coordinator = False
-            self.children.discard(via)
-            self.migration.depart(via)
-            self.send(
-                via,
-                MoveRoot(k=k, target=target, count=count, round=self.round_index),
-            )
+            return
+        self.is_coordinator = False
+        self._pass_root(MoveRoot(k=k, target=target, count=count, round=self.round_index))
 
-    # ------------------------------------------------------------------
-    # phase 2: MoveRoot (path reversal)
-    # ------------------------------------------------------------------
+    def _pass_root(self, msg: MoveRoot) -> None:
+        """Reverse one hop toward the target along the via pointers; we
+        stay parentless until the next hop acknowledges (repair: keeps
+        parent pointers a forest at every instant)."""
+        agg = None if self.search is None else self.search.aggregate
+        via = (
+            None
+            if agg is None
+            else (agg.via_elig if self.single else agg.via_max)
+        )
+        if via is None:
+            raise ProtocolError(f"{self.node_id}: MoveRoot with no via pointer")
+        self.children.discard(via)
+        self.migration.depart(via)
+        self.send(via, msg)
 
     def _on_move_root(self, sender: int, msg: MoveRoot) -> None:
         # sender was our parent and is reversing: it becomes our child
@@ -339,19 +113,8 @@ class MDSTProcess(ExchangeMixin, Process):
                 )
             self._become_round_root(msg.k, msg.count)
             return
-        agg = None if self.search is None else self.search.aggregate
-        via = (
-            None
-            if agg is None
-            else (agg.via_elig if self.single else agg.via_max)
-        )
-        if via is None:
-            raise ProtocolError(f"{self.node_id}: MoveRoot with no via pointer")
-        self.children.discard(via)
-        self.migration.depart(via)
-        self.send(
-            via,
-            MoveRoot(k=msg.k, target=msg.target, count=msg.count, round=msg.round),
+        self._pass_root(
+            MoveRoot(k=msg.k, target=msg.target, count=msg.count, round=msg.round)
         )
 
     def _on_move_root_ack(self, sender: int) -> None:
@@ -373,266 +136,16 @@ class MDSTProcess(ExchangeMixin, Process):
         self._act_as_cutter(k)
         # the root is a member of its own pseudo-fragment (self, self) so
         # cousin waves aimed at it get well-formed replies
-        self._member_init(k, (self.node_id, self.node_id))
-
-    # ------------------------------------------------------------------
-    # phase 3: Cut + BFS waves
-    # ------------------------------------------------------------------
-
-    def _act_as_cutter(self, k: int) -> None:
-        self.is_cutter = True
-        self.cutter_k = k
-        self.cutter_wave.arm(echo=self.children, cross=())
-        for c in self.children:
-            self.send(c, Cut(k=k, cutter=self.node_id))
-        # choosing waits for _member_init (which always follows): the
-        # cutter's own cross set isn't known yet at this point
-
-    def _on_cut(self, sender: int, msg: Cut) -> None:
-        if sender != self.parent:
-            raise ProtocolError(f"{self.node_id}: Cut from non-parent {sender}")
-        self.got_cut = True
-        if not self.single and self.degree() == msg.k and not self.is_cutter:
-            self._act_as_cutter(msg.k)
-        self._member_init(msg.k, (msg.cutter, self.node_id))
-
-    def _on_wave(self, sender: int, msg: BfsWave) -> None:
-        if msg.tree:
-            if sender != self.parent:
-                raise ProtocolError(
-                    f"{self.node_id}: tree wave from non-parent {sender}"
-                )
-            if not self.single and self.degree() == msg.k and not self.is_cutter:
-                self._act_as_cutter(msg.k)
-            self._member_init(msg.k, (msg.frag_root, msg.frag_child))
-        else:
-            if self.frag is None:
-                self.wave.defer((sender, msg.k, msg.frag_root, msg.frag_child))
-            else:
-                self._handle_cousin(sender, (msg.frag_root, msg.frag_child))
-
-    def _member_init(self, k: int, frag: FragId) -> None:
-        """Adopt a fragment identity and flood the wave."""
-        if self.frag is not None:
-            raise ProtocolError(f"{self.node_id}: second fragment id in one round")
-        self.frag = frag
-        self.round_k = k
-        # cutters do not forward the wave into their (cut) children
-        cross = set(self.neighbors) - self.children
-        if self.parent is not None:
-            cross.discard(self.parent)
-        self.wave.arm(
-            echo=() if self.is_cutter else self.children,
-            cross=cross,
-        )
-        if not self.is_cutter:
-            tree_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=True)
-            for c in self.children:
-                self.send(c, tree_wave)
-        cross_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=False)
-        for t in sorted(cross):
-            self.send(t, cross_wave)
-        for s, _wk, fr, fc in self.wave.take_deferred():
-            self._handle_cousin(s, (fr, fc))
-        self._maybe_echo()
-        self._maybe_cutter_choose()
-
-    def _handle_cousin(self, sender: int, other: FragId) -> None:
-        """Cross-edge wave: always answer with our identity and degree
-        (see :class:`~repro.mdst.messages.CousinReply` for why the
-        paper's ignore-larger-identity optimization is dropped)."""
-        assert self.frag is not None
-        mine = self.frag
-        self.send(
-            sender,
-            CousinReply(frag_root=mine[0], frag_child=mine[1], deg=self.degree()),
-        )
-
-    def _on_cousin_reply(self, sender: int, msg: CousinReply) -> None:
-        self.wave.cross_from(sender)
-        assert self.frag is not None
-        other = (msg.frag_root, msg.frag_child)
-        k = self.round_k
-        # the smaller fragment identity books the candidate (§3.2.4)
-        if (
-            other > self.frag
-            and other[0] == self.frag[0]  # same cutter (DESIGN.md §4.2)
-            and self.degree() <= k - 2
-            and msg.deg <= k - 2
-        ):
-            cand = (max(self.degree(), msg.deg), self.node_id, sender)
-            self.wave.consider(cand, via=None)
-        self._maybe_echo()
-        self._maybe_cutter_choose()
-
-    def _maybe_echo(self) -> None:
-        """All expected replies in → report the subtree's best candidate
-        (exactly once per round)."""
-        if self.parent is None:
-            return  # the round root aggregates via WaveEcho from children
-        if not self.wave.finish_once():
-            return
-        best = self.wave.best
-        if best is None:
-            self.send(self.parent, WaveEcho(local=None, remote=None, deg=None))
-        else:
-            deg, local, remote = best
-            self.send(self.parent, WaveEcho(local=local, remote=remote, deg=deg))
-
-    def _on_wave_echo(self, sender: int, msg: WaveEcho) -> None:
-        if self.is_cutter and sender in self.cutter_wave.expected_echo:
-            # a cut child reporting its fragment's candidate
-            self.cutter_wave.echo_from(sender)
-            if msg.local is not None:
-                assert msg.remote is not None and msg.deg is not None
-                self.cutter_wave.consider(
-                    (msg.deg, msg.local, msg.remote), via=sender
-                )
-            self._maybe_cutter_choose()
-            return
-        if sender not in self.wave.expected_echo:
-            raise ProtocolError(f"{self.node_id}: unexpected WaveEcho from {sender}")
-        self.wave.echo_from(sender)
-        if msg.local is not None:
-            assert msg.remote is not None and msg.deg is not None
-            self.wave.consider((msg.deg, msg.local, msg.remote), via=sender)
-        self._maybe_echo()
-
-    # ------------------------------------------------------------------
-    # phase 4: Choose + exchange
-    # ------------------------------------------------------------------
-
-    def _maybe_cutter_choose(self) -> None:
-        """Choose once both drain: cut-children echoes AND this cutter's
-        own cross replies. A cutter that chose while its own CousinReply
-        was still in flight would let the round advance under the reply,
-        which then hits the next round's fresh state as "unexpected"."""
-        if not self.is_cutter:
-            return
-        cw = self.cutter_wave
-        if cw.echoed or cw.expected_echo:
-            return
-        # the "skip_cutter_gate" mutation re-opens the PR 1 race for the
-        # exploration self-test (see repro._mutation)
-        if self.wave.expected_cross and not mutation_active("skip_cutter_gate"):
-            return
-        cw.echoed = True
-        self._cutter_choose()
-
-    def _cutter_choose(self) -> None:
-        best = self.cutter_wave.best
-        if best is None:
-            self._cutter_finish(improved=False)
-            return
-        deg, local, remote = best
-        child = self.cutter_wave.via_best
-        assert child is not None
-        if deg > self.cutter_k - 2:
-            raise ProtocolError(
-                f"cutter {self.node_id}: candidate degree {deg} > k-2"
-            )
-        self.awaiting_exchange = True
-        self.send(child, Update(local=local, remote=remote))
-
-    # Update routing, attach/flip handshake and ExchangeDone handling come
-    # from ExchangeMixin (repro.protocol.exchange) — shared with fr_local.
-
-    def _exchange_finished(self) -> None:
-        self._cutter_finish(improved=True)
-
-    def _cutter_finish(self, improved: bool) -> None:
-        self.is_cutter = False
-        if self.single and not improved:
-            self.stuck = True
-        if self.is_coordinator:
-            self._collect(improved)
-        else:
-            assert self.parent is not None
-            self.send(self.parent, ImproveReport(improved=improved))
-
-    # ------------------------------------------------------------------
-    # phase 5: barrier and round transition
-    # ------------------------------------------------------------------
-
-    def _on_improve_report(self, msg: ImproveReport) -> None:
-        if self.is_coordinator:
-            self._collect(msg.improved)
-        else:
-            assert self.parent is not None
-            self.send(self.parent, ImproveReport(improved=msg.improved))
-
-    def _collect(self, improved: bool) -> None:
-        self.improved_any |= improved
-        self.improved_count += int(improved)
-        if self.barrier is None:
-            raise ProtocolError(f"{self.node_id}: round report with no barrier")
-        self.barrier.arrive()
-
-    def _round_done(self) -> None:
-        self.ctx.mark(
-            "round_end",
-            {"index": self.round_index, "improved": self.improved_count},
-        )
-        if self.improved_any:
-            self._begin_round(reset=True)
-        elif not self.single and self.config.polish:
-            # concurrent phase exhausted: switch to single-target polish
-            self.single = True
-            self._begin_round(reset=False)
-        elif self.single:
-            # target was stuck: next round skips it via the eligible
-            # aggregate; _finish_search terminates once all are stuck
-            self._begin_round(reset=False)
-        else:
-            self.ctx.mark("final_k", self.coord_k)
-            self._terminate_all()
-
-    def _terminate_all(self) -> None:
-        for c in self.children:
-            self.send(c, Terminate())
-        self.halt()
-
-    def _on_terminate(self) -> None:
-        for c in self.children:
-            self.send(c, Terminate())
-        self.halt()
+        self._member_init(k, (self.node_id, self.node_id), origin=None)
 
 
-# Dispatch table (engine v2): one dict get per delivery instead of a
-# 15-deep isinstance chain. Handlers that ignore part of the uniform
-# (self, sender, msg) delivery signature get a thin adapter.
 MDSTProcess._DISPATCH = {
-    Search: MDSTProcess._on_search,
-    DegreeReport: MDSTProcess._on_degree_report,
+    **ImprovementProcess._DISPATCH,
     MoveRoot: MDSTProcess._on_move_root,
     MoveRootAck: lambda self, sender, msg: self._on_move_root_ack(sender),
-    Cut: MDSTProcess._on_cut,
-    BfsWave: MDSTProcess._on_wave,
-    CousinReply: MDSTProcess._on_cousin_reply,
-    WaveEcho: MDSTProcess._on_wave_echo,
-    Update: MDSTProcess._on_update,
-    ChildMsg: lambda self, sender, msg: self._on_child(sender),
-    ChildAck: lambda self, sender, msg: self._on_child_ack(sender),
-    FlipBack: lambda self, sender, msg: self._on_flip_back(sender),
-    ExchangeDone: lambda self, sender, msg: self._on_exchange_done(sender),
-    ImproveReport: lambda self, sender, msg: self._on_improve_report(msg),
-    Terminate: lambda self, sender, msg: self._on_terminate(),
 }
 
 
 def make_mdst_factory(tree_parents: dict[int, int | None], config: MDSTConfig):
     """Factory closure binding the initial tree and configuration."""
-    children: dict[int, set[int]] = {u: set() for u in tree_parents}
-    for u, p in tree_parents.items():
-        if p is not None:
-            children[p].add(u)
-
-    def factory(ctx: NodeContext) -> MDSTProcess:
-        return MDSTProcess(
-            ctx,
-            parent=tree_parents[ctx.node_id],
-            children=children[ctx.node_id],
-            config=config,
-        )
-
-    return factory
+    return process_factory(MDSTProcess, tree_parents, config=config)

@@ -14,6 +14,13 @@ library — is assembled from a handful of classic building blocks:
 * **phase sequencing** with per-phase completion callbacks
   (:class:`PhaseSequencer`, :class:`CountdownBarrier`).
 
+:mod:`repro.protocol.rounds` assembles them into the one improvement
+round both registered MDST algorithms run
+(:class:`~repro.protocol.rounds.ImprovementProcess`, with policy hooks
+for what differs). It needs the message vocabulary of
+:mod:`repro.mdst.messages`, which imports this package, so it is not
+re-exported here: import it from its module.
+
 The primitives own the *bookkeeping discipline* (who still owes a reply,
 when a phase may complete, which messages are protocol violations) while
 the host :class:`~repro.sim.node.Process` keeps ownership of message

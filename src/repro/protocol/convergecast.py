@@ -4,8 +4,8 @@ A broadcast/convergecast pair is the workhorse of every coordinator-driven
 round: the root floods a request down the tree and each node reports its
 subtree's aggregate upward once all children have reported. The
 *aggregation* is pluggable: any object with an ``absorb(child, payload)``
-method (e.g. :class:`repro.mdst.node.DegreeAggregate`, which tracks the
-max-degree holder plus via pointers for later routing).
+method (e.g. :class:`repro.protocol.rounds.DegreeAggregate`, which tracks
+the max-degree holder plus via pointers for later routing).
 
 The host process constructs the :class:`Convergecast` seeded with its own
 contribution, forwards the broadcast itself (keeping send order under its

@@ -15,12 +15,14 @@ exchange edge the same way (DESIGN.md §4.2 repairs):
 4. the fragment root reports ``ExchangeDone`` to the cutter, whose
    degree drops by one.
 
-:class:`ExchangeMixin` hosts steps 1–4 for any
-:class:`~repro.sim.node.Process` that provides ``wave`` (a
+:class:`ExchangeMixin` hosts steps 1–4. Its host is
+:class:`~repro.protocol.rounds.ImprovementProcess`, the improvement round
+every registered algorithm subclasses; it provides ``wave`` (a
 :class:`~repro.protocol.wave.WaveEchoTracker` holding the via pointer),
-``got_cut``, ``round_k``, ``is_cutter`` / ``awaiting_exchange`` flags and
-an ``_exchange_finished()`` hook (the cutter's round bookkeeping). Keeping
-one copy means a fix to the handshake fixes every registered algorithm.
+``got_cut``, ``round_k``, ``is_cutter`` / ``awaiting_exchange`` flags,
+``pending_attach`` and the ``_exchange_finished()`` hook (the cutter's
+round bookkeeping). Keeping one copy means a fix to the handshake fixes
+every registered algorithm.
 """
 
 from __future__ import annotations

@@ -107,6 +107,16 @@ class TestProbe:
         assert "ProtocolError" in record.extra["error"]
         assert record.scheduler == "lifo"
         assert record.k_final == record.k_initial and record.messages == 0
+        # both algorithms go through the shared cutter gate
+        fr_spec = ExplorationCell(
+            family="wheel", n=6, seed=2, scheduler="lifo",
+            delay="exponential",
+        ).run_specs()[1]
+        assert fr_spec.algorithm == "fr_local"
+        with mutated("skip_cutter_gate"):
+            fr_record = probe_cell(fr_spec)
+        assert fr_record.outcome == "error"
+        assert "ProtocolError" in fr_record.extra["error"]
 
     def test_probe_survives_setup_failures(self):
         """A cell whose failure originates before the protocol even runs
@@ -283,6 +293,19 @@ class TestMutationSelfTest:
             a = shrink(failures[0].cell)
             b = shrink(failures[0].cell)
         assert a.cell == b.cell and a.probes == b.probes
+
+    def test_shrink_skips_sizes_the_family_cannot_build(self):
+        """A wheel needs n >= 4: the upward n scan must skip n=3 instead
+        of letting the oracle's GraphError escape."""
+        cell = ExplorationCell(
+            family="wheel", n=6, seed=2, scheduler="lifo",
+            delay="exponential",
+        )
+        with mutated("skip_cutter_gate"):
+            outcome = shrink(cell)
+        assert not outcome.result.ok
+        assert 4 <= outcome.cell.n <= cell.n
+        assert "run_failed:fr_local" in outcome.result.verdict.failures
 
     def test_shrink_rejects_passing_cells(self):
         with pytest.raises(AnalysisError, match="passing"):

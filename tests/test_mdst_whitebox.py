@@ -208,6 +208,30 @@ class TestErrorPaths:
             proc.on_message(2, Search(reset=False, single=False))
 
 
+@pytest.mark.parametrize("algorithm", ["blin_butelle", "fr_local"])
+def test_forwarding_with_no_parent_raises_protocol_error(algorithm):
+    """A non-coordinator that has no parent (e.g. one whose parent
+    pointer is mid-handoff) cannot forward an ImproveReport: that is a
+    protocol violation, not an assertion (``python -O`` strips asserts,
+    and the exploration probe only captures library errors)."""
+    from repro.algorithms.fr_local import FRProcess
+    from repro.mdst.messages import ImproveReport
+    from repro.mdst.node import MDSTProcess
+    from repro.sim import NodeContext
+
+    ctx = NodeContext(node_id=5, neighbors=(1, 2))
+    ctx._send = lambda *a: None
+    ctx._now = lambda: 0.0
+    ctx._mark = lambda *a, **k: None
+    if algorithm == "blin_butelle":
+        proc = MDSTProcess(ctx, parent=1, children={2}, config=MDSTConfig())
+    else:
+        proc = FRProcess(ctx, parent=1, children={2})
+    proc.parent = None
+    with pytest.raises(ProtocolError, match="5: ImproveReport from 2"):
+        proc.on_message(2, ImproveReport(improved=True))
+
+
 class TestCutterCrossReplyRace:
     """Regression: a cutter must not finish its round while its own
     CousinReply is still in flight — the reply would land in the next
