@@ -60,7 +60,6 @@ class MDSTProcess(ImprovementProcess):
             target_degree=config.target_degree,
             max_rounds=config.max_rounds,
         )
-        self.config = config
         # -- MoveRoot handoff state (cleared by the ack, not by round reset) --
         self.migration = RootMigration()
 
@@ -125,13 +124,11 @@ class MDSTProcess(ImprovementProcess):
     def _become_round_root(self, k: int, count: int | None) -> None:
         """The target max-degree node roots the round and starts cutting."""
         self.is_coordinator = True
-        self.coord_k = k
         self.barrier = CountdownBarrier(
             1 if self.single else int(count or 1),
             self._round_done,
             name=f"{self.node_id}:round-barrier",
         )
-        self.improved_any = False
         self.improved_count = 0
         self._act_as_cutter(k)
         # the root is a member of its own pseudo-fragment (self, self) so

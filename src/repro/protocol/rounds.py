@@ -184,9 +184,7 @@ class ImprovementProcess(ExchangeMixin, Process):
         self.round_index = 0
         # -- coordinator state (valid while this node drives the round) --
         self.is_coordinator = False
-        self.coord_k = 0
         self.barrier: CountdownBarrier | None = None
-        self.improved_any = False
         self.improved_count = 0
         # -- per-round state --
         self._reset_round_state()
@@ -280,7 +278,6 @@ class ImprovementProcess(ExchangeMixin, Process):
             self.stuck = False
         self._reset_round_state()
         self.is_coordinator = True
-        self.improved_any = False
         self.improved_count = 0
         self._open_round()
         self._broadcast_search(reset)
@@ -551,7 +548,6 @@ class ImprovementProcess(ExchangeMixin, Process):
             self._send_up(ImproveReport(improved=msg.improved), sender)
 
     def _collect(self, improved: bool) -> None:
-        self.improved_any |= improved
         self.improved_count += int(improved)
         if self.barrier is None:
             raise ProtocolError(f"{self.node_id}: round report with no barrier")
@@ -562,17 +558,20 @@ class ImprovementProcess(ExchangeMixin, Process):
             "round_end",
             {"index": self.round_index, "improved": self.improved_count},
         )
-        if self.improved_any or self.single:
+        improved = self.improved_count > 0
+        if improved or self.single:
             # improvements invalidate stuck flags (the tree changed); a
             # stuck single target excludes itself from the next eligible
             # aggregate, and _finish_search terminates once all are stuck
-            self._begin_round(reset=self.improved_any)
+            self._begin_round(reset=improved)
         elif self.polish:
             # concurrent phase exhausted: switch to single-target polish
             self.single = True
             self._begin_round(reset=False)
         else:
-            self.ctx.mark("final_k", self.coord_k)
+            # the coordinator cut this round at k and keeps no parent
+            # all round, so no Search has reset its cutter_k since
+            self.ctx.mark("final_k", self.cutter_k)
             self._terminate_all()
 
     def _terminate_all(self) -> None:
