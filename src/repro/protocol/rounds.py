@@ -171,6 +171,8 @@ class ImprovementProcess(ExchangeMixin, Process):
         max_rounds: int | None,
     ) -> None:
         super().__init__(ctx)
+        # keep the attribute count low: fault and churn wrappers add two,
+        # and CPython's compact shared-key instance storage ends near 28
         # -- tree view (mutates across rounds) --
         self.parent = parent
         self.children = set(children)
