@@ -38,6 +38,7 @@ from ..sim.delays import delay_model_from_name
 from ..sim.faults import NO_FAULT, fault_plan_from_name
 from ..sim.scheduler import scheduler_from_name
 from ..spanning.provider import build_spanning_tree
+from .axes import axis_fields
 from .executor import RunSpec, execute_cell
 from .records import RunRecord
 
@@ -71,12 +72,13 @@ class CellTemplate:
     however the cells are grouped.
     """
 
-    __slots__ = ("spec", "algorithm", "causal")
+    __slots__ = ("spec", "algorithm", "causal", "fields")
 
     def __init__(self, spec: RunSpec, *, causal: bool = False) -> None:
         self.spec = spec
         self.algorithm = get_algorithm(spec.algorithm)
         self.causal = bool(causal)
+        self.fields = axis_fields(spec)
         delay_model_from_name(spec.delay)
         scheduler_from_name(spec.scheduler)
         churn_plan_from_name(spec.churn, 1, 0)  # eager name validation
@@ -124,21 +126,15 @@ class CellTemplate:
 
     # -- drive ----------------------------------------------------------
 
-    def run(self, seed: int, sink: CausalCapture | None = None) -> RunRecord:
-        """One complete per-cell run (the reference semantics).
-
-        *sink* is an explicit capture to drive the run with (the CLI's
-        ``--causal-out`` path, which wants the full DAG back); without
-        one, a template constructed with ``causal=True`` captures into a
-        private instance and keeps only the summary.
-        """
+    def attempt(self, seed: int, cap: CausalCapture | None = None):
+        """Set up and drive one seed: ``(graph, startup, startup_messages,
+        outcome)``. The outcome is the algorithm's result, or the
+        exception of a failure that :meth:`flattens` (the CLI reports it
+        as a loud stall); any other failure propagates."""
         s = self.spec
-        cap = sink if sink is not None else (
-            CausalCapture() if self.causal else None
-        )
         graph, startup, startup_messages, plan = self.setup(seed)
         try:
-            result = self.algorithm.run(
+            outcome = self.algorithm.run(
                 graph,
                 startup.tree,
                 mode=s.mode,
@@ -152,26 +148,37 @@ class CellTemplate:
         except (TerminationError, ProtocolError) as exc:
             if not self.flattens(exc):
                 raise
+            outcome = exc
+        return graph, startup, startup_messages, outcome
+
+    def run(self, seed: int, sink: CausalCapture | None = None) -> RunRecord:
+        """One complete per-cell run (the reference semantics).
+
+        *sink* is an explicit capture to drive the run with (the CLI's
+        ``--causal-out`` path, which wants the full DAG back); without
+        one, a template constructed with ``causal=True`` captures into a
+        private instance and keeps only the summary.
+        """
+        cap = sink if sink is not None else (
+            CausalCapture() if self.causal else None
+        )
+        graph, startup, startup_messages, outcome = self.attempt(seed, cap)
+        if isinstance(outcome, Exception):
             return self.stalled_record(
                 seed, graph, startup, startup_messages, cap
             )
-        return self.ok_record(seed, graph, startup_messages, result, cap)
+        return self.ok_record(seed, graph, startup_messages, outcome, cap)
 
     # -- record building (the single source of record truth) -----------
 
     def ok_record(
         self, seed, graph, startup_messages, result, cap=None
     ) -> RunRecord:
-        s = self.spec
         return RunRecord(
-            family=s.family,
+            **self.fields,
             n=graph.n,
             m=graph.m,
             seed=seed,
-            initial_method=s.initial_method,
-            mode=s.mode,
-            delay=s.delay,
-            algorithm=s.algorithm,
             k_initial=result.initial_degree,
             k_final=result.final_degree,
             rounds=result.num_rounds,
@@ -181,26 +188,17 @@ class CellTemplate:
             max_msg_fields=result.report.max_id_fields,
             startup_messages=startup_messages,
             events=result.report.events_processed,
-            max_rounds=s.max_rounds,
-            fault=s.fault,
-            scheduler=s.scheduler,
-            churn=s.churn,
             causal=cap.summary() if cap is not None else {},
         )
 
     def stalled_record(
         self, seed, graph, startup, startup_messages, cap=None
     ) -> RunRecord:
-        s = self.spec
         return RunRecord(
-            family=s.family,
+            **self.fields,
             n=graph.n,
             m=graph.m,
             seed=seed,
-            initial_method=s.initial_method,
-            mode=s.mode,
-            delay=s.delay,
-            algorithm=s.algorithm,
             k_initial=startup.tree.max_degree(),
             k_final=startup.tree.max_degree(),
             rounds=0,
@@ -209,10 +207,6 @@ class CellTemplate:
             bits=0,
             max_msg_fields=0,
             startup_messages=startup_messages,
-            max_rounds=s.max_rounds,
-            fault=s.fault,
-            scheduler=s.scheduler,
-            churn=s.churn,
             outcome="stalled",
             # the partial capture is still a pure function of the
             # (deterministic) stalled schedule — stalled records keep

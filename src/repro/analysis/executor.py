@@ -94,23 +94,18 @@ class RunSpec:
 CellRunner = Callable[["RunSpec"], RunRecord]
 
 
+def check_jobs(jobs: int) -> int:
+    """A worker-process count: at least one."""
+    if jobs < 1:
+        raise AnalysisError(f"invalid choice: {jobs!r} (jobs must be >= 1)")
+    return jobs
+
+
 def execute_cell(spec: RunSpec) -> RunRecord:
     """Run one cell (the default cell runner)."""
-    from .harness import run_single
+    from .batch import CellTemplate
 
-    return run_single(
-        spec.family,
-        spec.n,
-        spec.seed,
-        initial_method=spec.initial_method,
-        mode=spec.mode,
-        delay=spec.delay,
-        max_rounds=spec.max_rounds,
-        algorithm=spec.algorithm,
-        fault=spec.fault,
-        scheduler=spec.scheduler,
-        churn=spec.churn,
-    )
+    return CellTemplate(spec).run(spec.seed)
 
 
 # -- compact group wire encoding -------------------------------------------
@@ -236,9 +231,7 @@ class ParallelExecutor:
         batch: bool = True,
         persistent: bool = False,
     ) -> None:
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self.jobs = check_jobs(jobs)
         self.runner = runner
         self.batch = batch
         self.persistent = persistent
@@ -345,11 +338,9 @@ def make_executor(
     one worker pool alive across ``run()`` calls (parallel executors
     only — remember to ``close()`` it).
     """
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be >= 1, got {jobs}")
     executor: Executor = (
         ParallelExecutor(jobs, runner, persistent=persistent)
-        if jobs > 1
+        if check_jobs(jobs) > 1
         else SerialExecutor(runner)
     )
     if cache is not None:

@@ -14,44 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
-from ..algorithms import DEFAULT_ALGORITHM, algorithm_names
-from ..errors import AnalysisError
-from ..graphs.generators import FAMILIES
+from ..algorithms import DEFAULT_ALGORITHM
 from ..obs import current as obs
-from ..mdst.config import MODES
-from ..sim.churn import NO_CHURN, churn_names
-from ..sim.delays import DELAY_NAMES
-from ..sim.faults import NO_FAULT, fault_names
+from ..sim.churn import NO_CHURN
+from ..sim.faults import NO_FAULT
 from ..sim.provenance import CausalCapture
-from ..sim.scheduler import NO_SCHEDULER, scheduler_from_name, scheduler_names
-from ..spanning.provider import CENTRALIZED_METHODS, DISTRIBUTED_METHODS
+from ..sim.scheduler import NO_SCHEDULER
+from .axes import check_spec
 from .cache import ResultCache
 from .executor import Executor, RunSpec, make_executor
 from .records import RunRecord
 
 __all__ = ["SweepSpec", "run_single", "run_sweep"]
-
-_INITIAL_METHODS = DISTRIBUTED_METHODS + CENTRALIZED_METHODS
-
-
-def _check_axis(values: tuple[str, ...], valid: tuple[str, ...], axis: str) -> None:
-    unknown = [v for v in values if v not in valid]
-    if unknown:
-        raise AnalysisError(
-            f"unknown {axis} {unknown!r}; valid choices: {sorted(valid)}"
-        )
-
-
-def check_scheduler_axis(values: tuple[str, ...]) -> None:
-    """Validate a scheduler axis: registered names plus canonical
-    ``replay:...`` spec strings (which are not enumerable, so plain
-    membership in :func:`scheduler_names` would reject them)."""
-    for value in values:
-        try:
-            scheduler_from_name(value)
-        except ValueError as exc:
-            raise AnalysisError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -64,8 +40,10 @@ class SweepSpec:
     the ``algorithms`` axis over the :mod:`repro.algorithms` registry
     for head-to-head comparisons.
 
-    Axes are validated eagerly — a typo'd family or delay name fails at
-    construction with the valid choices, not minutes into a sweep.
+    Axes are validated eagerly against :data:`~repro.analysis.axes.AXES`
+    — a typo'd family or delay name fails at construction with the valid
+    choices, not minutes into a sweep. Lists are accepted and stored as
+    tuples.
     """
 
     families: tuple[str, ...] = ("gnp_sparse",)
@@ -81,30 +59,7 @@ class SweepSpec:
     max_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if not (
-            self.families
-            and self.sizes
-            and self.seeds
-            and self.initial_methods
-            and self.modes
-            and self.delays
-            and self.algorithms
-            and self.faults
-            and self.schedulers
-            and self.churns
-        ):
-            raise AnalysisError("sweep axes must be non-empty")
-        _check_axis(self.families, tuple(FAMILIES), "family")
-        _check_axis(self.initial_methods, _INITIAL_METHODS, "initial method")
-        _check_axis(self.modes, MODES, "mode")
-        _check_axis(self.delays, DELAY_NAMES, "delay model")
-        _check_axis(self.algorithms, algorithm_names(), "algorithm")
-        _check_axis(self.faults, fault_names(), "fault plan")
-        check_scheduler_axis(self.schedulers)
-        _check_axis(self.churns, churn_names(), "churn plan")
-        bad_sizes = [n for n in self.sizes if n < 1]
-        if bad_sizes:
-            raise AnalysisError(f"sizes must be >= 1, got {bad_sizes!r}")
+        check_spec(self)
 
     def cells(self) -> tuple[RunSpec, ...]:
         """Flatten the cartesian grid into executor cells (stable order)."""
@@ -140,17 +95,14 @@ def run_single(
     n: int,
     seed: int,
     *,
-    initial_method: str = "echo",
-    mode: str = "concurrent",
-    delay: str = "unit",
-    max_rounds: int | None = None,
-    algorithm: str = DEFAULT_ALGORITHM,
-    fault: str = NO_FAULT,
-    scheduler: str = NO_SCHEDULER,
-    churn: str = NO_CHURN,
     causal: CausalCapture | None = None,
+    **fields: Any,
 ) -> RunRecord:
     """Run one configuration and flatten it into a record.
+
+    *fields* are the remaining :class:`~repro.analysis.executor.RunSpec`
+    fields (``initial_method``, ``mode``, ``delay``, ``max_rounds``,
+    ``algorithm``, ``fault``, ``scheduler``, ``churn``).
 
     Passing a :class:`~repro.sim.provenance.CausalCapture` as *causal*
     records per-delivery provenance into it (and its
@@ -184,22 +136,7 @@ def run_single(
     """
     from .batch import CellTemplate
 
-    template = CellTemplate(
-        RunSpec(
-            family=family,
-            n=n,
-            seed=seed,
-            initial_method=initial_method,
-            mode=mode,
-            delay=delay,
-            max_rounds=max_rounds,
-            algorithm=algorithm,
-            fault=fault,
-            scheduler=scheduler,
-            churn=churn,
-        )
-    )
-    return template.run(seed, causal)
+    return CellTemplate(RunSpec(family, n, seed, **fields)).run(seed, causal)
 
 
 def run_sweep(

@@ -14,23 +14,31 @@ Subcommands
 ``inspect``   causal forensics over a ``--causal-out`` artifact:
               critical path, per-primitive attribution, timeline export
 ``exact``     ground-truth Δ* for a small instance
-``families``  list workload families, delays, algorithms, faults,
-              scheduler policies, scenarios, bench suites
+``families``  list every run axis's registered names, the built-in
+              scenarios and the bench suites
 ``certify``   run + certification against the paper's claims
+
+Every run-axis flag (``--family`` … ``--churn``) is generated from
+:data:`repro.analysis.axes.AXES` by :func:`_add_axes`.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import replace
+from typing import Any, Callable
 
-from .algorithms import DEFAULT_ALGORITHM, algorithm_names, get_algorithm
+from .algorithms import algorithm_names
+from .analysis.axes import AXES, AXIS, FALLBACK, Axis
+from .analysis.batch import CellTemplate
 from .analysis.cache import ResultCache
-from .analysis.harness import SweepSpec, run_single, run_sweep
+from .analysis.executor import RunSpec, check_jobs
+from .analysis.harness import SweepSpec, run_sweep
 from .analysis.tables import Table
-from .errors import AnalysisError, ProtocolError, StallError, TerminationError
-from .graphs.generators import FAMILIES, make_family
-from .mdst.config import MODES
+from .errors import AnalysisError
+from .graphs.generators import make_family
 from .obs import (
     capture,
     diff_traces,
@@ -41,36 +49,31 @@ from .obs import (
     write_trace,
 )
 from .sequential.exact import optimal_degree
-from .sim.churn import (
-    NO_CHURN,
-    churn_names,
-    churn_plan_from_name,
-    merge_plans,
-)
-from .sim.delays import DELAY_NAMES, delay_model_from_name
-from .sim.faults import NO_FAULT, fault_names, fault_plan_from_name
+from .sim.faults import NO_FAULT
 from .sim.provenance import CausalCapture
-from .sim.scheduler import NO_SCHEDULER, scheduler_from_name, scheduler_names
-from .spanning.provider import (
-    CENTRALIZED_METHODS,
-    DISTRIBUTED_METHODS,
-    build_spanning_tree,
-)
 from .verify.certification import certify_run
 from .viz.ascii_tree import render_degree_histogram, render_tree
 
 __all__ = ["main", "build_parser"]
 
-#: family names are validated eagerly via argparse choices — a typo
-#: fails at the parser with the valid names, not deep inside make_family
-_FAMILY_CHOICES = tuple(sorted(FAMILIES))
+#: every axis-table spelling (both of each axis, and the fuzz fallbacks)
+_SPELLINGS: dict[str, Axis] = {
+    spelling: axis
+    for axis in (*AXES, FALLBACK)
+    for spelling in (axis.flag, axis.flags)
+}
+
+#: the registries ``repro families`` lists after the run axes
+_EXTRA_LISTINGS = ["scenarios", "bench suites"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     # the perf package registers its bench library at import; pulled in
     # here (not at module top) so plain `repro run`-style invocations
     # never pay for it — the rest of the perf stack stays behind the
-    # lazy import in _bench
+    # lazy import in _bench. The exploration specs are the explore/fuzz
+    # flags' targets (their defaults are the flags' defaults).
+    from .exploration import FuzzSpec, exploration_grid
     from .perf.compare import TIME_TOLERANCE
     from .perf.spec import SUITES
 
@@ -84,37 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the protocol once")
-    _common_axes(run_p)
+    _run_args(run_p)
     run_p.add_argument("--show-tree", action="store_true", help="render the final tree")
 
     sweep_p = sub.add_parser("sweep", help="run a sweep and print a table")
-    sweep_p.add_argument(
-        "--families",
-        nargs="+",
-        default=["gnp_sparse"],
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload families ({', '.join(_FAMILY_CHOICES)})",
-    )
-    sweep_p.add_argument("--sizes", nargs="+", type=int, default=[16, 32])
-    sweep_p.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
-    sweep_p.add_argument("--initial", default="echo")
-    sweep_p.add_argument("--mode", default="concurrent", choices=list(MODES))
-    sweep_p.add_argument("--delay", default="unit", choices=list(DELAY_NAMES))
-    sweep_p.add_argument(
-        "--algorithm",
-        nargs="+",
-        default=[DEFAULT_ALGORITHM],
-        choices=list(algorithm_names()),
-        metavar="NAME",
-        help=(
-            "registered algorithm(s) to sweep; one table row per "
-            f"(algorithm, cell). Registered: {', '.join(algorithm_names())}"
-        ),
+    _add_axes(
+        sweep_p,
+        SweepSpec,
+        "families sizes seeds initial mode delay algorithm+ fault+ "
+        "scheduler+ churn+",
     )
     sweep_p.add_argument(
         "--jobs",
-        type=int,
+        type=_JOBS,
         default=1,
         help="worker processes (records stay in deterministic sweep order)",
     )
@@ -124,94 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="result-cache directory; completed cells are not re-run",
     )
-    sweep_p.add_argument(
-        "--fault",
-        nargs="+",
-        default=[NO_FAULT],
-        choices=list(fault_names()),
-        metavar="PLAN",
-        help=f"named fault plan(s) to sweep ({', '.join(fault_names())})",
-    )
-    sweep_p.add_argument(
-        "--scheduler",
-        nargs="+",
-        default=[NO_SCHEDULER],
-        choices=list(scheduler_names()),
-        metavar="POLICY",
-        help=(
-            "scheduler policy/policies to sweep "
-            f"({', '.join(scheduler_names())})"
-        ),
-    )
-    sweep_p.add_argument(
-        "--churn",
-        nargs="+",
-        default=[NO_CHURN],
-        choices=list(churn_names()),
-        metavar="PLAN",
-        help=f"named churn plan(s) to sweep ({', '.join(churn_names())})",
-    )
     _add_trace_args(sweep_p)
 
     compare_p = sub.add_parser(
         "compare",
         help="run registered algorithms head-to-head on one instance",
     )
-    compare_p.add_argument(
-        "--family",
-        default="gnp_sparse",
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload family ({', '.join(_FAMILY_CHOICES)})",
-    )
-    compare_p.add_argument("--n", type=int, default=24)
-    compare_p.add_argument("--seed", type=int, default=0)
-    compare_p.add_argument(
-        "--initial",
-        default="echo",
-        choices=list(DISTRIBUTED_METHODS + CENTRALIZED_METHODS),
-    )
-    compare_p.add_argument("--delay", default="unit", choices=list(DELAY_NAMES))
-    compare_p.add_argument(
-        "--fault",
-        default=NO_FAULT,
-        choices=list(fault_names()),
-        metavar="PLAN",
-        help=(
-            "named fault plan injected into every algorithm "
-            f"({', '.join(fault_names())}); stalled runs are tabulated"
-        ),
-    )
-    compare_p.add_argument(
-        "--scheduler",
-        default=NO_SCHEDULER,
-        choices=list(scheduler_names()),
-        metavar="POLICY",
-        help=(
-            "adversarial scheduler policy ordering every algorithm's "
-            f"deliveries ({', '.join(scheduler_names())})"
-        ),
-    )
-    compare_p.add_argument(
-        "--churn",
-        default=NO_CHURN,
-        choices=list(churn_names()),
-        metavar="PLAN",
-        help=(
-            "named mid-run churn plan applied to every algorithm "
-            f"({', '.join(churn_names())}); stalled runs are tabulated"
-        ),
-    )
-    compare_p.add_argument(
-        "--algorithm",
-        nargs="+",
-        default=None,
-        choices=list(algorithm_names()),
-        metavar="NAME",
-        help=(
-            "algorithm(s) to compare (default: all). Registered: "
-            f"{', '.join(algorithm_names())}"
-        ),
+    _add_axes(
+        compare_p,
+        RunSpec,
+        "family n seed initial delay fault scheduler churn algorithm+",
+        algorithms=None,  # all registered
     )
     compare_p.add_argument(
         "--exact",
@@ -220,26 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exact_p = sub.add_parser("exact", help="ground-truth optimal degree (small n)")
-    exact_p.add_argument(
-        "--family",
-        default="gnp_sparse",
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload family ({', '.join(_FAMILY_CHOICES)})",
-    )
-    exact_p.add_argument("--n", type=int, default=10)
-    exact_p.add_argument("--seed", type=int, default=0)
+    _add_axes(exact_p, RunSpec, "family n seed", n=10)
 
     sub.add_parser(
         "families",
-        help=(
-            "list workload families, delay models, algorithms, fault "
-            "plans and built-in scenarios"
-        ),
+        help="list "
+        + ", ".join([a.title for a in AXES if a.names] + _EXTRA_LISTINGS),
     )
 
     cert_p = sub.add_parser("certify", help="run + certify against the claims")
-    _common_axes(cert_p)
+    _run_args(cert_p)
 
     exp_p = sub.add_parser(
         "experiment", help="regenerate a paper experiment table (t1..t8)"
@@ -273,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_p.add_argument(
         "--jobs",
-        type=int,
+        type=_JOBS,
         default=1,
         help="worker processes (reports are identical for any value)",
     )
@@ -309,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--jobs",
-        type=int,
+        type=_JOBS,
         default=1,
         help=(
             "worker processes for the sweep work pass (the work section "
@@ -498,49 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
             "differential oracle; shrink and save any counterexample"
         ),
     )
-    exp.add_argument(
-        "--families",
-        nargs="+",
-        default=["gnp_sparse"],
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload families ({', '.join(_FAMILY_CHOICES)})",
-    )
-    exp.add_argument("--sizes", nargs="+", type=int, default=[6, 8, 10])
-    exp.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=list(range(8)),
-        help="instance/schedule seeds (each is an independent schedule)",
-    )
-    exp.add_argument(
-        "--schedulers",
-        nargs="+",
-        default=["lifo", "random", "starve"],
-        choices=list(scheduler_names()),
-        metavar="POLICY",
-        help=f"scheduler policies to explore ({', '.join(scheduler_names())})",
-    )
-    exp.add_argument(
-        "--churns",
-        nargs="+",
-        default=[NO_CHURN],
-        choices=list(churn_names()),
-        metavar="PLAN",
-        help=f"named churn plan(s) to explore ({', '.join(churn_names())})",
-    )
-    exp.add_argument(
-        "--delay",
-        default="unit",
-        choices=list(DELAY_NAMES),
-        help="delay model for scheduler=none cells (inert under a policy)",
-    )
-    exp.add_argument(
-        "--initial",
-        default="random",
-        choices=list(DISTRIBUTED_METHODS + CENTRALIZED_METHODS),
-        help="startup spanning-tree construction for every cell",
+    _add_axes(
+        exp,
+        exploration_grid,
+        "families sizes seeds schedulers churns delay initial",
     )
     exp.add_argument(
         "--tiny",
@@ -549,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--jobs",
-        type=int,
+        type=_JOBS,
         default=1,
         help="worker processes (verdicts are identical for any value)",
     )
@@ -592,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
             "coverage-guided schedule fuzzing: mutate replay prefixes + "
             "mid-run churn toward new behaviour; shrink any failure"
         ),
+        # --seed (the mutation seed, added below) takes that spelling
+        # from the --seeds alias
+        conflict_handler="resolve",
     )
     fz.add_argument(
         "--list",
@@ -601,39 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and campaign defaults, then exit"
         ),
     )
-    fz.add_argument(
-        "--family",
-        default="gnp_sparse",
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload family ({', '.join(_FAMILY_CHOICES)})",
-    )
-    fz.add_argument("--sizes", nargs="+", type=int, default=[6, 8])
-    fz.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=list(range(4)),
-        help="round-zero instance seeds (mutations explore beyond them)",
-    )
-    fz.add_argument(
-        "--fallbacks",
-        nargs="+",
-        default=["random", "lifo"],
-        metavar="POLICY",
-        help=(
-            "fallback policies finishing a schedule past its replay "
-            "prefix (registered policies except 'none')"
-        ),
-    )
-    fz.add_argument(
-        "--churns",
-        nargs="+",
-        default=["none", "restart_one", "restart_wave"],
-        choices=list(churn_names()),
-        metavar="PLAN",
-        help=f"churn plans in play ({', '.join(churn_names())})",
-    )
+    _add_axes(fz, FuzzSpec, "family sizes seeds fallbacks churns")
     fz.add_argument(
         "--budget",
         type=int,
@@ -660,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fz.add_argument(
         "--jobs",
-        type=int,
+        type=_JOBS,
         default=1,
         help="worker processes (reports are byte-identical for any value)",
     )
@@ -727,58 +557,85 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _common_axes(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--family",
-        default="gnp_sparse",
-        choices=_FAMILY_CHOICES,
-        metavar="FAMILY",
-        help=f"workload family ({', '.join(_FAMILY_CHOICES)})",
-    )
-    p.add_argument("--n", type=int, default=24, help="approximate node count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--initial",
-        default="echo",
-        choices=list(DISTRIBUTED_METHODS + CENTRALIZED_METHODS),
-        help="startup spanning-tree construction",
-    )
-    p.add_argument("--mode", default="concurrent", choices=list(MODES))
-    p.add_argument("--delay", default="unit", choices=list(DELAY_NAMES))
-    p.add_argument(
-        "--algorithm",
-        default=DEFAULT_ALGORITHM,
-        choices=list(algorithm_names()),
-        metavar="NAME",
-        help=f"distributed algorithm ({', '.join(algorithm_names())})",
-    )
-    p.add_argument(
-        "--fault",
-        default=NO_FAULT,
-        choices=list(fault_names()),
-        metavar="PLAN",
-        help=f"named fault plan to inject ({', '.join(fault_names())})",
-    )
-    p.add_argument(
-        "--scheduler",
-        default=NO_SCHEDULER,
-        choices=list(scheduler_names()),
-        metavar="POLICY",
-        help=(
-            "adversarial scheduler policy ordering deliveries "
-            f"({', '.join(scheduler_names())}; bypasses --delay)"
-        ),
-    )
-    p.add_argument(
-        "--churn",
-        default=NO_CHURN,
-        choices=list(churn_names()),
-        metavar="PLAN",
-        help=(
-            "named mid-run churn plan — crash-restart / link-flap "
-            f"({', '.join(churn_names())})"
-        ),
-    )
+def _arg_type(
+    check: Callable[[Any], Any], kind: type = str, wrap: bool = False
+) -> Callable[[str], Any]:
+    """An argparse ``type``: convert with *kind*, validate with *check*,
+    and with *wrap* return a 1-tuple. An :class:`AnalysisError` becomes
+    a usage error (exit 2) carrying its message, which names the valid
+    values."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = check(kind(text))
+        except AnalysisError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return (value,) if wrap else value
+
+    parse.__name__ = kind.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
+_JOBS = _arg_type(check_jobs, int)
+
+
+def _add_axes(
+    p: argparse.ArgumentParser, target: Callable, spellings: str, **defaults: Any
+) -> None:
+    """Generate run-axis flags on *p* from the axis table.
+
+    *spellings* lists the flags by their table spelling: a singular one
+    (``churn``) takes one value, a plural one (``churns``) or a singular
+    one marked ``+`` takes one or more. The axis's other spelling is an
+    alias with the same dest. Every value goes through the table's
+    ``check``, so a bad one is a usage error.
+
+    *target* is what the command calls with :func:`_target_kwargs`. A
+    one-value flag lands on the target's singular field when it has one,
+    else on its plural field as a 1-tuple; a many-value flag lands on
+    the plural field. The default is the target's own for that field,
+    unless *defaults* overrides it, else the table's.
+    """
+    params = inspect.signature(target).parameters
+    for token in spellings.split():
+        spelling = token.rstrip("+")
+        axis = _SPELLINGS[spelling]
+        many = token.endswith("+") or spelling == axis.flags
+        dest = axis.field if not many and axis.field in params else axis.plural
+        param = params.get(dest)
+        if dest in defaults:
+            default = defaults[dest]
+        elif param is not None and param.default is not param.empty:
+            default = param.default
+        else:
+            default = axis.default
+        listing = f" ({', '.join(axis.names())}{axis.hint})" if axis.names else ""
+        p.add_argument(
+            f"--{spelling}",
+            f"--{axis.flags if spelling == axis.flag else axis.flag}",
+            dest=dest,
+            nargs="+" if many else None,
+            type=_arg_type(
+                axis.check,
+                str if axis.names else int,
+                wrap=not many and dest == axis.plural,
+            ),
+            default=default,
+            metavar=axis.flag.upper(),
+            help=axis.help + listing,
+        )
+
+
+def _target_kwargs(args: argparse.Namespace, target: Callable) -> dict[str, Any]:
+    """The parsed values named like *target*'s parameters: the flags
+    :func:`_add_axes` generated for it, plus same-named plain options."""
+    params = inspect.signature(target).parameters
+    return {name: getattr(args, name) for name in params if hasattr(args, name)}
+
+
+def _run_args(p: argparse.ArgumentParser) -> None:
+    """``run`` / ``certify``: one value on every axis, plus the artifact."""
+    _add_axes(p, RunSpec, " ".join(axis.flag for axis in AXES))
     p.add_argument(
         "--causal-out",
         default=None,
@@ -790,46 +647,29 @@ def _common_axes(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_once(args: argparse.Namespace, causal=None):
-    graph = make_family(args.family, args.n, seed=args.seed)
-    startup = build_spanning_tree(graph, method=args.initial, seed=args.seed)
-    plan = merge_plans(
-        churn_plan_from_name(args.churn, graph.n, args.seed),
-        fault_plan_from_name(args.fault, graph.n, args.seed),
-    )
-    result = get_algorithm(args.algorithm).run(
-        graph,
-        startup.tree,
-        mode=args.mode,
-        seed=args.seed,
-        delay=delay_model_from_name(args.delay),
-        faults=plan or None,
-        scheduler=scheduler_from_name(args.scheduler),
-        causal=causal,
-    )
-    return result
+def _run_cell(args: argparse.Namespace):
+    """Drive the ``run`` / ``certify`` cell. A loud stall of the
+    requested fault or churn plan is reported and gives ``None``; the
+    causal artifact is written either way."""
+    spec = RunSpec(**_target_kwargs(args, RunSpec))
+    cap = CausalCapture() if args.causal_out else None
+    _, _, _, outcome = CellTemplate(spec).attempt(spec.seed, cap)
+    _write_causal_artifact(args, cap)
+    if isinstance(outcome, Exception):
+        print(_stall_message(spec, outcome), file=sys.stderr)
+        return None
+    return outcome
 
 
-def _flattens(args: argparse.Namespace, exc: Exception) -> bool:
-    """Is this failure the expected loud stall of the requested fault /
-    churn plan (exit 1 + message) rather than a bug (propagate)?
-    Mirrors :meth:`repro.analysis.batch.CellTemplate.flattens`."""
-    if args.fault != NO_FAULT:
-        return True
-    return args.churn != NO_CHURN and isinstance(
-        exc, (TerminationError, StallError)
-    )
-
-
-def _stall_message(args: argparse.Namespace, exc: Exception) -> str:
-    if args.fault != NO_FAULT:
+def _stall_message(spec: RunSpec, exc: Exception) -> str:
+    if spec.fault != NO_FAULT:
         return (
-            f"run stalled under fault plan {args.fault!r} "
+            f"run stalled under fault plan {spec.fault!r} "
             f"(the paper assumes reliable channels and non-crashing "
             f"processors): {exc}"
         )
     return (
-        f"run stalled under churn plan {args.churn!r} "
+        f"run stalled under churn plan {spec.churn!r} "
         f"(a stranding plan stalls loudly; corruption would have "
         f"raised): {exc}"
     )
@@ -893,16 +733,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .perf.spec import SUITES
         from .scenarios.library import SCENARIOS
 
-        sections = [
-            ("graph families", sorted(FAMILIES)),
-            ("delay models", list(DELAY_NAMES)),
-            ("algorithms", list(algorithm_names())),
-            ("fault plans", list(fault_names())),
-            ("scheduler policies", list(scheduler_names())),
-            ("churn plans", list(churn_names())),
-            ("scenarios", sorted(SCENARIOS)),
-            ("bench suites", list(SUITES)),
-        ]
+        sections = [(a.title, a.names()) for a in AXES if a.names]
+        sections += zip(_EXTRA_LISTINGS, (sorted(SCENARIOS), SUITES))
         for i, (title, names) in enumerate(sections):
             if i:
                 print()
@@ -917,39 +749,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"{args.family} n={graph.n} m={graph.m}: optimal degree = {d}")
         return 0
 
-    if args.command == "run":
-        cap = CausalCapture() if args.causal_out else None
-        try:
-            result = _run_once(args, cap)
-        except (TerminationError, ProtocolError) as exc:
-            if not _flattens(args, exc):
-                raise
-            _write_causal_artifact(args, cap)
-            print(_stall_message(args, exc), file=sys.stderr)
+    if args.command in ("run", "certify"):
+        result = _run_cell(args)
+        if result is None:
             return 1
-        _write_causal_artifact(args, cap)
         print(result.summary())
-        if args.show_tree:
+        if args.command == "certify":
+            print()
+            print(certify_run(result).summary())
+        elif args.show_tree:
             print()
             print(render_tree(result.final_tree, max_depth=6))
             print()
             print(render_degree_histogram(result.final_tree))
-        return 0
-
-    if args.command == "certify":
-        cap = CausalCapture() if args.causal_out else None
-        try:
-            result = _run_once(args, cap)
-        except (TerminationError, ProtocolError) as exc:
-            if not _flattens(args, exc):
-                raise
-            _write_causal_artifact(args, cap)
-            print(_stall_message(args, exc), file=sys.stderr)
-            return 1
-        _write_causal_artifact(args, cap)
-        print(result.summary())
-        print()
-        print(certify_run(result).summary())
         return 0
 
     if args.command == "experiment":
@@ -960,63 +772,34 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compare":
-        graph = make_family(args.family, args.n, seed=args.seed)
-        startup = build_spanning_tree(graph, method=args.initial, seed=args.seed)
-        names = tuple(args.algorithm or algorithm_names())
+        spec = RunSpec(**_target_kwargs(args, RunSpec))
+        records = [
+            CellTemplate(replace(spec, algorithm=name)).run(spec.seed)
+            for name in args.algorithms or algorithm_names()
+        ]
         table = Table(
             ["algorithm", "k0", "k*", "rounds", "msgs", "bits", "time"],
             title=(
-                f"algorithm comparison — {args.family} n={graph.n} "
-                f"m={graph.m} seed={args.seed}"
+                f"algorithm comparison — {spec.family} n={records[0].n} "
+                f"m={records[0].m} seed={spec.seed}"
             ),
         )
-        plan = merge_plans(
-            churn_plan_from_name(args.churn, graph.n, args.seed),
-            fault_plan_from_name(args.fault, graph.n, args.seed),
-        )
-        for name in names:
-            try:
-                result = get_algorithm(name).run(
-                    graph,
-                    startup.tree,
-                    seed=args.seed,
-                    delay=delay_model_from_name(args.delay),
-                    faults=plan or None,
-                    scheduler=scheduler_from_name(args.scheduler),
+        for r in records:
+            if r.ok:
+                table.add(
+                    r.algorithm, r.k_initial, r.k_final, r.rounds,
+                    r.messages, r.bits, r.causal_time,
                 )
-            except (TerminationError, ProtocolError) as exc:
-                if not _flattens(args, exc):
-                    raise
-                k0 = startup.tree.max_degree()
-                table.add(name, k0, "stalled", "—", "—", "—", "—")
-                continue
-            table.add(
-                name,
-                result.initial_degree,
-                result.final_degree,
-                result.num_rounds,
-                result.messages,
-                result.report.total_bits,
-                result.causal_time,
-            )
+            else:
+                table.add(r.algorithm, r.k_initial, "stalled", "—", "—", "—", "—")
         print(table.render())
         if args.exact:
+            graph = make_family(spec.family, spec.n, seed=spec.seed)
             print(f"exact optimum: Δ* = {optimal_degree(graph)}")
         return 0
 
     if args.command == "sweep":
-        spec = SweepSpec(
-            families=tuple(args.families),
-            sizes=tuple(args.sizes),
-            seeds=tuple(args.seeds),
-            initial_methods=(args.initial,),
-            modes=(args.mode,),
-            delays=(args.delay,),
-            algorithms=tuple(args.algorithm),
-            faults=tuple(args.fault),
-            schedulers=tuple(args.scheduler),
-            churns=tuple(args.churn),
-        )
+        spec = SweepSpec(**_target_kwargs(args, SweepSpec))
         cache = ResultCache(args.cache) if args.cache else None
         records = run_sweep(spec, jobs=args.jobs, cache=cache)
         table = Table(
@@ -1404,15 +1187,7 @@ def _explore(args: argparse.Namespace) -> int:
     if args.tiny:
         grid = tiny_grid()
     else:
-        grid = exploration_grid(
-            families=tuple(args.families),
-            sizes=tuple(args.sizes),
-            seeds=tuple(args.seeds),
-            schedulers=tuple(args.schedulers),
-            delays=(args.delay,),
-            churns=tuple(args.churns),
-            initial_method=args.initial,
-        )
+        grid = exploration_grid(**_target_kwargs(args, exploration_grid))
     results = explore(
         grid, jobs=args.jobs, cache=args.cache, exact_limit=args.exact_limit
     )
@@ -1469,13 +1244,12 @@ def _fuzz(args: argparse.Namespace) -> int:
             print(f"  {name:<12}{desc}")
         print()
         print("churn plans:")
-        for name in churn_names():
+        for name in AXIS["churn"].names():
             print(f"  {name}")
         print()
         print("fallback policies:")
-        for name in scheduler_names():
-            if name not in (NO_SCHEDULER, "replay"):
-                print(f"  {name}")
+        for name in FALLBACK.names():
+            print(f"  {name}")
         print()
         print(
             f"defaults: budget={spec.budget} batch={spec.batch} "
@@ -1485,18 +1259,7 @@ def _fuzz(args: argparse.Namespace) -> int:
         )
         return 0
 
-    spec = FuzzSpec(
-        family=args.family,
-        sizes=tuple(args.sizes),
-        seeds=tuple(args.seeds),
-        fallbacks=tuple(args.fallbacks),
-        churns=tuple(args.churns),
-        seed=args.seed,
-        budget=args.budget,
-        batch=args.batch,
-        max_prefix=args.max_prefix,
-        exact_limit=args.exact_limit,
-    )
+    spec = FuzzSpec(**_target_kwargs(args, FuzzSpec))
     seed_corpus = load_corpus_cells(args.corpus) if args.corpus else ()
     report = run_fuzz(
         spec,

@@ -20,13 +20,10 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from ..algorithms import algorithm_names
+from ..analysis.axes import AXES, check_spec, checked
 from ..analysis.executor import RunSpec
-from ..analysis.harness import check_scheduler_axis
 from ..errors import AnalysisError
-from ..graphs.generators import FAMILIES
-from ..sim.churn import NO_CHURN, churn_names
-from ..sim.delays import DELAY_NAMES
+from ..sim.churn import NO_CHURN
 from ..sim.scheduler import NO_SCHEDULER
 
 __all__ = ["ExplorationCell", "exploration_grid", "tiny_grid", "DEFAULT_ALGORITHMS"]
@@ -39,7 +36,11 @@ DEFAULT_ALGORITHMS: tuple[str, ...] = ("blin_butelle", "fr_local")
 
 @dataclass(frozen=True)
 class ExplorationCell:
-    """One (instance × schedule × algorithm-set) probe."""
+    """One (instance × schedule × algorithm-set) probe.
+
+    Every axis field is checked at construction (see
+    :mod:`repro.analysis.axes`), so a typo'd name fails here instead of
+    coming back as a counterexample."""
 
     family: str
     n: int
@@ -56,33 +57,19 @@ class ExplorationCell:
     churn: str = NO_CHURN
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise AnalysisError(f"cell size must be >= 1, got {self.n}")
-        if not self.algorithms:
-            raise AnalysisError("a cell needs at least one algorithm")
-        if not isinstance(self.algorithms, tuple):
-            object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        check_spec(self)
 
     def run_specs(self) -> tuple[RunSpec, ...]:
-        """One executor cell per algorithm, identical instance/schedule.
-
-        ``RunSpec`` construction validates nothing by itself; the values
-        are validated when the probe expands them (unknown names fail
-        loudly inside :func:`~repro.exploration.probe.probe_cell`).
-        """
+        """One executor cell per algorithm, identical instance/schedule
+        (a cell has every other axis but ``fault``: probes run
+        fault-free)."""
+        shared = {
+            axis.field: getattr(self, axis.field)
+            for axis in AXES
+            if hasattr(self, axis.field)
+        }
         return tuple(
-            RunSpec(
-                family=self.family,
-                n=self.n,
-                seed=self.seed,
-                initial_method=self.initial_method,
-                mode=self.mode,
-                delay=self.delay,
-                algorithm=algorithm,
-                scheduler=self.scheduler,
-                churn=self.churn,
-            )
-            for algorithm in self.algorithms
+            RunSpec(algorithm=algorithm, **shared) for algorithm in self.algorithms
         )
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -107,14 +94,6 @@ class ExplorationCell:
         return replace(self, **changes)
 
 
-def _check(values: tuple[str, ...], valid: tuple[str, ...], axis: str) -> None:
-    unknown = [v for v in values if v not in valid]
-    if unknown:
-        raise AnalysisError(
-            f"unknown {axis} {unknown!r}; valid choices: {sorted(valid)}"
-        )
-
-
 def exploration_grid(
     *,
     families: tuple[str, ...] = ("gnp_sparse",),
@@ -133,11 +112,7 @@ def exploration_grid(
     cells — under a policy the delay model is bypassed, so crossing it
     with policies would enumerate duplicate schedules.
     """
-    _check(families, tuple(FAMILIES), "family")
-    check_scheduler_axis(schedulers)
-    _check(delays, DELAY_NAMES, "delay model")
-    _check(churns, churn_names(), "churn plan")
-    _check(algorithms, algorithm_names(), "algorithm")
+    checked(locals())  # every axis parameter, before any cell is built
     cells = []
     for family in families:
         for n in sizes:

@@ -44,6 +44,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..analysis.axes import FALLBACK, check_spec
 from ..analysis.cache import ResultCache
 from ..analysis.executor import (
     Executor,
@@ -55,7 +56,6 @@ from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 from ..obs import current as obs
 from ..rng import substream
-from ..sim.churn import churn_names
 from ..sim.scheduler import (
     NO_SCHEDULER,
     REPLAY_CHOICE_SPACE,
@@ -63,7 +63,6 @@ from ..sim.scheduler import (
     is_replay_spec,
     parse_replay_spec,
     replay_spec,
-    scheduler_from_name,
 )
 from .cells import DEFAULT_ALGORITHMS, ExplorationCell
 from .explorer import ExplorationResult, explore
@@ -329,21 +328,10 @@ class FuzzSpec:
             raise AnalysisError(
                 f"max_prefix must be in [1, {REPLAY_PREFIX_MAX}]"
             )
-        if not (self.sizes and self.seeds and self.fallbacks and self.churns):
-            raise AnalysisError("fuzz axes must be non-empty")
-        for fb in self.fallbacks:
-            if fb == NO_SCHEDULER or is_replay_spec(fb):
-                raise AnalysisError(f"bad replay fallback {fb!r}")
-            try:
-                scheduler_from_name(fb)
-            except ValueError as exc:
-                raise AnalysisError(str(exc)) from None
-        unknown = [c for c in self.churns if c not in churn_names()]
-        if unknown:
-            raise AnalysisError(
-                f"unknown churn plan {unknown!r}; "
-                f"valid choices: {sorted(churn_names())}"
-            )
+        check_spec(self)
+        object.__setattr__(
+            self, "fallbacks", FALLBACK.check_all(self.fallbacks)
+        )
 
     def seed_cells(self) -> tuple[ExplorationCell, ...]:
         """The deterministic round-zero inputs: one empty-prefix replay

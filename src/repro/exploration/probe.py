@@ -26,6 +26,7 @@ to serial runs.
 
 from __future__ import annotations
 
+from ..analysis.axes import axis_fields
 from ..analysis.batch import CellTemplate
 from ..analysis.executor import RunSpec
 from ..analysis.records import RunRecord
@@ -71,14 +72,10 @@ def probe_cell(spec: RunSpec) -> RunRecord:
         except ReproError:
             n, m, k0, startup_messages = spec.n, 0, 0, 0
         return RunRecord(
-            family=spec.family,
+            **axis_fields(spec),
             n=n,
             m=m,
             seed=spec.seed,
-            initial_method=spec.initial_method,
-            mode=spec.mode,
-            delay=spec.delay,
-            algorithm=spec.algorithm,
             k_initial=k0,
             k_final=k0,
             rounds=0,
@@ -87,10 +84,6 @@ def probe_cell(spec: RunSpec) -> RunRecord:
             bits=0,
             max_msg_fields=0,
             startup_messages=startup_messages,
-            max_rounds=spec.max_rounds,
-            fault=spec.fault,
-            scheduler=spec.scheduler,
-            churn=spec.churn,
             outcome="error",
             extra={"error": f"{type(exc).__name__}: {exc}"},
         )

@@ -17,10 +17,11 @@ spelled out, not minutes into a campaign.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from ..algorithms import DEFAULT_ALGORITHM
+from ..analysis.axes import AXES, check_spec
 from ..analysis.executor import RunSpec
 from ..analysis.harness import SweepSpec
 from ..errors import AnalysisError
@@ -31,24 +32,6 @@ from ..sim.scheduler import NO_SCHEDULER
 __all__ = ["ScenarioSpec", "CampaignSpec"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_\-]*$")
-
-#: ScenarioSpec fields accepted from scenario documents (everything
-#: except nothing — kept explicit so loader errors can name them).
-SCENARIO_FIELDS = (
-    "name",
-    "description",
-    "families",
-    "sizes",
-    "seeds",
-    "initial_methods",
-    "modes",
-    "delays",
-    "faults",
-    "schedulers",
-    "churns",
-    "algorithms",
-    "max_rounds",
-)
 
 
 def _check_name(name: str, what: str) -> None:
@@ -65,8 +48,8 @@ class ScenarioSpec:
 
     The axes are exactly the sweep axes plus identity (``name`` /
     ``description``); :meth:`sweep` lowers a scenario to the
-    :class:`~repro.analysis.harness.SweepSpec` it denotes, which is also
-    what performs the eager axis validation at construction.
+    :class:`~repro.analysis.harness.SweepSpec` it denotes. Axis values
+    are checked at construction, exactly as a sweep checks them.
     """
 
     name: str
@@ -85,35 +68,13 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _check_name(self.name, "scenario")
-        # normalize lists (e.g. from a loaded document) to tuples so
-        # frozen specs stay hashable and order-stable
-        for axis in (
-            "families", "sizes", "seeds", "initial_methods", "modes",
-            "delays", "faults", "schedulers", "churns", "algorithms",
-        ):
-            value = getattr(self, axis)
-            if isinstance(value, str) or not isinstance(value, (list, tuple)):
-                raise AnalysisError(
-                    f"scenario axis {axis!r} must be a list, got {value!r}"
-                )
-            if not isinstance(value, tuple):
-                object.__setattr__(self, axis, tuple(value))
-        self.sweep()  # eager validation of every axis value
+        check_spec(self)
 
     def sweep(self) -> SweepSpec:
-        """Lower to the sweep spec this scenario denotes (validates)."""
+        """Lower to the sweep spec this scenario denotes."""
         return SweepSpec(
-            families=self.families,
-            sizes=self.sizes,
-            seeds=self.seeds,
-            initial_methods=self.initial_methods,
-            modes=self.modes,
-            delays=self.delays,
-            algorithms=self.algorithms,
-            faults=self.faults,
-            schedulers=self.schedulers,
-            churns=self.churns,
             max_rounds=self.max_rounds,
+            **{axis.plural: getattr(self, axis.plural) for axis in AXES},
         )
 
     def cells(self) -> tuple[RunSpec, ...]:
@@ -148,11 +109,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        unknown = sorted(set(data) - set(SCENARIO_FIELDS))
+        valid = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(valid))
         if unknown:
             raise AnalysisError(
-                f"unknown scenario field(s) {unknown!r}; "
-                f"valid fields: {list(SCENARIO_FIELDS)}"
+                f"unknown scenario field(s) {unknown!r}; valid fields: {valid}"
             )
         try:
             return cls(**data)
