@@ -25,7 +25,7 @@ corrupt tree. ``scheduler`` is an optional
 ordering (named policies expand via
 :func:`repro.sim.scheduler.scheduler_from_name`); the same
 certified-or-raise contract must hold under any policy. ``causal`` is an
-optional :class:`~repro.sim.provenance.CausalCapture` the runner must
+optional :class:`~repro.sim.provenance.CausalTally` the runner must
 attach to its protocol network (not the startup construction), so run
 forensics cover every registered algorithm uniformly.
 

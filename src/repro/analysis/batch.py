@@ -9,6 +9,9 @@ algorithm, delay, fault, scheduler. The runner exploits that shape:
   lookup and the delay/scheduler name validation happen once per group,
   and ``run(seed)`` is the one cell semantics
   (:func:`repro.analysis.harness.run_single` itself delegates here);
+* :func:`instance` is the per-process instance memo the template (and
+  the exploration oracle, probe and shrinker) build every graph,
+  startup tree and exact Δ* through;
 * :func:`group_cells` finds the seed-varying groups positionally;
 * :func:`run_cells` runs one group through one template, cell by cell;
 * :func:`maybe_run_batched` is the executor hook: it routes groups
@@ -25,30 +28,96 @@ and fault plans.
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 from typing import Sequence
 
 from ..algorithms import get_algorithm
 from ..errors import AnalysisError, ProtocolError, StallError, TerminationError
 from ..graphs.generators import make_family
+from ..graphs.graph import Graph
 from ..obs import Telemetry
 from ..obs import current as obs
+from ..sequential.exact import optimal_degree
 from ..sim.churn import NO_CHURN, churn_plan_from_name, merge_plans
-from ..sim.provenance import CausalCapture
 from ..sim.delays import delay_model_from_name
 from ..sim.faults import NO_FAULT, fault_plan_from_name
+from ..sim.provenance import CausalTally
 from ..sim.scheduler import scheduler_from_name
+from ..spanning.base import SpanningTreeOutcome
 from ..spanning.provider import build_spanning_tree
 from .axes import axis_fields
 from .executor import RunSpec, execute_cell
 from .records import RunRecord
 
 __all__ = [
+    "Instance",
+    "instance",
+    "INSTANCE_MEMO_SIZE",
     "CellTemplate",
     "group_cells",
     "run_cells",
     "maybe_run_batched",
     "emit_group_spans",
 ]
+
+
+#: Instances the per-process memo keeps, least recently used evicted
+#: first. Covers a fuzz campaign's working set (a few dozen small
+#: instances) and a sweep's seed group while keeping at most this many
+#: graphs alive.
+INSTANCE_MEMO_SIZE = 32
+
+
+class Instance:
+    """One ``(family, n, seed)`` instance: the graph, plus what the
+    layers above derive from it alone, each computed on first use.
+
+    * :meth:`startup` — the startup tree and startup message count per
+      initial method (built with the instance seed, as every cell does;
+      the startup network's report is dropped, never kept);
+    * :meth:`optimum` — Δ* per exact-solver limit.
+
+    Instances are shared through :func:`instance`, so the graph and the
+    trees are **read-only** for every caller: a run reads them and
+    builds its own processes, never mutates them (pinned by
+    ``tests/test_batch.py``).
+    """
+
+    __slots__ = ("graph", "seed", "_startups", "_optima")
+
+    def __init__(self, graph: Graph, seed: int) -> None:
+        self.graph = graph
+        self.seed = seed
+        self._startups: dict[str, tuple[SpanningTreeOutcome, int]] = {}
+        self._optima: dict[int, int] = {}
+
+    def startup(self, method: str) -> tuple[SpanningTreeOutcome, int]:
+        """``(startup, startup_messages)`` for *method*; the outcome's
+        ``report`` is always ``None``."""
+        got = self._startups.get(method)
+        if got is None:
+            built = build_spanning_tree(self.graph, method=method, seed=self.seed)
+            messages = built.report.total_messages if built.report is not None else 0
+            got = (SpanningTreeOutcome(tree=built.tree, report=None), messages)
+            self._startups[method] = got
+        return got
+
+    def optimum(self, limit: int) -> int:
+        """Δ* from the exact solver capped at *limit* nodes (a
+        :class:`~repro.errors.SolverError` propagates, uncached)."""
+        opt = self._optima.get(limit)
+        if opt is None:
+            opt = optimal_degree(self.graph, node_limit=limit)
+            self._optima[limit] = opt
+        return opt
+
+
+@lru_cache(maxsize=INSTANCE_MEMO_SIZE)
+def instance(family: str, n: int, seed: int) -> Instance:
+    """The memoized instance for ``(family, n, seed)`` — per process,
+    bounded by :data:`INSTANCE_MEMO_SIZE`. A failing ``make_family``
+    raises and caches nothing."""
+    return Instance(make_family(family, n, seed=seed), seed)
 
 
 class CellTemplate:
@@ -62,12 +131,15 @@ class CellTemplate:
 
     Delay models and scheduler policies carry per-run RNG state, so
     every run gets fresh instances; what the template hoists is the
-    name resolution and the shared record-building epilogue.
+    name resolution and the shared record-building epilogue. The graph
+    and startup tree come from the :func:`instance` memo and are shared
+    with every other run of the same ``(family, n, seed)`` in the
+    process — a run must never mutate them.
 
     With ``causal=True`` every run is driven with a fresh
-    :class:`~repro.sim.provenance.CausalCapture` and its summary travels
+    :class:`~repro.sim.provenance.CausalTally` and its summary travels
     on the record's ``causal`` field (the exploration probes' mode —
-    feeds the fuzzer's causal coverage signals). A capture is a pure
+    feeds the fuzzer's causal coverage signals). A tally is a pure
     function of the run, so captured records stay byte-identical
     however the cells are grouped.
     """
@@ -88,16 +160,15 @@ class CellTemplate:
     def setup(self, seed: int):
         """Instance shape for one seed: graph, startup tree, wrapper plan.
 
-        The per-node wrapper plan composes the churn plan (innermost —
-        churn instruments the bare process) with the fault plan, exactly
-        once per seed.
+        Graph and startup come from the shared :func:`instance` memo
+        (read-only). The per-node wrapper plan composes the churn plan
+        (innermost — churn instruments the bare process) with the fault
+        plan, exactly once per seed.
         """
         s = self.spec
-        graph = make_family(s.family, s.n, seed=seed)
-        startup = build_spanning_tree(graph, method=s.initial_method, seed=seed)
-        startup_messages = (
-            startup.report.total_messages if startup.report is not None else 0
-        )
+        inst = instance(s.family, s.n, seed)
+        graph = inst.graph
+        startup, startup_messages = inst.startup(s.initial_method)
         plan = merge_plans(
             churn_plan_from_name(s.churn, graph.n, seed),
             fault_plan_from_name(s.fault, graph.n, seed),
@@ -126,7 +197,7 @@ class CellTemplate:
 
     # -- drive ----------------------------------------------------------
 
-    def attempt(self, seed: int, cap: CausalCapture | None = None):
+    def attempt(self, seed: int, cap: CausalTally | None = None):
         """Set up and drive one seed: ``(graph, startup, startup_messages,
         outcome)``. The outcome is the algorithm's result, or the
         exception of a failure that :meth:`flattens` (the CLI reports it
@@ -151,16 +222,16 @@ class CellTemplate:
             outcome = exc
         return graph, startup, startup_messages, outcome
 
-    def run(self, seed: int, sink: CausalCapture | None = None) -> RunRecord:
+    def run(self, seed: int, sink: CausalTally | None = None) -> RunRecord:
         """One complete per-cell run (the reference semantics).
 
         *sink* is an explicit capture to drive the run with (the CLI's
         ``--causal-out`` path, which wants the full DAG back); without
-        one, a template constructed with ``causal=True`` captures into a
-        private instance and keeps only the summary.
+        one, a template constructed with ``causal=True`` drives a private
+        summary-only :class:`~repro.sim.provenance.CausalTally`.
         """
         cap = sink if sink is not None else (
-            CausalCapture() if self.causal else None
+            CausalTally() if self.causal else None
         )
         graph, startup, startup_messages, outcome = self.attempt(seed, cap)
         if isinstance(outcome, Exception):

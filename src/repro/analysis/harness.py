@@ -20,7 +20,7 @@ from ..algorithms import DEFAULT_ALGORITHM
 from ..obs import current as obs
 from ..sim.churn import NO_CHURN
 from ..sim.faults import NO_FAULT
-from ..sim.provenance import CausalCapture
+from ..sim.provenance import CausalTally
 from ..sim.scheduler import NO_SCHEDULER
 from .axes import check_spec
 from .cache import ResultCache
@@ -95,7 +95,7 @@ def run_single(
     n: int,
     seed: int,
     *,
-    causal: CausalCapture | None = None,
+    causal: CausalTally | None = None,
     **fields: Any,
 ) -> RunRecord:
     """Run one configuration and flatten it into a record.
@@ -106,7 +106,7 @@ def run_single(
 
     Passing a :class:`~repro.sim.provenance.CausalCapture` as *causal*
     records per-delivery provenance into it (and its
-    :meth:`~repro.sim.provenance.CausalCapture.summary` into the
+    :meth:`~repro.sim.provenance.CausalTally.summary` into the
     record's ``causal`` field) — the substrate behind ``--causal-out``
     and ``repro inspect``. ``None`` (the default) leaves every fast
     drive path byte-for-byte untouched.

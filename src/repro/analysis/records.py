@@ -64,7 +64,7 @@ class RunRecord:
     outcome: str = "ok"
     #: causal provenance digest (critical-path length, per-primitive
     #: message/bit attribution — see
-    #: :meth:`repro.sim.provenance.CausalCapture.summary`). Populated by
+    #: :meth:`repro.sim.provenance.CausalTally.summary`). Populated by
     #: capture-enabled drivers (exploration probes, ``--causal-out``);
     #: empty for uncaptured runs and records saved before the layer
     #: existed. Like every field, a pure function of ``(spec, seed)``.

@@ -16,6 +16,12 @@ under test, mirroring :mod:`repro.verify`:
 
 Verdicts are values (frozen, JSON-round-trippable, deterministic in the
 cell), which is what lets the regression corpus pin them byte-for-byte.
+
+Δ* comes from the per-process instance memo
+(:func:`repro.analysis.batch.instance`): a campaign re-probes the same
+``(family, n, seed)`` instance under many schedules, and the exact solve
+runs once per instance and limit. The memoized graph is shared and
+read-only; the solver only reads it.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..algorithms import get_algorithm
+from ..analysis.batch import instance
 from ..analysis.records import RunRecord
 from ..errors import AnalysisError, SolverError
-from ..graphs.generators import make_family
-from ..sequential.exact import optimal_degree
 from .cells import ExplorationCell
 
 __all__ = ["Verdict", "check_cell", "EXACT_LIMIT"]
@@ -125,10 +130,7 @@ def check_cell(
     opt: int | None = None
     if cell.n <= exact_limit:
         try:
-            opt = optimal_degree(
-                make_family(cell.family, cell.n, seed=cell.seed),
-                node_limit=exact_limit,
-            )
+            opt = instance(cell.family, cell.n, cell.seed).optimum(exact_limit)
         except SolverError:
             opt = None
     if opt is not None:

@@ -16,23 +16,24 @@ executor backend as the ``runner`` (pickled by reference into
 it must use a salted cache (:data:`PROBE_CACHE_SALT`) so probe records
 never alias plain-run records of the same spec.
 
-Probes run with causal capture on: every probe record carries the
-provenance digest (critical-path length, per-primitive attribution) in
-its ``causal`` field, which is what the fuzzer's causal coverage
-signals bucket on. Captured or not, a record is a pure function of its
-spec, so the salted cache and the parallel fan-out stay byte-identical
-to serial runs.
+Probes run with a summary-only causal tally
+(:class:`~repro.sim.provenance.CausalTally`): every probe record carries
+the provenance digest (critical-path length, per-primitive attribution)
+in its ``causal`` field, which is what the fuzzer's causal coverage
+signals bucket on, without paying for a per-event row it would discard.
+Instances come from the shared per-process memo
+(:func:`repro.analysis.batch.instance`). Either way a record is a pure
+function of its spec, so the salted cache and the parallel fan-out stay
+byte-identical to serial runs.
 """
 
 from __future__ import annotations
 
 from ..analysis.axes import axis_fields
-from ..analysis.batch import CellTemplate
+from ..analysis.batch import CellTemplate, instance
 from ..analysis.executor import RunSpec
 from ..analysis.records import RunRecord
 from ..errors import ReproError
-from ..graphs.generators import make_family
-from ..spanning.provider import build_spanning_tree
 
 __all__ = ["probe_cell", "probe_cells", "PROBE_CACHE_SALT"]
 
@@ -60,15 +61,10 @@ def probe_cell(spec: RunSpec) -> RunRecord:
         # a startup build that raises) fall back to the spec's values so
         # the error still comes back as data, not as a dead worker pool
         try:
-            graph = make_family(spec.family, spec.n, seed=spec.seed)
-            startup = build_spanning_tree(
-                graph, method=spec.initial_method, seed=spec.seed
-            )
-            n, m = graph.n, graph.m
+            inst = instance(spec.family, spec.n, spec.seed)
+            startup, startup_messages = inst.startup(spec.initial_method)
+            n, m = inst.graph.n, inst.graph.m
             k0 = startup.tree.max_degree()
-            startup_messages = (
-                startup.report.total_messages if startup.report is not None else 0
-            )
         except ReproError:
             n, m, k0, startup_messages = spec.n, 0, 0, 0
         return RunRecord(

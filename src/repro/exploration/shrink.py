@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.batch import instance
 from ..errors import AnalysisError, GraphError
-from ..graphs.generators import make_family
 from ..sim.churn import NO_CHURN
 from ..sim.scheduler import (
     NO_SCHEDULER,
@@ -104,7 +104,7 @@ def shrink(
         if probes >= max_probes:
             return None
         try:
-            make_family(candidate.family, candidate.n, seed=candidate.seed)
+            instance(candidate.family, candidate.n, candidate.seed)
         except GraphError:
             # the family has no instance of this size: not a counterexample
             memo[key] = None

@@ -18,7 +18,7 @@ from ..sim.faults import FaultPlan, wrap_factory
 from ..sim.metrics import SimulationReport
 from ..sim.monitors import parent_pointers_form_forest
 from ..sim.network import Network
-from ..sim.provenance import CausalCapture
+from ..sim.provenance import CausalTally
 from ..sim.scheduler import SchedulerPolicy
 from ..sim.trace import TraceRecorder
 from ..spanning.provider import build_spanning_tree
@@ -117,7 +117,7 @@ def build_protocol(
     check_invariants: bool = False,
     faults: FaultPlan | None = None,
     scheduler: SchedulerPolicy | None = None,
-    causal: CausalCapture | None = None,
+    causal: CausalTally | None = None,
 ) -> Built:
     """Validate inputs and construct the network of one protocol run.
 
@@ -155,7 +155,8 @@ def build_protocol(
         over delivery ordering (adversarial schedule exploration); the
         *delay* model is then bypassed.
     causal:
-        Optional :class:`~repro.sim.provenance.CausalCapture` recording
+        Optional :class:`~repro.sim.provenance.CausalTally` (or full
+        :class:`~repro.sim.provenance.CausalCapture`) recording
         per-message provenance on the protocol network (the startup
         spanning-tree construction is excluded, matching the paper's
         accounting — and this report's ``causal_time``).

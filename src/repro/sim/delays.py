@@ -8,7 +8,10 @@ analysis assumption (:class:`UnitDelay`), (b) randomize schedules
 adversarially (:class:`PerLinkDelay`, where some links are consistently
 slow — the classic way to force reordering bugs out of hiding).
 
-Every model is deterministic in ``(seed, link, sequence number)``.
+Every model is deterministic in ``(seed, link, sequence number)``. A
+random model creates its stream at :meth:`DelayModel.bind` (or, used
+unbound, at its first sample, as seed 0), so constructing one — to
+validate a name, say — costs no generator.
 """
 
 from __future__ import annotations
@@ -64,13 +67,17 @@ class UniformDelay(DelayModel):
             raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        self._rng = substream(0, f"uniform:{lo}:{hi}")
+        self._label = f"uniform:{lo}:{hi}"
+        self._rng = None
 
     def bind(self, seed: int) -> None:
-        self._rng = substream(seed, f"uniform:{self.lo}:{self.hi}")
+        self._rng = substream(seed, self._label)
 
     def sample(self, src: int, dst: int) -> float:
-        return float(self._rng.uniform(self.lo, self.hi))
+        rng = self._rng
+        if rng is None:  # unbound: the seed-0 stream
+            rng = self._rng = substream(0, self._label)
+        return float(rng.uniform(self.lo, self.hi))
 
 
 class ExponentialDelay(DelayModel):
@@ -82,13 +89,17 @@ class ExponentialDelay(DelayModel):
             raise ValueError("mean must be positive")
         self.mean = mean
         self.floor = floor
-        self._rng = substream(0, f"exp:{mean}")
+        self._label = f"exp:{mean}"
+        self._rng = None
 
     def bind(self, seed: int) -> None:
-        self._rng = substream(seed, f"exp:{self.mean}")
+        self._rng = substream(seed, self._label)
 
     def sample(self, src: int, dst: int) -> float:
-        return max(self.floor, float(self._rng.exponential(self.mean)))
+        rng = self._rng
+        if rng is None:  # unbound: the seed-0 stream
+            rng = self._rng = substream(0, self._label)
+        return max(self.floor, float(rng.exponential(self.mean)))
 
 
 class PerLinkDelay(DelayModel):

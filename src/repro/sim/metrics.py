@@ -48,13 +48,18 @@ class MessageStats:
 
     def record_send(self, msg: Message) -> None:
         entry = codec_entry(msg.__class__)
-        fields = entry.count(msg)
+        self.charge(entry.name, entry.count(msg))
+
+    def charge(self, name: str, fields: int) -> int:
+        """Account one send of message class *name* carrying *fields*
+        identity-sized slots; returns its bit cost."""
         self.total_messages += 1
-        name = entry.name
         self.by_type[name] = self.by_type.get(name, 0) + 1
         if fields > self.max_id_fields:
             self.max_id_fields = fields
-        self.total_bits += MESSAGE_TYPE_BITS + fields * self._id_bits
+        bits = MESSAGE_TYPE_BITS + fields * self._id_bits
+        self.total_bits += bits
+        return bits
 
     def record_delivery(self, depth: int, time: float) -> None:
         self.deliveries += 1

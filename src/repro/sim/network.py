@@ -57,7 +57,7 @@ from .events import BucketQueue, EventKind, EventQueue
 from .messages import MESSAGE_TYPE_BITS, Message, message_bits
 from .metrics import MessageStats, SimulationReport
 from .node import NodeContext, Process
-from .provenance import CausalCapture, swap_active
+from .provenance import CausalTally, swap_active
 from .scheduler import PolicyQueue, SchedulerPolicy
 from .trace import TraceRecord, TraceRecorder
 
@@ -134,11 +134,13 @@ class Network:
         the policy picks every delivery (the *delay* model is bypassed;
         simulated time becomes the virtual step index).
     causal:
-        Optional :class:`~repro.sim.provenance.CausalCapture`. When set,
-        every send/delivery is recorded with handler/clock parentage and
-        primitive attribution; like a trace, a capture routes the run
-        through the general drive loop (the fast loop requires
-        ``causal is None`` and stays byte-for-byte untouched).
+        Optional :class:`~repro.sim.provenance.CausalTally` (digest
+        only) or :class:`~repro.sim.provenance.CausalCapture` (full
+        rows). When set, every send/delivery is tallied with primitive
+        attribution (a capture also records handler/clock parentage);
+        like a trace, it routes the run through the general drive loop
+        (the fast loop requires ``causal is None`` and stays
+        byte-for-byte untouched).
     """
 
     def __init__(
@@ -153,7 +155,7 @@ class Network:
         monitors: Iterable[object] = (),
         monitor_interval: int = 256,
         scheduler: SchedulerPolicy | None = None,
-        causal: CausalCapture | None = None,
+        causal: CausalTally | None = None,
     ) -> None:
         if graph.n == 0:
             raise SimulationError("cannot simulate an empty network")
@@ -179,8 +181,6 @@ class Network:
         self.stats = MessageStats(n=graph.n)
         self.trace = trace
         self._causal = causal
-        if causal is not None:
-            causal.bind(graph.n)
         self.monitors = tuple(monitors)
         self.monitor_interval = int(monitor_interval)
         # per-node causal clocks: flat list under dense ids (every graph
@@ -319,9 +319,10 @@ class Network:
         depth = self._clocks[src] + 1
         seq = queue.push_raw(deliver_at, _DELIVER, dst, src, msg, depth)
         self._in_flight += 1
-        self.stats.record_send(msg)
+        name = entry.name
+        bits = self.stats.charge(name, entry.count(msg))
         if self._causal is not None:
-            self._causal.on_send(seq, src, msg, depth)
+            self._causal.on_send(seq, src, name, bits, depth)
         if self.trace is not None:
             self.trace.emit(TraceRecord(now, "send", src, dst, msg))
 

@@ -1,9 +1,24 @@
 """Opt-in message provenance: the causal capture layer.
 
 The engine's metrics answer *how much* a run did (messages, bits,
-``causal_time``); this layer answers *why*. A :class:`CausalCapture`
-attached to a :class:`~repro.sim.network.Network` records, for every
-delivered event, two parent links plus an ownership tag:
+``causal_time``); this layer answers *why*. It comes in two depths,
+both attached as ``Network(..., causal=...)``:
+
+* :class:`CausalTally` keeps only the flat digest that travels on
+  :class:`~repro.analysis.records.RunRecord` — per-section and
+  per-phase send tallies plus running event/delivery/in-flight
+  counters and the critical-path length. This is what a
+  ``CellTemplate(causal=True)`` run without an explicit sink drives,
+  which is every exploration probe: constant memory, no row per event.
+* :class:`CausalCapture` (a tally subclass) additionally records, for
+  every handled event, one :class:`CausalEvent` row with two parent
+  links. The callers that want the DAG itself pass one explicitly:
+  ``repro run --causal-out`` (and so ``repro inspect``), the tests, and
+  the benchmark's traced re-drive. Its :meth:`~CausalTally.summary` is
+  the inherited one, so both depths give the same digest for the same
+  run (pinned by ``tests/test_causal.py``).
+
+A capture row's links and tag:
 
 * **handler parent** — the delivery whose handler sent the message (who
   caused this send, program-order causality);
@@ -29,7 +44,9 @@ fast drive loop byte-for-byte (the capture rides
 :func:`stamp` is one module-global load plus a ``None`` check. The
 active capture pointer is swapped in for the duration of one
 ``Network.run`` (and restored on exit), so a network only ever stamps
-into its own capture.
+into its own capture. The network resolves each send's codec entry
+once and hands the message name and bit cost to both its own
+:class:`~repro.sim.metrics.MessageStats` and the capture.
 
 Everything recorded is a pure function of the run: serial, ``--jobs N``
 and warm-cache replays of the same spec produce byte-identical rows and
@@ -38,15 +55,12 @@ summaries (pinned by ``tests/test_causal.py``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import codec_entries, codec_entry
-from .messages import MESSAGE_TYPE_BITS
-
 __all__ = [
     "CausalEvent",
+    "CausalTally",
     "CausalCapture",
     "stamp",
     "stamp_phase",
@@ -100,65 +114,47 @@ class CausalEvent:
         }
 
 
-class CausalCapture:
-    """Provenance recorder for one network run.
+class CausalTally:
+    """Summary-only provenance for one network run.
 
-    Pass one as ``Network(..., causal=capture)`` (or through any
-    registered algorithm's ``causal=`` keyword) and drive the run;
-    afterwards ``rows`` holds the full causal DAG and :meth:`summary`
-    the flat attribution digest that travels on
-    :class:`~repro.analysis.records.RunRecord`.
+    Keeps what :meth:`summary` reports and nothing else: the send-side
+    section/phase tallies and four running counters (handled ``events``,
+    delivered ``messages``, ``in_flight`` sends and the deepest causal
+    depth ``crit_len``). Constant memory per run, so a caller that keeps
+    only the digest — a fuzz probe, a ``causal=True``
+    :class:`~repro.analysis.batch.CellTemplate` — pays no row per event.
     """
 
     __slots__ = (
-        "rows",
-        "_pending",
-        "_clocks",
-        "_last_clock",
-        "_cur",
+        "events",
+        "messages",
+        "in_flight",
+        "crit_len",
         "_section",
         "_phase",
         "_sent",
         "_phase_sent",
-        "_id_bits",
     )
 
     def __init__(self) -> None:
-        self.rows: list[CausalEvent] = []
-        #: queue seq -> send-time provenance, consumed at delivery
-        self._pending: dict[int, tuple] = {}
-        self._clocks: dict[int, int] = {}
-        self._last_clock: dict[int, int] = {}
-        self._cur: int | None = None
+        self.events = 0
+        self.messages = 0
+        self.in_flight = 0
+        self.crit_len = 0
         self._section: str = ""
         self._phase: str = ""
         #: send-time attribution: section -> [messages, bits] (counts
         #: every send, including ones a stalled run never delivers)
         self._sent: dict[str, list[int]] = {}
         self._phase_sent: dict[str, list[int]] = {}
-        self._id_bits = 1
-
-    def bind(self, n: int) -> None:
-        """Fix the network size (per-field bit accounting, as in
-        :class:`~repro.sim.metrics.MessageStats`)."""
-        self._id_bits = max(1, math.ceil(math.log2(max(n, 2))))
 
     # -- send side (called by Network._send) ---------------------------
 
-    def on_send(self, seq: int, src: int, msg: Any, depth: int) -> None:
-        entry = codec_entries().get(msg.__class__)
-        if entry is None:
-            entry = codec_entry(msg.__class__)
-        bits = MESSAGE_TYPE_BITS + entry.count(msg) * self._id_bits
+    def on_send(self, seq: int, src: int, msg: str, bits: int, depth: int) -> None:
+        """Charge one send of message class *msg* costing *bits* to the
+        current section and phase (the network resolved both once)."""
+        self.in_flight += 1
         section = self._section or UNATTRIBUTED_SECTION
-        self._pending[seq] = (
-            self._cur,
-            self._last_clock.get(src),
-            entry.name,
-            bits,
-            section,
-            self._phase,
-        )
         tally = self._sent.get(section)
         if tally is None:
             self._sent[section] = [1, bits]
@@ -176,6 +172,75 @@ class CausalCapture:
     # -- handle side (called by the drive loops) -----------------------
 
     def begin_start(self, node: int, time: float) -> None:
+        self.events += 1
+        self._section = ""
+
+    def begin_deliver(
+        self, seq: int, target: int, sender: int, time: float, depth: int
+    ) -> None:
+        self.events += 1
+        self.messages += 1
+        self.in_flight -= 1
+        if depth > self.crit_len:
+            self.crit_len = depth
+        self._section = ""
+
+    # -- digest --------------------------------------------------------
+
+    def summary(self) -> dict[str, Any]:
+        """Flat, JSON-stable attribution digest (what
+        :class:`~repro.analysis.records.RunRecord` carries in its
+        ``causal`` field — a pure function of the run).
+        """
+        return {
+            "crit_len": self.crit_len,
+            "events": self.events,
+            "messages": self.messages,
+            "in_flight": self.in_flight,
+            "sections": {
+                name: list(tally) for name, tally in sorted(self._sent.items())
+            },
+            "phases": {
+                name: list(tally)
+                for name, tally in sorted(self._phase_sent.items())
+            },
+        }
+
+
+class CausalCapture(CausalTally):
+    """Full provenance recorder for one network run.
+
+    Pass one as ``Network(..., causal=capture)`` (or through any
+    registered algorithm's ``causal=`` keyword) and drive the run;
+    afterwards ``rows`` holds the full causal DAG, and the inherited
+    :meth:`~CausalTally.summary` the flat attribution digest that
+    travels on :class:`~repro.analysis.records.RunRecord`.
+    """
+
+    __slots__ = ("rows", "_pending", "_clocks", "_last_clock", "_cur")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rows: list[CausalEvent] = []
+        #: queue seq -> send-time provenance, consumed at delivery
+        self._pending: dict[int, tuple] = {}
+        self._clocks: dict[int, int] = {}
+        self._last_clock: dict[int, int] = {}
+        self._cur: int | None = None
+
+    def on_send(self, seq: int, src: int, msg: str, bits: int, depth: int) -> None:
+        CausalTally.on_send(self, seq, src, msg, bits, depth)
+        self._pending[seq] = (
+            self._cur,
+            self._last_clock.get(src),
+            msg,
+            bits,
+            self._section or UNATTRIBUTED_SECTION,
+            self._phase,
+        )
+
+    def begin_start(self, node: int, time: float) -> None:
+        CausalTally.begin_start(self, node, time)
         idx = len(self.rows)
         self.rows.append(
             CausalEvent(
@@ -185,11 +250,11 @@ class CausalCapture:
             )
         )
         self._cur = idx
-        self._section = ""
 
     def begin_deliver(
         self, seq: int, target: int, sender: int, time: float, depth: int
     ) -> None:
+        CausalTally.begin_deliver(self, seq, target, sender, time, depth)
         parent, clock, msg, bits, section, phase = self._pending.pop(seq)
         idx = len(self.rows)
         self.rows.append(
@@ -203,35 +268,6 @@ class CausalCapture:
             self._clocks[target] = depth
             self._last_clock[target] = idx
         self._cur = idx
-        self._section = ""
-
-    # -- digest --------------------------------------------------------
-
-    def summary(self) -> dict[str, Any]:
-        """Flat, JSON-stable attribution digest (what
-        :class:`~repro.analysis.records.RunRecord` carries in its
-        ``causal`` field — a pure function of the run).
-        """
-        crit = 0
-        delivered = 0
-        for row in self.rows:
-            if row.depth > crit:
-                crit = row.depth
-            if row.clock is not None or row.kind == "deliver":
-                delivered += 1
-        return {
-            "crit_len": crit,
-            "events": len(self.rows),
-            "messages": delivered,
-            "in_flight": len(self._pending),
-            "sections": {
-                name: list(tally) for name, tally in sorted(self._sent.items())
-            },
-            "phases": {
-                name: list(tally)
-                for name, tally in sorted(self._phase_sent.items())
-            },
-        }
 
 
 # -- the primitive stamping channel -------------------------------------------
@@ -239,10 +275,10 @@ class CausalCapture:
 #: The capture the currently-driving network routes stamps into (one
 #: network drives at a time per process; the drive loop swaps this in
 #: per chunk and restores it on exit).
-_ACTIVE: CausalCapture | None = None
+_ACTIVE: CausalTally | None = None
 
 
-def swap_active(capture: CausalCapture | None) -> CausalCapture | None:
+def swap_active(capture: CausalTally | None) -> CausalTally | None:
     """Install *capture* as the stamp target; returns the previous one."""
     global _ACTIVE
     previous = _ACTIVE

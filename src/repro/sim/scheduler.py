@@ -114,13 +114,16 @@ class RandomScheduler(SchedulerPolicy):
     schedule explorer. Different seeds are independent schedules."""
 
     def __init__(self) -> None:
-        self._rng = substream(0, "scheduler:random")
+        self._rng = None  # created by bind (or lazily, unbound)
 
     def bind(self, seed: int, n: int) -> None:
         self._rng = substream(seed, f"scheduler:random:{n}")
 
     def choose(self, heads: Sequence[Head]) -> int:
-        return int(self._rng.integers(len(heads)))
+        rng = self._rng
+        if rng is None:  # unbound: the seed-0 stream
+            rng = self._rng = substream(0, "scheduler:random")
+        return int(rng.integers(len(heads)))
 
 
 class StarveNodeScheduler(SchedulerPolicy):

@@ -6,7 +6,15 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.batch import CellTemplate, group_cells, maybe_run_batched, run_cells
+from repro.algorithms import algorithm_names
+from repro.analysis.batch import (
+    INSTANCE_MEMO_SIZE,
+    CellTemplate,
+    group_cells,
+    instance,
+    maybe_run_batched,
+    run_cells,
+)
 from repro.analysis.executor import (
     CachingExecutor,
     RunSpec,
@@ -14,9 +22,11 @@ from repro.analysis.executor import (
     execute_cell,
 )
 from repro.analysis.harness import SweepSpec, run_sweep
-from repro.errors import AnalysisError, ReproError
+from repro.errors import AnalysisError, GraphError, ReproError
 from repro.exploration import artifact_bytes, corpus_paths, explore, load_artifact
 from repro.exploration.probe import probe_cell, probe_cells
+from repro.graphs.generators import make_family
+from repro.spanning.provider import build_spanning_tree
 from tests.test_exploration import CORPUS_DIR
 
 
@@ -205,3 +215,60 @@ class TestTemplate:
             CellTemplate(
                 RunSpec(family="gnp_sparse", n=8, seed=0, algorithm="nope")
             )
+
+
+class TestInstanceMemo:
+    """The per-process instance memo shares graphs and startup trees
+    between runs, so no run may mutate them, and memoization must be
+    invisible in every record."""
+
+    FAMILY, N, SEED, METHOD = "gnp_sparse", 9, 4, "random"
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    @pytest.mark.parametrize(
+        "axis", [{"fault": "lossy_light"}, {"churn": "restart_one"},
+                 {"scheduler": "replay:lifo:3.1.4"}],
+    )
+    def test_runs_leave_the_shared_instance_untouched(self, algorithm, axis):
+        spec = RunSpec(
+            family=self.FAMILY, n=self.N, seed=self.SEED,
+            initial_method=self.METHOD, algorithm=algorithm, **axis,
+        )
+        inst = instance(self.FAMILY, self.N, self.SEED)
+        startup, _ = inst.startup(self.METHOD)
+        first = probe_cell(spec)
+        # the run drew its instance from the memo: the very same objects
+        assert instance(self.FAMILY, self.N, self.SEED) is inst
+        assert inst.startup(self.METHOD)[0] is startup
+        graph = make_family(self.FAMILY, self.N, seed=self.SEED)
+        fresh = build_spanning_tree(graph, method=self.METHOD, seed=self.SEED)
+        assert inst.graph.edges() == graph.edges()
+        assert startup.tree.parent_map() == fresh.tree.parent_map()
+        # and a second run off the same shared objects is byte-identical
+        assert probe_cell(spec).to_json_dict() == first.to_json_dict()
+
+    def test_startup_keeps_no_report(self):
+        inst = instance("gnp_sparse", 10, 0)
+        startup, messages = inst.startup("echo")
+        fresh = build_spanning_tree(inst.graph, method="echo", seed=0)
+        assert startup.report is None
+        assert messages == fresh.report.total_messages > 0
+
+    def test_failing_build_is_not_cached(self):
+        before = instance.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(GraphError):
+                instance("no_such_family", 8, 0)
+        assert instance.cache_info().currsize == before
+
+    def test_memo_is_bounded(self):
+        assert instance.cache_info().maxsize == INSTANCE_MEMO_SIZE
+        for seed in range(INSTANCE_MEMO_SIZE + 8):
+            instance("ring", 5, seed)
+        assert instance.cache_info().currsize == INSTANCE_MEMO_SIZE
+
+    def test_eviction_is_invisible_in_records(self):
+        spec = RunSpec(family="gnp_sparse", n=8, seed=2, churn="restart_one")
+        warm = execute_cell(spec)
+        instance.cache_clear()
+        assert execute_cell(spec) == warm

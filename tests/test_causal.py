@@ -8,15 +8,18 @@ import json
 
 import pytest
 
+from repro._mutation import mutated
 from repro.algorithms import get_algorithm
+from repro.analysis.batch import CellTemplate
 from repro.analysis.cache import ResultCache
 from repro.analysis.executor import (
     CachingExecutor,
     ParallelExecutor,
+    RunSpec,
     SerialExecutor,
 )
 from repro.analysis.harness import run_single
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ProtocolError
 from repro.exploration.cells import ExplorationCell
 from repro.exploration.probe import PROBE_CACHE_SALT, probe_cell
 from repro.graphs.generators import gnp_connected
@@ -29,7 +32,7 @@ from repro.obs.causal import (
     write_causal,
     write_timeline,
 )
-from repro.sim import CausalCapture, Network, stamp
+from repro.sim import CausalCapture, CausalTally, Network, stamp
 from repro.sim.messages import Message
 from repro.sim.node import Process
 from repro.sim.provenance import UNATTRIBUTED_SECTION
@@ -243,6 +246,70 @@ class TestCriticalPath:
             json.loads(json.dumps(record.to_json_dict()))
         )
         assert clone.causal["crit_len"] == record.causal_time
+
+
+# -- the summary-only tally ---------------------------------------------------
+
+
+def drive_both(spec):
+    """Drive *spec* once with a bare tally and once with a full capture
+    (same run, so same schedule); return both summaries and whatever
+    each attempt raised."""
+    out = []
+    for cap in (CausalTally(), CausalCapture()):
+        try:
+            CellTemplate(spec).attempt(spec.seed, cap)
+            raised = None
+        except ProtocolError as exc:
+            raised = f"{type(exc).__name__}: {exc}"
+        out.append((cap.summary(), raised))
+    return out
+
+
+class TestTallyEqualsCapture:
+    @pytest.mark.parametrize("algorithm,family,n,seed", GOLDEN_WORKLOADS)
+    def test_golden_workloads(self, algorithm, family, n, seed):
+        spec = RunSpec(
+            family=family, n=n, seed=seed, initial_method="random",
+            algorithm=algorithm,
+        )
+        (tally, _), (capture, _) = drive_both(spec)
+        assert tally == capture
+        pinned = GOLDEN_TALLIES[(algorithm, family, n, seed)]
+        assert tally["sections"] == pinned["sections"]
+        assert tally["phases"] == pinned["phases"]
+
+    def test_stalled_churn_run(self):
+        spec = RunSpec(
+            family="gnp_sparse", n=8, seed=1, initial_method="random",
+            churn="churn_storm",
+        )
+        assert CellTemplate(spec).run(1).outcome == "stalled"
+        (tally, _), (capture, _) = drive_both(spec)
+        assert tally == capture
+        assert tally["events"] > 0
+
+    def test_protocol_error_run(self):
+        """A run the injected churn-rejoin bug breaks mid-schedule: the
+        partial digests must agree at the point of failure."""
+        spec = RunSpec(
+            family="gnp_sparse", n=6, seed=2, initial_method="random",
+            churn="restart_one", scheduler="replay",
+        )
+        with mutated("drop_churn_rejoin"):
+            (tally, raised_a), (capture, raised_b) = drive_both(spec)
+        assert raised_a is not None and raised_a == raised_b
+        assert tally == capture
+
+    def test_probe_records_carry_the_tally_digest(self):
+        spec = RunSpec(
+            family="gnp_sparse", n=8, seed=0, initial_method="random",
+            churn="restart_one",
+        )
+        cap = CausalCapture()
+        full = CellTemplate(spec).run(0, cap)
+        assert probe_cell(spec) == full
+        assert full.causal == cap.summary()
 
 
 # -- artifact IO --------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.sim.scheduler import (
     parse_replay_spec,
     replay_spec,
 )
+from repro.sim.delays import ExponentialDelay, UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
 from repro.spanning.provider import build_spanning_tree
@@ -103,6 +104,39 @@ class TestPolicies:
         c = RandomScheduler()
         c.bind(8, 10)
         assert [c.choose(self.HEADS) for _ in range(50)] != picks_a
+
+    def test_unbound_streams_are_pinned(self):
+        """Unbound policies and delay models draw the seed-0 stream on
+        first use, exactly as when they built it eagerly at construction
+        (the figures are that eager stream's output)."""
+        r = RandomScheduler()
+        assert [r.choose((None,) * k) for k in (2, 3, 5, 7, 11, 13)] == [
+            0, 1, 3, 4, 2, 9,
+        ]
+        replay = ReplayScheduler((1,), "random")
+        assert [replay.choose((None,) * k) for k in (2, 3, 5, 7, 11)] == [
+            1, 1, 2, 4, 7,
+        ]
+        u = UniformDelay()
+        assert [u.sample(0, 1) for _ in range(3)] == [
+            0.4177026625079032, 0.18501019892564433, 0.5113385669400842,
+        ]
+        assert [UniformDelay(0.5, 2.0).sample(0, 1)] == [1.8163880923155995]
+        e = ExponentialDelay()
+        assert [e.sample(0, 1) for _ in range(3)] == [
+            0.019770159515741625, 0.40337283056813145, 0.8731639432779281,
+        ]
+        assert [ExponentialDelay(2.0).sample(0, 1)] == [1.7962464156764468]
+
+    def test_construction_builds_no_stream(self):
+        """Only ``bind`` (or a first unbound draw) creates a generator,
+        so constructing a model to validate its name is free."""
+        models = [RandomScheduler(), UniformDelay(), ExponentialDelay()]
+        assert all(m._rng is None for m in models)
+        replay = scheduler_from_name("replay:random:1")
+        assert replay._tail._rng is None
+        replay.bind(3, 8)
+        assert replay._tail._rng is not None
 
     def test_starve_victim_deterministic_and_in_range(self):
         for n in (1, 2, 7):
