@@ -2,9 +2,11 @@
 as reusable functions.
 
 Each preset returns ``(table_text, payload)`` where the payload carries
-the measured quantities for programmatic assertions; the benchmark files
-and the CLI ``experiment`` subcommand both delegate here, so the tables
-readers see are produced by exactly one code path.
+the measured quantities for programmatic assertions. The CLI
+``experiment`` subcommand delegates here. The ``benchmarks/bench_t*.py``
+files do not: they import :mod:`repro.perf.workloads`, whose T1–T8
+instance sets differ from these presets, so the two tables are not
+interchangeable.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Subcommands
 ``explore``   adversarial schedule exploration + counterexample shrinking
 ``fuzz``      coverage-guided schedule fuzzing with mid-run churn
 ``bench``     run a benchmark suite; record, compare and gate baselines
-``cache``     inspect / verify / prune a packed result cache
+``cache``     inspect / verify / prune a result cache
 ``obs``       summarize a telemetry trace, or diff two (``--diff A B``)
 ``inspect``   causal forensics over a ``--causal-out`` artifact:
               critical path, per-primitive attribution, timeline export
@@ -28,6 +28,7 @@ import argparse
 import inspect
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Any, Callable
 
 from .algorithms import algorithm_names
@@ -291,27 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_p = sub.add_parser(
         "cache",
-        help=(
-            "inspect and maintain a packed result cache "
-            "(segment store + index under DIR)"
-        ),
+        help="inspect and maintain a result cache (one SQLite file under DIR)",
     )
     cache_p.add_argument("dir", metavar="DIR", help="result-cache directory")
     cache_action = cache_p.add_mutually_exclusive_group(required=True)
     cache_action.add_argument(
         "--stats",
         action="store_true",
-        help="print entry/segment/byte counts and the active schema version",
+        help="print entry/byte counts and the active schema version",
     )
     cache_action.add_argument(
         "--verify",
         action="store_true",
-        help="check index/segment consistency; exit 1 listing any problems",
+        help="check the database and that every entry's key matches its payload; "
+        "exit 1 listing any problems",
     )
     cache_action.add_argument(
         "--prune",
         action="store_true",
-        help="drop packed entries recorded under a stale schema version",
+        help="drop entries recorded under a stale schema version",
     )
     cache_p.add_argument(
         "--json",
@@ -960,6 +959,9 @@ def _cache(args: argparse.Namespace) -> int:
     if args.json and not args.stats:
         print("cache: --json only applies to --stats", file=sys.stderr)
         return 2
+    if not Path(args.dir).is_dir():
+        print(f"cache: error: no cache directory {args.dir}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.dir)
 
     if args.stats:
@@ -970,9 +972,8 @@ def _cache(args: argparse.Namespace) -> int:
             print(json.dumps(s, sort_keys=True))
             return 0
         print(
-            f"cache {args.dir}: {s['entries']} packed entr(ies) in "
-            f"{s['segments']} segment(s) ({s['bytes']} bytes), "
-            f"schema v{s['schema']}"
+            f"cache {args.dir}: {s['entries']} entr(ies) "
+            f"({s['bytes']} bytes), schema v{s['schema']}"
         )
         return 0
 
@@ -983,7 +984,7 @@ def _cache(args: argparse.Namespace) -> int:
                 print(f"  {problem}")
             print(f"cache verify: FAIL ({len(problems)} problem(s))")
             return 1
-        print(f"cache verify: OK ({cache.stats()['entries']} packed entr(ies))")
+        print(f"cache verify: OK ({len(cache)} entr(ies))")
         return 0
 
     # argparse guarantees exactly one action; the remaining one:

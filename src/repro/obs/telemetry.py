@@ -6,7 +6,7 @@ execution observes about itself:
 * **counters** — monotonically increasing named integers
   (``exec.groups``, ``cache.hits.disk``, …);
 * **events** — structured one-off occurrences with a field payload
-  (a cache-corruption event carries its segment and key context);
+  (a cache-corruption event carries its key context);
 * **spans** — a tree of named phases. A span's *attrs* are work-like
   fields only (ints / strings / bools describing what was done); its
   wall-clock timing is captured separately (``start_ns`` / ``dur_ns``)

@@ -111,7 +111,7 @@ def _build() -> tuple[BenchSpec, ...]:
         ),
         BenchSpec(
             name="cache_ops",
-            description="packed cache cold put_many / warm get_many (256 records)",
+            description="result cache cold put_many / warm get_many (256 records)",
             suites=("smoke", "core"),
             micro=w.cache_ops_kernel,
             repeats=5,

@@ -409,7 +409,7 @@ def message_codec_kernel():
 
 
 def cache_ops_kernel():
-    """Packed-cache throughput: one cold ``put_many`` plus a disk-tier
+    """Result-cache throughput: one cold ``put_many`` plus a disk-tier
     and a memory-tier ``get_many`` over a synthetic record set (no
     simulation — this isolates the results-I/O layer the caching
     executor sits on)."""

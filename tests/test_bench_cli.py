@@ -25,7 +25,7 @@ bench suites:
 benches (suites in brackets):
 
   batch_runner       micro  [smoke,core]  multi-seed batch execution of one cell group (8 seeds)
-  cache_ops          micro  [smoke,core]  packed cache cold put_many / warm get_many (256 records)
+  cache_ops          micro  [smoke,core]  result cache cold put_many / warm get_many (256 records)
   campaign_tiny      sweep  [smoke,core]  tiny built-in campaign incl. fault + scheduler regimes
   echo_wave          micro  [smoke,core]  one echo spanning wave, n=96 (loop-dominated hot path)
   event_queue_ops    micro  [smoke,core]  raw-tuple heap push/pop churn (the simulator inner loop)

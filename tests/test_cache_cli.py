@@ -1,5 +1,7 @@
-"""CLI surface of the packed cache: ``repro cache DIR --stats/--verify/
+"""CLI surface of the result cache: ``repro cache DIR --stats/--verify/
 --prune`` golden output lines and exit codes."""
+
+import sqlite3
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.cli import main
 
 @pytest.fixture
 def populated(tmp_path):
-    """A cache directory holding two packed entries."""
+    """A cache directory holding two entries."""
     cache = ResultCache(tmp_path)
     cache.put_many(
         [
@@ -27,29 +29,37 @@ class TestCacheStats:
         out = capsys.readouterr().out
         packed_bytes = ResultCache(populated).stats()["bytes"]
         assert out == (
-            f"cache {populated}: 2 packed entr(ies) in 1 segment(s) "
+            f"cache {populated}: 2 entr(ies) "
             f"({packed_bytes} bytes), schema v{CACHE_SCHEMA_VERSION}\n"
         )
 
     def test_empty_directory(self, capsys, tmp_path):
         assert main(["cache", str(tmp_path), "--stats"]) == 0
-        assert "0 packed entr(ies) in 0 segment(s) (0 bytes)" in (
-            capsys.readouterr().out
-        )
+        assert "0 entr(ies) (0 bytes)" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []  # reading created nothing
 
 
 class TestCacheVerify:
     def test_healthy_store_passes(self, capsys, populated):
         assert main(["cache", str(populated), "--verify"]) == 0
-        assert capsys.readouterr().out == "cache verify: OK (2 packed entr(ies))\n"
+        assert capsys.readouterr().out == "cache verify: OK (2 entr(ies))\n"
 
-    def test_truncated_segment_fails_with_details(self, capsys, populated):
-        (segment,) = (populated / "segments").glob("seg-*.pack")
-        segment.write_bytes(segment.read_bytes()[:10])
+    def test_corrupt_rows_fail_with_details(self, capsys, populated):
+        con = sqlite3.connect(populated / "results.sqlite3")
+        with con:
+            con.execute("UPDATE results SET payload = '{ not json'")
+        con.close()
         assert main(["cache", str(populated), "--verify"]) == 1
         out = capsys.readouterr().out
-        assert "truncated segment" in out
+        assert "undecodable payload" in out
         assert "cache verify: FAIL (2 problem(s))" in out
+
+    def test_not_a_database_fails(self, capsys, populated):
+        (populated / "results.sqlite3").write_bytes(b"x" * 4096)
+        assert main(["cache", str(populated), "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "unreadable database" in out
+        assert "cache verify: FAIL (1 problem(s))" in out
 
 
 class TestCachePrune:
@@ -75,6 +85,15 @@ class TestCachePrune:
 
 
 class TestCacheArgs:
+    @pytest.mark.parametrize("action", ["--stats", "--verify", "--prune"])
+    def test_missing_directory_is_a_usage_error(self, capsys, tmp_path, action):
+        missing = tmp_path / "typo"
+        assert main(["cache", str(missing), action]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cache: error: no cache directory {missing}\n"
+        assert not missing.exists()
+
     def test_exactly_one_action_required(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["cache", str(tmp_path)])

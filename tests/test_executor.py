@@ -1,6 +1,8 @@
 """Execution backends: serial/parallel determinism, the disk result
 cache, sweep-cell enumeration, and eager sweep-axis validation."""
 
+import sqlite3
+
 import pytest
 
 from repro.analysis import (
@@ -139,16 +141,18 @@ class TestResultCache:
         assert cache_key(a) != cache_key(RunSpec(family="ring", n=8, seed=1))
 
     def test_corrupt_entry_is_a_miss_and_heals(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=0)
         spec = RunSpec(family="gnp_sparse", n=10, seed=0)
         record = run_single("gnp_sparse", 10, seed=0)
-        cache.put(spec, record)
-        (segment,) = (tmp_path / "segments").glob("seg-*.pack")
-        segment.write_text("{ not json", encoding="utf-8")
+        ResultCache(tmp_path).put(spec, record)
+        con = sqlite3.connect(tmp_path / "results.sqlite3")
+        with con:
+            con.execute("UPDATE results SET payload = '{ not json'")
+        con.close()
+        cache = ResultCache(tmp_path)  # cold memory tier: the disk answers
         with pytest.warns(RuntimeWarning, match="treated as a miss"):
             assert cache.get(spec) is None
         cache.put(spec, record)
-        assert cache.get(spec) == record
+        assert ResultCache(tmp_path).get(spec) == record
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -4,6 +4,7 @@ Serial / Parallel / Caching backends, wall-clock segregated and
 stripped from deterministic traces."""
 
 import json
+import sqlite3
 import warnings
 
 import pytest
@@ -225,18 +226,20 @@ class TestCorruptionTelemetry:
             (RunSpec(family="ring", n=8, seed=seed), run_single("ring", 8, seed=seed))
             for seed in range(3)
         ]
-        ResultCache(tmp_path, memory_entries=0).put_many(pairs)
-        (segment,) = (tmp_path / "segments").glob("seg-*.pack")
-        segment.write_bytes(b"x" * segment.stat().st_size)
-        fresh = ResultCache(tmp_path, memory_entries=0)
+        ResultCache(tmp_path).put_many(pairs)
+        con = sqlite3.connect(tmp_path / "results.sqlite3")
+        with con:
+            con.execute("UPDATE results SET payload = 'x'")
+        con.close()
+        fresh = ResultCache(tmp_path)
         with obs.capture() as t, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert fresh.get_many([s for s, _ in pairs]) == [None] * 3
         assert t.counters["cache.corruption"] == 3  # every occurrence
         assert t.counters["cache.misses"] == 3
         (event,) = [f for n, f in t.events if n == "cache.corruption"]
-        assert event["segment"] == segment.name  # deduped: one event
-        assert "offset" in event and "key" in event
+        assert "undecodable payload" in event["detail"]  # deduped: one event
+        assert len(event["key"]) == 12
 
 
 class TestSubscriberIsolation:
