@@ -2,7 +2,8 @@
 
 The paper states each edge is seen at most twice per round (BFS +
 BFS-back). Our always-reply repair raises the per-edge budget to 2 waves
-+ 2 replies on non-tree edges (DESIGN.md §4); this bench audits the
++ 2 replies on non-tree edges (see :class:`repro.mdst.messages.CousinReply`);
+this bench audits the
 actual per-round per-edge traffic and the cousin-reply pattern of
 Figure 2.
 """

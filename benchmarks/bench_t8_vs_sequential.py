@@ -9,7 +9,7 @@ Three solvers on the same instances and initial trees:
 The measured gap between the first two and F-R is a *finding* of this
 reproduction: the published rule stops at the same quality as its
 sequential twin, and both occasionally sit one level above F-R
-(DESIGN.md §4.5).
+(see :mod:`repro.sequential.local_search`).
 
 Cases + runs live in :mod:`repro.perf.workloads` (the registry's
 ``t8_vs_sequential`` bench).

@@ -1,10 +1,10 @@
 """T9 (extension) — protocol design ablation.
 
-DESIGN.md calls out two design choices the paper leaves open: the
+The paper leaves two design choices open: the
 concurrency mode (§3.2.6 concurrent vs one-target-per-round) and the
 polish phase (recovering cross-region exchanges after the same-cutter
 restriction). This bench quantifies both axes on the same instances —
-the ablation table DESIGN.md §4.6 promises.
+the ablation table of both choices.
 
 Cases + configs live in :mod:`repro.perf.workloads` (the registry's
 ``t9_ablation`` bench).

@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-Every bench regenerates one experiment of DESIGN.md §3 and *emits* its
+Every bench regenerates one experiment (T1..T9, F1, F2, A2) and *emits* its
 paper-style table: printed (visible with ``-s``) and written under
 ``benchmarks/out/`` so the rows survive pytest's capture either way.
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the paper in one command.
 
-Runs every experiment preset (T1..T8 from DESIGN.md §3) at unit scale
-and prints each table with its claim — the one-stop entry point for a
+Runs every experiment preset (T1..T8 of :mod:`repro.analysis.experiments`)
+at unit scale and prints each table with its claim — the one-stop entry point for a
 reader who wants the measured evidence without the pytest harness. For
 larger sizes use ``python -m repro experiment t2 --scale 2`` or the full
 benchmark suite (``pytest benchmarks/ --benchmark-only``).
@@ -26,8 +26,8 @@ CLAIMS = {
 
 print("Reproducing: Blin & Butelle, 'The First Approximated Distributed")
 print("Algorithm for the Minimum Degree Spanning Tree Problem on General")
-print("Graphs' (IPPS 2003). One table per claim; see EXPERIMENTS.md for")
-print("the full-size versions and the discussion of each shape.\n")
+print("Graphs' (IPPS 2003). One table per claim; benchmarks/bench_t*.py")
+print("run the full-size versions.\n")
 
 t_start = time.time()
 for name in sorted(EXPERIMENTS):

@@ -1,5 +1,5 @@
-"""Named experiment presets — the T1..T8/F1/F2/A2 index of DESIGN.md §3
-as reusable functions.
+"""Named experiment presets — the T1..T8/F1/F2/A2 experiments, one per
+claim of the paper, as reusable functions (``repro experiment`` runs one).
 
 Each preset returns ``(table_text, payload)`` where the payload carries
 the measured quantities for programmatic assertions. The CLI

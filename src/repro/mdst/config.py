@@ -12,7 +12,7 @@ MODES: tuple[str, ...] = ("concurrent", "single")
 
 @dataclass(frozen=True)
 class MDSTConfig:
-    """Tunable behaviour of the protocol (see DESIGN.md §4).
+    """Tunable behaviour of the protocol.
 
     Attributes
     ----------
@@ -20,7 +20,7 @@ class MDSTConfig:
         ``"concurrent"`` — faithful §3.2.6 behaviour: every maximum-degree
         node acts as a cutter in the same round (exchange candidates are
         restricted to pairs of fragments cut by the *same* node, which
-        makes concurrent exchanges provably independent — DESIGN.md §4.2).
+        makes concurrent exchanges provably independent).
         ``"single"`` — exactly one maximum-degree node (minimum identity,
         skipping known-stuck ones) improves per round; simpler, more
         rounds, same stopping quality.

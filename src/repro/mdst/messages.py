@@ -1,7 +1,7 @@
 """Protocol messages of the distributed MDegST algorithm.
 
-Names follow §3.2 of the paper where a counterpart exists; the repairs of
-DESIGN.md §4 add the round-control messages. Every message carries **at
+Names follow §3.2 of the paper where a counterpart exists; the repairs,
+each documented on its message below, add the round-control messages. Every message carries **at
 most four identity-sized fields** — the paper's O(log n) bit claim (C5) —
 which the metrics layer audits on every run (experiment T7).
 
@@ -16,7 +16,7 @@ Paper step → message map
                    fragment root's candidate forwarded to its cutter)
 * Choose/update  → :class:`Update` (⟨update, e⟩), :class:`ChildMsg`
                    (⟨child⟩), :class:`FlipBack`/:class:`ExchangeDone`
-                   (path-reversal commit — repair, see DESIGN.md §4.2;
+                   (path-reversal commit — a repair;
                    defined by :mod:`repro.protocol.exchange`, the commit
                    machinery shared with the other registered algorithms,
                    and re-exported here as the canonical vocabulary)
@@ -62,7 +62,7 @@ class Search(Message):
 
     ``reset`` clears stuck flags (set after an improving round);
     ``single`` selects the operating mode for this round (single-target
-    vs concurrent, DESIGN.md §4.6).
+    vs concurrent, see :class:`~repro.mdst.config.MDSTConfig`).
     """
 
     reset: bool
@@ -145,7 +145,7 @@ class CousinReply(Message):
     is answered (the smaller-identity side still books the candidate), so
     a completed echo proves all cross traffic of the round is consumed —
     without this, stale waves can leak into the next round under
-    asynchronous delays (repair, DESIGN.md §4)."""
+    asynchronous delays (a repair of the paper's BFS step)."""
 
     frag_root: int
     frag_child: int

@@ -1,5 +1,5 @@
 """Per-node state machine of the distributed MDegST protocol (§3 of the
-paper, with the repairs of DESIGN.md §4).
+paper, with the repairs described in :mod:`repro.protocol.rounds`).
 
 The round itself — SearchDegree, Cut + BFS waves, choose + exchange and
 the round barrier — is :class:`~repro.protocol.rounds.ImprovementProcess`.

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable
 from typing import Any, Protocol
 
 from ..errors import ProtocolError
-from ..sim.provenance import stamp
+from ..sim import provenance
 
 __all__ = ["Aggregate", "Convergecast"]
 
@@ -46,9 +46,12 @@ class Convergecast:
         or from :meth:`open` if there are no children at all.
     name:
         Diagnostic label used in protocol-violation errors.
+    owner:
+        Optional owning node id; errors then read ``{owner}:{name}``
+        (formatted only when one is raised).
     """
 
-    __slots__ = ("aggregate", "pending", "_on_complete", "name")
+    __slots__ = ("aggregate", "pending", "_on_complete", "name", "owner")
 
     def __init__(
         self,
@@ -56,11 +59,13 @@ class Convergecast:
         children: Iterable[int],
         on_complete: Callable[[Any], None],
         name: str = "convergecast",
+        owner: int | None = None,
     ) -> None:
         self.aggregate = aggregate
         self.pending: set[int] = set(children)
         self._on_complete = on_complete
         self.name = name
+        self.owner = owner
 
     @property
     def complete(self) -> bool:
@@ -68,15 +73,18 @@ class Convergecast:
 
     def open(self) -> None:
         """Declare the broadcast sent; fires completion for leaves."""
-        stamp("convergecast")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("convergecast")
         if not self.pending:
             self._on_complete(self.aggregate)
 
     def absorb(self, child: int, payload: Any) -> None:
         """Fold one child report in; fires completion on the last one."""
-        stamp("convergecast")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("convergecast")
         if child not in self.pending:
-            raise ProtocolError(f"{self.name}: unexpected report from {child}")
+            label = self.name if self.owner is None else f"{self.owner}:{self.name}"
+            raise ProtocolError(f"{label}: unexpected report from {child}")
         self.aggregate.absorb(child, payload)
         self.pending.discard(child)
         if not self.pending:

@@ -1,7 +1,7 @@
 """The edge-exchange commit machinery shared by the improvement protocols.
 
 Both the Blin–Butelle protocol and the FR-style protocol commit a chosen
-exchange edge the same way (DESIGN.md §4.2 repairs):
+exchange edge the same way:
 
 1. ``Update`` travels from the cutter down the via pointers recorded by
    the wave echo to the *local* endpoint of the chosen edge;
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from ..sim.messages import Message
-from ..sim.provenance import stamp
+from ..sim import provenance
 
 __all__ = [
     "Update",
@@ -85,7 +85,8 @@ class ExchangeMixin:
     # awaiting_exchange, pending_attach, _exchange_finished()
 
     def _on_update(self, sender: int, msg: Update) -> None:
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         if sender != self.parent:
             raise ProtocolError(f"{self.node_id}: Update from non-parent {sender}")
         if self.node_id == msg.local:
@@ -100,7 +101,8 @@ class ExchangeMixin:
     def _attach(self, remote: int) -> None:
         """This node is the local endpoint: ask the remote endpoint to
         adopt us; the flip proceeds once the adoption is acknowledged."""
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         if remote not in self.neighbors:
             raise ProtocolError(
                 f"{self.node_id}: chosen edge to non-neighbor {remote}"
@@ -109,7 +111,8 @@ class ExchangeMixin:
         self.send(remote, ChildMsg())
 
     def _on_child(self, sender: int) -> None:
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         self.children.add(sender)
         self.send(sender, ChildAck())
         if self.round_k and self.degree() >= self.round_k:
@@ -122,7 +125,8 @@ class ExchangeMixin:
         """Adoption confirmed: commit the re-rooting (repair: without the
         ack, ExchangeDone can outrun ChildMsg and the next round's Search
         would miss the fresh child)."""
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         if self.pending_attach != sender:
             raise ProtocolError(f"{self.node_id}: stray ChildAck from {sender}")
         self.pending_attach = None
@@ -141,7 +145,8 @@ class ExchangeMixin:
 
     def _on_flip_back(self, sender: int) -> None:
         """One reversal hop: my via-side child becomes my parent."""
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         if sender not in self.children:
             raise ProtocolError(f"{self.node_id}: FlipBack from non-child {sender}")
         old_parent = self.parent
@@ -159,7 +164,8 @@ class ExchangeMixin:
             self.send(old_parent, FlipBack())
 
     def _on_exchange_done(self, sender: int) -> None:
-        stamp("exchange")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("exchange")
         if not (self.is_cutter and self.awaiting_exchange):
             raise ProtocolError(f"{self.node_id}: unexpected ExchangeDone")
         self.children.discard(sender)

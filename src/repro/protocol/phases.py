@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 
 from ..errors import ProtocolError
-from ..sim.provenance import stamp, stamp_phase
+from ..sim import provenance
 
 __all__ = ["CountdownBarrier", "PhaseSequencer"]
 
@@ -35,7 +35,8 @@ class CountdownBarrier:
         self.name = name
 
     def arrive(self) -> None:
-        stamp("barrier")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("barrier")
         if self.remaining <= 0:
             raise ProtocolError(f"{self.name}: arrival after barrier release")
         self.remaining -= 1
@@ -73,8 +74,9 @@ class PhaseSequencer:
         """Enter the next phase (wrapping) and run its entry callback."""
         self.index = (self.index + 1) % len(self.phases)
         phase = self.phases[self.index]
-        stamp("sequencer")
-        stamp_phase(phase)
+        if provenance.ACTIVE is not None:
+            provenance.stamp("sequencer")
+            provenance.stamp_phase(phase)
         callback = self._callbacks.get(phase)
         if callback is not None:
             callback()
@@ -83,8 +85,9 @@ class PhaseSequencer:
     def reset(self) -> None:
         """Jump back to the first phase without firing its callback."""
         self.index = 0
-        stamp("sequencer")
-        stamp_phase(self.phases[0])
+        if provenance.ACTIVE is not None:
+            provenance.stamp("sequencer")
+            provenance.stamp_phase(self.phases[0])
 
     def require(self, phase: str, what: str = "message") -> None:
         if self.current != phase:

@@ -151,7 +151,8 @@ class ImprovementProcess(ExchangeMixin, Process):
     with their routing messages and override the policy hooks.
     """
 
-    #: prefix of the trackers' diagnostic names (``{id}:{TAG}wave``)
+    #: prefix of the trackers' diagnostic names (``{id}:{TAG}wave``; the
+    #: trackers format them only when they raise)
     TAG = ""
     #: which way the fragment wave goes (see the module docstring)
     BOTH_WAYS = False
@@ -198,12 +199,12 @@ class ImprovementProcess(ExchangeMixin, Process):
         self.frag: FragId | None = None
         self.round_k = 0
         self.got_cut = False
-        self.wave = WaveEchoTracker(name=f"{self.node_id}:{self.TAG}wave")
+        self.wave = WaveEchoTracker(self.TAG + "wave", self.ctx.node_id)
         self.wave_origin: int | None = None  # tree peer the wave came from
         # cutter role (the cutter aggregates its cut fragments' echoes)
         self.is_cutter = False
         self.cutter_k = 0
-        self.cutter_wave = WaveEchoTracker(name=f"{self.node_id}:{self.TAG}cutter")
+        self.cutter_wave = WaveEchoTracker(self.TAG + "cutter", self.ctx.node_id)
         self.awaiting_exchange = False
         # exchange endpoint state
         self.pending_attach: int | None = None
@@ -300,7 +301,8 @@ class ImprovementProcess(ExchangeMixin, Process):
             DegreeAggregate((self.degree(), self.node_id), stuck=self.stuck),
             self.children,
             on_complete=self._search_complete,
-            name=f"{self.node_id}:{self.TAG}search",
+            name=self.TAG + "search",
+            owner=self.ctx.node_id,
         )
         for c in self._order(self.children):
             self.send(c, Search(reset=reset, single=self.single))
@@ -406,15 +408,16 @@ class ImprovementProcess(ExchangeMixin, Process):
             onward = self._order(self._tree_peers() - {origin})
         else:
             onward = self._order(self.children)
-        cross = set(self.neighbors) - self.children
-        cross.discard(self.parent)
+        # non-tree neighbours, in the sorted order of the neighbour tuple
+        children, parent = self.children, self.parent
+        cross = [v for v in self.ctx.neighbors if v not in children and v != parent]
         self.wave.arm(echo=onward, cross=cross)
         if onward:
             tree_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=True)
             for t in onward:
                 self.send(t, tree_wave)
         cross_wave = BfsWave(k=k, frag_root=frag[0], frag_child=frag[1], tree=False)
-        for t in sorted(cross):
+        for t in cross:
             self.send(t, cross_wave)
         for s in self.wave.take_deferred():
             self._handle_cousin(s)
@@ -439,7 +442,7 @@ class ImprovementProcess(ExchangeMixin, Process):
         other = msg.frag_child
         k = self.round_k
         # the smaller fragment identity books the candidate (§3.2.4), and
-        # only between fragments of the same cutter (DESIGN.md §4.2); the
+        # only between fragments of the same cutter (see MDSTConfig); the
         # PARENT_SIDE (-1) fragment sorts last, so a candidate into it is
         # booked (and re-rooted) on the child side
         if (

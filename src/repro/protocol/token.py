@@ -8,15 +8,15 @@ Two token-shaped primitives recur across the protocols:
 * :class:`RootMigration` — the MDegST path-reversal walk: the current
   root hands the token (rootship) to the next hop and stays *parentless*
   until that hop acknowledges, so parent pointers form a forest — never
-  a transient 2-cycle — at every observable instant (repair, DESIGN.md
-  §4).
+  a transient 2-cycle — at every observable instant (a repair of the
+  paper's MoveRoot walk).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..sim.provenance import stamp
+from ..sim import provenance
 
 __all__ = ["TokenWalk", "RootMigration"]
 
@@ -32,7 +32,8 @@ class TokenWalk:
     def next_hop(self, neighbors: Iterable[int], parent: int | None) -> int | None:
         """Pick (and mark used) the smallest unused non-parent neighbor,
         or ``None`` when this node's edges are exhausted."""
-        stamp("token_walk")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("token_walk")
         candidates = [v for v in neighbors if v not in self.used and v != parent]
         if not candidates:
             return None
@@ -52,12 +53,14 @@ class RootMigration:
 
     def depart(self, via: int) -> None:
         """Record that rootship was handed to *via* (ack pending)."""
-        stamp("root_migration")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("root_migration")
         self.outstanding = via
 
     def acknowledged(self, sender: int) -> bool:
         """True iff *sender* is the awaited hop; clears the handoff."""
-        stamp("root_migration")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("root_migration")
         if self.outstanding != sender:
             return False
         self.outstanding = None

@@ -2,8 +2,9 @@
 
 The fragment-exploration step of MDegST (and of the FR-style improvement
 protocol) floods a wave over a subtree while probing non-tree edges for
-*cousins* in other fragments. The asynchronous repair documented in
-DESIGN.md §4 demands a strict drain discipline: a node may echo only
+*cousins* in other fragments. The asynchronous repair (every cross
+probe is answered, see :class:`~repro.mdst.messages.CousinReply`)
+demands a strict drain discipline: a node may echo only
 after (a) every child it forwarded the wave to has echoed and (b) every
 cross-edge probe it sent has been answered — otherwise stale waves leak
 into the next round. :class:`WaveEchoTracker` owns exactly that
@@ -22,7 +23,7 @@ from collections.abc import Iterable
 from typing import Any
 
 from ..errors import ProtocolError
-from ..sim.provenance import stamp
+from ..sim import provenance
 
 __all__ = ["DrainSet", "WaveEchoTracker"]
 
@@ -41,7 +42,8 @@ class DrainSet:
         return not self.pending
 
     def satisfy(self, peer: int) -> None:
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         if peer not in self.pending:
             raise ProtocolError(f"{self.name}: unexpected reply from {peer}")
         self.pending.discard(peer)
@@ -72,9 +74,10 @@ class WaveEchoTracker:
         "deferred",
         "armed",
         "name",
+        "owner",
     )
 
-    def __init__(self, name: str = "wave") -> None:
+    def __init__(self, name: str = "wave", owner: int | None = None) -> None:
         self.expected_echo: set[int] = set()
         self.expected_cross: set[int] = set()
         self.echoed = False
@@ -85,14 +88,22 @@ class WaveEchoTracker:
         self.deferred: list[Any] = []
         self.armed = False
         self.name = name
+        #: owning node id: errors read ``{owner}:{name}``, formatted only
+        #: when one is raised
+        self.owner = owner
+
+    def _error(self, text: str) -> ProtocolError:
+        label = self.name if self.owner is None else f"{self.owner}:{self.name}"
+        return ProtocolError(f"{label}: {text}")
 
     # -- lifecycle -------------------------------------------------------
 
     def arm(self, echo: Iterable[int], cross: Iterable[int]) -> None:
         """Install expectations once the node adopts a fragment identity."""
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         if self.armed:
-            raise ProtocolError(f"{self.name}: armed twice in one round")
+            raise self._error("armed twice in one round")
         self.armed = True
         self.expected_echo = set(echo)
         self.expected_cross = set(cross)
@@ -102,22 +113,25 @@ class WaveEchoTracker:
         self.deferred.append(item)
 
     def take_deferred(self) -> list[Any]:
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         pending, self.deferred = self.deferred, []
         return pending
 
     # -- replies ---------------------------------------------------------
 
     def echo_from(self, child: int) -> None:
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         if child not in self.expected_echo:
-            raise ProtocolError(f"{self.name}: unexpected echo from {child}")
+            raise self._error(f"unexpected echo from {child}")
         self.expected_echo.discard(child)
 
     def cross_from(self, peer: int) -> None:
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         if peer not in self.expected_cross:
-            raise ProtocolError(f"{self.name}: unexpected cross reply from {peer}")
+            raise self._error(f"unexpected cross reply from {peer}")
         self.expected_cross.discard(peer)
 
     # -- aggregation -----------------------------------------------------
@@ -136,7 +150,8 @@ class WaveEchoTracker:
 
     def finish_once(self) -> bool:
         """True exactly once, when fully drained (echo/choose latch)."""
-        stamp("wave")
+        if provenance.ACTIVE is not None:
+            provenance.stamp("wave")
         if self.echoed or self.expected_echo or self.expected_cross:
             return False
         self.echoed = True

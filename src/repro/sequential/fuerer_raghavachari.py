@@ -12,8 +12,8 @@ vertices are exactly the set B of Theorem 1, certifying Δ(T) ≤ Δ* + 1.
 
 This is the guaranteed-quality baseline the distributed algorithm is
 measured against (experiments T1/T8): the published distributed rule skips
-blocking resolution (DESIGN.md §4.5), so the measured gap between the two
-is a finding of the reproduction.
+blocking resolution (see :mod:`repro.sequential.local_search`), so the
+measured gap between the two is a finding of the reproduction.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ improvement rule (no blocking resolution).
 An improvement is a non-tree edge (u, v) with both endpoint degrees
 ≤ k − 2 whose tree cycle contains a degree-k vertex; the swap removes a
 cycle edge at that vertex. The search stops when no such edge exists —
-exactly the distributed algorithm's stopping condition (DESIGN.md §4.5),
-which is weaker than Fürer–Raghavachari's. Experiment T8 measures the
-resulting quality gap.
+exactly the distributed algorithm's stopping condition, which is weaker
+than Fürer–Raghavachari's. Experiment T8 measures the resulting quality
+gap.
 """
 
 from __future__ import annotations

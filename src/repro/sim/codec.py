@@ -15,6 +15,14 @@ compact integer code, memoizes the class name (per-type accounting), and
 so the round-trip is the identity on every protocol message — pinned by
 ``tests/test_codec.py`` and the ``message_codec`` micro-bench.
 
+Registration also installs a compiled ``__init__`` on the class (see
+:func:`_compile_init`): it sets each slot through its member descriptor
+instead of the frozen dataclass's ``object.__setattr__`` calls, with the
+same signature and defaults. A class with ``__post_init__``, without
+slots, or with fields the plain template cannot express keeps its
+dataclass ``__init__``. Compiling happens at registration, not at import,
+so importing the protocols costs nothing extra.
+
 Registration is lazy and idempotent: *defining* a new frozen-dataclass
 ``Message`` subclass is all a protocol author has to do — the first send
 registers it.  Codes are dense ints in first-seen order (deterministic
@@ -30,6 +38,7 @@ the old ``isinstance`` check without paying for it per send.
 from __future__ import annotations
 
 import dataclasses
+from types import MemberDescriptorType
 from typing import Any, Callable
 
 from ..errors import SimulationError
@@ -37,7 +46,6 @@ from .messages import Message
 
 __all__ = [
     "CodecEntry",
-    "codec_entries",
     "codec_entry",
     "encode_message",
     "decode_message",
@@ -66,8 +74,7 @@ class CodecEntry:
         self.encode = encode
 
 
-#: class -> entry; the single source of truth. ``codec_entries`` hands the
-#: live dict to the network's send closure (read via ``.get`` only).
+#: class -> entry; the single source of truth.
 _ENTRIES: dict[type, CodecEntry] = {}
 #: code -> entry, index == code (decode side).
 _BY_CODE: list[CodecEntry] = []
@@ -117,10 +124,52 @@ def _compile_encode(code: int, names: tuple[str, ...]) -> Callable[[Any], tuple]
     return ns["_encode"]
 
 
+def _compile_init(cls: type) -> Callable[..., None] | None:
+    """A slot-setting ``__init__`` equivalent to the dataclass one, or
+    ``None`` when *cls* needs the dataclass machinery (``__post_init__``,
+    no slots, ``InitVar``/``kw_only``/``init=False``/factory fields)."""
+    if hasattr(cls, "__post_init__") or "__slots__" not in cls.__dict__:
+        return None
+    fields = dataclasses.fields(cls)
+    if len(fields) != len(cls.__dataclass_fields__) or not fields:
+        return None
+    params, body = [], []
+    ns: dict[str, Any] = {}
+    for f in fields:
+        # a slot field's class attribute is its member descriptor
+        slot = getattr(cls, f.name, None)
+        if (
+            type(slot) is not MemberDescriptorType
+            or not f.init
+            or f.kw_only
+            or f.default_factory is not dataclasses.MISSING
+        ):
+            return None
+        ns[f"_set_{f.name}"] = slot.__set__
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            ns[f"_dflt_{f.name}"] = f.default
+            params.append(f"{f.name}=_dflt_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+    exec(source, ns)  # noqa: S102 - registration-time codegen, fixed template
+    init = ns["__init__"]
+    dataclass_init = cls.__init__
+    init.__qualname__ = dataclass_init.__qualname__
+    init.__module__ = dataclass_init.__module__
+    init.__annotations__ = dict(dataclass_init.__annotations__)
+    init.__doc__ = dataclass_init.__doc__
+    return init
+
+
 def _register(cls: type) -> CodecEntry:
     if not (isinstance(cls, type) and issubclass(cls, Message)):
         raise SimulationError(f"payload must be a Message, got {cls!r}")
     names = tuple(f.name for f in dataclasses.fields(cls))
+    init = _compile_init(cls)
+    if init is not None:
+        cls.__init__ = init  # type: ignore[misc]
     code = len(_BY_CODE)
     entry = CodecEntry(
         cls, code, names, _compile_count(cls, names), _compile_encode(code, names)
@@ -136,11 +185,6 @@ def codec_entry(cls: type) -> CodecEntry:
     if entry is None:
         entry = _register(cls)
     return entry
-
-
-def codec_entries() -> dict[type, CodecEntry]:
-    """The live class->entry dict (for hot-path ``.get`` capture)."""
-    return _ENTRIES
 
 
 def registered_codes() -> dict[str, int]:

@@ -18,48 +18,70 @@ simulator knowing anything about the protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .codec import codec_entry
 from .messages import MESSAGE_TYPE_BITS, Message
 
-__all__ = ["MessageStats", "SimulationReport"]
+__all__ = ["ClassTally", "MessageStats", "SimulationReport"]
 
 
-@dataclass
+class ClassTally:
+    """Send accounting for one message class on one network: sends,
+    identity fields summed over them, and the widest single message.
+    ``count`` is the class's compiled field counter (from the codec)."""
+
+    __slots__ = ("name", "count", "sends", "fields", "max_fields")
+
+    def __init__(self, name: str, count: Callable[[Message], int]) -> None:
+        self.name = name
+        self.count = count
+        self.sends = 0
+        self.fields = 0
+        self.max_fields = 0
+
+
 class MessageStats:
-    """Mutable accumulator owned by the network."""
+    """Mutable accumulator owned by the network.
 
-    n: int = 0  # network size, for bit accounting
-    total_messages: int = 0
-    total_bits: int = 0
-    by_type: dict[str, int] = field(default_factory=dict)
-    max_id_fields: int = 0
-    max_causal_depth: int = 0
-    max_sim_time: float = 0.0
-    deliveries: int = 0
-    marks: list[tuple[float, str, Any]] = field(default_factory=list)
+    A send updates one :class:`ClassTally` (``tallies``, keyed by message
+    class in first-send order); ``total_messages``, ``total_bits``,
+    ``by_type`` and ``max_id_fields`` are derived from the tallies on
+    read. The delivery-side counters (``deliveries``,
+    ``max_causal_depth``, ``max_sim_time``) are written by the drive
+    loops.
+    """
 
-    def __post_init__(self) -> None:
-        # Per-field bit cost is a function of n only; computing it once
-        # keeps record_send off the math/log path (hot: once per message).
-        self._id_bits = max(1, math.ceil(math.log2(max(self.n, 2))))
+    def __init__(self, n: int = 0) -> None:
+        self.n = n  # network size, for bit accounting
+        # per-field bit cost is a function of n only
+        self._id_bits = max(1, math.ceil(math.log2(max(n, 2))))
+        self.tallies: dict[type, ClassTally] = {}
+        self.deliveries = 0
+        self.max_causal_depth = 0
+        self.max_sim_time = 0.0
+        self.marks: list[tuple[float, str, Any]] = []
 
-    def record_send(self, msg: Message) -> None:
-        entry = codec_entry(msg.__class__)
-        self.charge(entry.name, entry.count(msg))
+    def tally_of(self, cls: type) -> ClassTally:
+        """The tally of message class *cls*, created on its first send
+        (registering the class with the codec, which rejects
+        non-messages)."""
+        tally = self.tallies.get(cls)
+        if tally is None:
+            entry = codec_entry(cls)
+            tally = self.tallies[cls] = ClassTally(entry.name, entry.count)
+        return tally
 
-    def charge(self, name: str, fields: int) -> int:
-        """Account one send of message class *name* carrying *fields*
-        identity-sized slots; returns its bit cost."""
-        self.total_messages += 1
-        self.by_type[name] = self.by_type.get(name, 0) + 1
-        if fields > self.max_id_fields:
-            self.max_id_fields = fields
-        bits = MESSAGE_TYPE_BITS + fields * self._id_bits
-        self.total_bits += bits
-        return bits
+    def charge(self, msg: Message) -> int:
+        """Account one send of *msg*; returns its bit cost."""
+        tally = self.tally_of(msg.__class__)
+        fields = tally.count(msg)
+        tally.sends += 1
+        tally.fields += fields
+        if fields > tally.max_fields:
+            tally.max_fields = fields
+        return MESSAGE_TYPE_BITS + fields * self._id_bits
 
     def record_delivery(self, depth: int, time: float) -> None:
         self.deliveries += 1
@@ -67,6 +89,31 @@ class MessageStats:
             self.max_causal_depth = depth
         if time > self.max_sim_time:
             self.max_sim_time = time
+
+    # -- totals, derived from the tallies --------------------------------
+
+    @property
+    def total_messages(self) -> int:
+        return sum(t.sends for t in self.tallies.values())
+
+    @property
+    def total_bits(self) -> int:
+        return sum(
+            t.sends * MESSAGE_TYPE_BITS + t.fields * self._id_bits
+            for t in self.tallies.values()
+        )
+
+    @property
+    def by_type(self) -> dict[str, int]:
+        """Sends per class name, in first-send order."""
+        out: dict[str, int] = {}
+        for t in self.tallies.values():
+            out[t.name] = out.get(t.name, 0) + t.sends
+        return out
+
+    @property
+    def max_id_fields(self) -> int:
+        return max((t.max_fields for t in self.tallies.values()), default=0)
 
     def mark(self, time: float, label: str, value: Any = None) -> None:
         """Record a protocol annotation. Dict-valued marks are stamped
@@ -79,7 +126,8 @@ class MessageStats:
 
     def counts_for(self, *type_names: str) -> int:
         """Sum of message counts over the given type names."""
-        return sum(self.by_type.get(t, 0) for t in type_names)
+        by_type = self.by_type
+        return sum(by_type.get(t, 0) for t in type_names)
 
 
 @dataclass(frozen=True)
@@ -108,7 +156,7 @@ class SimulationReport:
             quiescent=quiescent,
             total_messages=stats.total_messages,
             total_bits=stats.total_bits,
-            by_type=dict(stats.by_type),
+            by_type=stats.by_type,
             max_id_fields=stats.max_id_fields,
             causal_time=stats.max_causal_depth,
             sim_time=stats.max_sim_time,

@@ -26,16 +26,31 @@ construction from the run configuration:
   heap; a scheduler policy keeps :class:`~repro.sim.scheduler.PolicyQueue`
   (flat per-link rings). All three pop the identical ``(time, seq)``
   raw-tuple order, so every metric is byte-for-byte the same.
-* **send** — the unit-delay fast path is a specialized closure that
-  charges message accounting through the compiled per-class counters of
-  :mod:`repro.sim.codec` (no ``isinstance`` chain, no ``field_values``
-  list build) and appends straight into the current time bucket.
+* **send** — every node gets its own send closure as ``ctx.send``, with
+  its id and neighbour set prebound (O(1) adjacency check, the same
+  :class:`~repro.errors.ChannelError` text everywhere). In the unit-delay
+  configuration that closure is the whole send, one frame: adjacency
+  check, one :class:`~repro.sim.metrics.ClassTally` update (sends, summed
+  fields, widest message), ``seq`` and a direct append to the ``now + 1``
+  bucket. Elsewhere it checks adjacency and calls :meth:`Network._send`,
+  which charges the same tally through ``MessageStats.charge`` and adds
+  delay sampling, FIFO clamping, tracing and causal capture.
+  ``ctx._send`` is always that validated 3-argument method.
 * **loops** — :meth:`Network.run` picks one of two. The fast loop
   (unit delays; no trace, capture, scheduler or monitors) walks bucket
   lists with prebound handler tables (one index per event, no ``Event``
   materialization); the general loop pops raw tuples from any queue and
   adds the thin trace/capture/monitor adapter. The handler tables are
   bound at run time, after fault plans have wrapped the processes.
+* **counters** — message totals (``total_messages``, ``total_bits``,
+  ``by_type``, ``max_id_fields``) are derived from the per-class tallies
+  on read. Per delivery the fast loop only keeps the delivery time in a
+  local, raises the target's clock and calls the handler; at loop exit
+  (also when a handler raises) it derives ``deliveries`` (events −
+  starts), the causal time (the deepest node clock) and the sim time (the
+  last delivery's). The general loop keeps them per delivery, since its
+  monitors may read them mid-run.
+  :attr:`Network.in_flight` is always sent − delivered.
 
 The ``slow_event_loop`` mutation wraps every ``on_message`` handler with
 a from-scratch ``message_bits`` recomputation — metrics stay
@@ -51,10 +66,9 @@ from heapq import heappop, heappush
 from .._mutation import mutation_active
 from ..errors import ChannelError, SimulationError, TerminationError
 from ..graphs.graph import Graph
-from .codec import codec_entries, codec_entry
 from .delays import DelayModel, UnitDelay
 from .events import BucketQueue, EventKind, EventQueue
-from .messages import MESSAGE_TYPE_BITS, Message, message_bits
+from .messages import Message, message_bits
 from .metrics import MessageStats, SimulationReport
 from .node import NodeContext, Process
 from .provenance import CausalTally, swap_active
@@ -73,24 +87,31 @@ _DELIVER = EventKind.DELIVER
 _MAX_DENSE_FLOORS = 1 << 18
 
 
-def _node_send(src: int, neighbors: tuple, nbset: frozenset, net_send):
-    """Per-node send closure: O(1) adjacency check, source id prebound.
+def _no_link(src: int, dst: int, neighbors: tuple) -> ChannelError:
+    return ChannelError(f"node {src} has no link to {dst} (neighbors: {neighbors})")
 
-    Installed as the instance's ``ctx.send`` so a protocol send is two
-    frames (this closure + the network send) instead of three with an
-    O(degree) tuple scan. Fault wrappers keep composing: they rebind
-    ``ctx.send`` (and the process's ``send`` alias) around whatever is
-    installed here.
+
+def _checked_sender(net_send):
+    """Per-node send factory for the general configuration: each node's
+    closure does the O(1) adjacency check with its id prebound, then the
+    network's validated 3-argument send.
+
+    The closure is installed as the instance's ``ctx.send``. Fault
+    wrappers keep composing: they rebind ``ctx.send`` (and the process's
+    ``send`` alias) around whatever is installed here.
     """
 
-    def send(dst: int, msg: Message) -> None:
-        if dst not in nbset:
-            raise ChannelError(
-                f"node {src} has no link to {dst} (neighbors: {neighbors})"
-            )
-        net_send(src, dst, msg)
+    def make(src: int, neighbors: tuple):
+        nbset = frozenset(neighbors)
 
-    return send
+        def send(dst: int, msg: Message) -> None:
+            if dst not in nbset:
+                raise _no_link(src, dst, neighbors)
+            net_send(src, dst, msg)
+
+        return send
+
+    return make
 
 
 def _slow_handler(handler, n: int):
@@ -195,32 +216,31 @@ class Network:
             self._fifo_floor: list[float] | dict = [0.0] * (graph.n * graph.n)
         else:
             self._fifo_floor = {}
-        self._in_flight = 0
         self._processed = 0
-        # the unit-delay/no-policy/no-trace configuration gets a
-        # specialized send closure over the bucket queue's internals;
-        # everything else shares the general method
+        # the unit-delay/no-policy/no-trace configuration gets one
+        # specialized send frame per node over the bucket queue's
+        # internals; everything else goes through the general method
         if (
             trace is None
             and scheduler is None
             and causal is None
             and self._unit_delay
         ):
-            send = self._make_unit_send()
+            node_send = self._unit_sender()
         else:
-            send = self._send
+            node_send = _checked_sender(self._send)
         self.processes: dict[int, Process] = {}
         now_fn = self.queue.get_now
         marker = self._make_marker()
         for u in nodes:
             neighbors = tuple(sorted(graph.neighbors(u)))
             ctx = NodeContext(node_id=u, neighbors=neighbors)
-            ctx._send = send
+            ctx._send = self._send
             ctx._now = now_fn
             ctx._mark = marker
             # instance attribute shadows the NodeContext.send method: the
             # prebound closure drops a frame and the O(degree) scan
-            ctx.send = _node_send(u, neighbors, frozenset(neighbors), send)  # type: ignore[method-assign]
+            ctx.send = node_send(u, neighbors)  # type: ignore[method-assign]
             self.processes[u] = factory(ctx)  # type: ignore[operator]
         starts = dict(start_times or {})
         unknown = set(starts) - set(nodes)
@@ -237,61 +257,61 @@ class Network:
 
         return mark
 
-    def _make_unit_send(self):
-        """Specialized send for the fast configuration: unit delay, no
-        scheduler, no trace. Codec accounting + direct bucket append."""
-        net = self
+    def _unit_sender(self):
+        """Per-node send factory for the fast configuration (unit delay, no
+        scheduler, trace or capture): each node's closure is the whole send
+        -- adjacency check, per-class tally, seq and bucket append."""
         queue: BucketQueue = self.queue  # type: ignore[assignment]
         buckets = queue._buckets
         times = queue._times
         clocks = self._clocks
-        stats = self.stats
-        by_type = stats.by_type
-        id_bits = stats._id_bits
-        entries = codec_entries()
-        # outgoing-bucket cache: consecutive sends overwhelmingly target
-        # the same delivery time (now + 1), so remember that bucket and
-        # skip the dict probe. Sound because a bucket is only drained at
-        # its own time, after which now+1 has moved past it.
+        tallies = self.stats.tallies
+        tally_of = self.stats.tally_of
+        # outgoing-bucket cache, shared by every node: consecutive sends
+        # overwhelmingly target the same delivery time (now + 1), so
+        # remember that bucket and skip the dict probe. Sound because a
+        # bucket is only drained at its own time, after which now+1 has
+        # moved past it.
         last = [-1.0, None]
 
-        def send(src: int, dst: int, msg: Message) -> None:
-            cls = msg.__class__
-            entry = entries.get(cls)
-            if entry is None:
-                entry = codec_entry(cls)  # validates Message-ness
-            fields = entry.count(msg)
-            stats.total_messages += 1
-            name = entry.name
-            by_type[name] = by_type.get(name, 0) + 1
-            if fields > stats.max_id_fields:
-                stats.max_id_fields = fields
-            stats.total_bits += MESSAGE_TYPE_BITS + fields * id_bits
-            t = queue._now + 1.0
-            seq = queue._seq
-            queue._seq = seq + 1
-            if last[0] == t:
-                last[1].append((t, seq, _DELIVER, dst, src, msg, clocks[src] + 1))
-            else:
-                bucket = buckets.get(t)
-                if bucket is None:
-                    bucket = [(t, seq, _DELIVER, dst, src, msg, clocks[src] + 1)]
-                    buckets[t] = bucket
-                    heappush(times, t)
-                else:
-                    bucket.append((t, seq, _DELIVER, dst, src, msg, clocks[src] + 1))
-                last[0] = t
-                last[1] = bucket
-            net._in_flight += 1
+        def make(src: int, neighbors: tuple):
+            nbset = frozenset(neighbors)
 
-        return send
+            def send(dst: int, msg: Message) -> None:
+                if dst not in nbset:
+                    raise _no_link(src, dst, neighbors)
+                tally = tallies.get(msg.__class__)
+                if tally is None:
+                    tally = tally_of(msg.__class__)  # validates Message-ness
+                fields = tally.count(msg)
+                tally.sends += 1
+                tally.fields += fields
+                if fields > tally.max_fields:
+                    tally.max_fields = fields
+                t = queue._now + 1.0
+                seq = queue._seq
+                queue._seq = seq + 1
+                if last[0] == t:
+                    last[1].append((t, seq, _DELIVER, dst, src, msg, clocks[src] + 1))
+                else:
+                    bucket = buckets.get(t)
+                    if bucket is None:
+                        bucket = [(t, seq, _DELIVER, dst, src, msg, clocks[src] + 1)]
+                        buckets[t] = bucket
+                        heappush(times, t)
+                    else:
+                        bucket.append((t, seq, _DELIVER, dst, src, msg, clocks[src] + 1))
+                    last[0] = t
+                    last[1] = bucket
+
+            return send
+
+        return make
 
     def _send(self, src: int, dst: int, msg: Message) -> None:
         """General send: any delay model, scheduler label times, tracing
         and causal capture."""
-        entry = codec_entries().get(msg.__class__)
-        if entry is None:
-            entry = codec_entry(msg.__class__)  # raises for non-Message
+        bits = self.stats.charge(msg)  # raises for non-Message
         queue = self.queue
         now = queue._now
         if self.scheduler is not None:
@@ -318,11 +338,8 @@ class Network:
             floors[key] = deliver_at  # type: ignore[index]
         depth = self._clocks[src] + 1
         seq = queue.push_raw(deliver_at, _DELIVER, dst, src, msg, depth)
-        self._in_flight += 1
-        name = entry.name
-        bits = self.stats.charge(name, entry.count(msg))
         if self._causal is not None:
-            self._causal.on_send(seq, src, name, bits, depth)
+            self._causal.on_send(seq, src, msg.__class__.__name__, bits, depth)
         if self.trace is not None:
             self.trace.emit(TraceRecord(now, "send", src, dst, msg))
 
@@ -342,7 +359,7 @@ class Network:
     @property
     def in_flight(self) -> int:
         """Messages sent but not yet delivered."""
-        return self._in_flight
+        return self.stats.total_messages - self.stats.deliveries
 
     @property
     def processed(self) -> int:
@@ -390,14 +407,23 @@ class Network:
         return dict(zip(procs, on_message)), dict(zip(procs, on_start))
 
     def _drive_fast_bucket(self, stop_at: int) -> int:
-        """Fast loop over the bucket queue: no trace, capture or monitors."""
+        """Fast loop over the bucket queue: no trace, capture or monitors.
+
+        Per delivery it only keeps the delivery time in a local, raises
+        the target's clock and calls the handler; the delivery counters
+        are derived once on exit (also when a handler raises):
+        deliveries = events - starts, causal time = the deepest node
+        clock, and -- simulated time being non-decreasing here -- sim
+        time = the last delivery's time.
+        """
         queue: BucketQueue = self.queue  # type: ignore[assignment]
         buckets = queue._buckets
         times = queue._times
         clocks = self._clocks
-        stats = self.stats
         on_message, on_start = self._handler_tables()
-        processed = self._processed
+        processed = first = self._processed
+        starts = 0
+        last_time = None
         cur = queue._cur
         idx = queue._cur_idx
         try:
@@ -413,17 +439,12 @@ class Network:
                 idx += 1
                 processed += 1
                 if kind:  # DELIVER
-                    self._in_flight -= 1
+                    last_time = time
                     if depth > clocks[target]:
                         clocks[target] = depth
-                    # inlined MessageStats.record_delivery
-                    stats.deliveries += 1
-                    if depth > stats.max_causal_depth:
-                        stats.max_causal_depth = depth
-                    if time > stats.max_sim_time:
-                        stats.max_sim_time = time
                     on_message[target](sender, payload)
                 else:
+                    starts += 1
                     on_start[target]()
         finally:
             # keep the queue's cursor consistent for the budget check and
@@ -431,6 +452,13 @@ class Network:
             queue._cur = cur
             queue._cur_idx = idx
             self._processed = processed
+            stats = self.stats
+            stats.deliveries += processed - first - starts
+            deepest = max(clocks.values() if isinstance(clocks, dict) else clocks)
+            if deepest > stats.max_causal_depth:
+                stats.max_causal_depth = deepest
+            if last_time is not None and last_time > stats.max_sim_time:
+                stats.max_sim_time = last_time
         return processed
 
     def _drive_general(self, stop_at: int) -> int:
@@ -460,7 +488,6 @@ class Network:
                 time, _seq, kind, target, sender, payload, depth = pop_raw()
                 processed += 1
                 if kind:  # DELIVER
-                    self._in_flight -= 1
                     if depth > clocks[target]:
                         clocks[target] = depth
                     stats.deliveries += 1

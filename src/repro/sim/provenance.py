@@ -33,6 +33,8 @@ A capture row's links and tag:
   (the host process owns every send, a byte-pinned discipline), so they
   stamp a module-global *current section* tag via :func:`stamp` when
   their bookkeeping runs, and the capture reads it at the next send.
+  Stamping is bound only while a capture drives the run: each primitive
+  calls :func:`stamp` under ``if provenance.ACTIVE is not None``.
   Sends issued before any primitive call in a handler fall into the
   honest catch-all section ``"protocol"``. :func:`stamp_phase` tracks
   the last :class:`~repro.protocol.phases.PhaseSequencer` phase entered
@@ -40,13 +42,15 @@ A capture row's links and tag:
 
 Default-off and zero-overhead: a network without a capture keeps its
 fast drive loop byte-for-byte (the capture rides
-``Network._drive_general`` exactly like traces do), and an inactive
-:func:`stamp` is one module-global load plus a ``None`` check. The
-active capture pointer is swapped in for the duration of one
-``Network.run`` (and restored on exit), so a network only ever stamps
-into its own capture. The network resolves each send's codec entry
-once and hands the message name and bit cost to both its own
-:class:`~repro.sim.metrics.MessageStats` and the capture.
+``Network._drive_general`` exactly like traces do), and with no capture
+active a primitive's stamp site is one attribute load plus a ``None``
+check, with no call. (Unguarded, the calls cost about 4% of a
+unit-delay sweep: some 1.5 per delivery.) The active capture pointer,
+:data:`ACTIVE`, is swapped in for the duration of one ``Network.run``
+(and restored on exit), so a network only ever stamps into its own
+capture. The network charges each send once
+(:meth:`~repro.sim.metrics.MessageStats.charge` returns its bit cost)
+and hands the message name and that cost to the capture.
 
 Everything recorded is a pure function of the run: serial, ``--jobs N``
 and warm-cache replays of the same spec produce byte-identical rows and
@@ -273,24 +277,28 @@ class CausalCapture(CausalTally):
 # -- the primitive stamping channel -------------------------------------------
 
 #: The capture the currently-driving network routes stamps into (one
-#: network drives at a time per process; the drive loop swaps this in
-#: per chunk and restores it on exit).
-_ACTIVE: CausalTally | None = None
+#: network drives at a time per process; the general drive loop swaps
+#: its capture in for one ``Network.run`` and restores it on exit).
+#: ``None`` whenever no capture is driving, and primitives test it
+#: before calling :func:`stamp`, so a capture-off run makes no stamp
+#: call at all.
+ACTIVE: CausalTally | None = None
 
 
 def swap_active(capture: CausalTally | None) -> CausalTally | None:
     """Install *capture* as the stamp target; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = capture
+    global ACTIVE
+    previous = ACTIVE
+    ACTIVE = capture
     return previous
 
 
 def stamp(section: str) -> None:
     """Tag subsequent sends in the current handler as owned by
-    *section*. No-op (one global load + ``None`` check) without an
-    active capture; the tag resets at the next handled event."""
-    cap = _ACTIVE
+    *section*; the tag resets at the next handled event. A no-op
+    without an active capture, but primitives skip even the call:
+    ``if provenance.ACTIVE is not None: provenance.stamp(...)``."""
+    cap = ACTIVE
     if cap is not None:
         cap._section = section
 
@@ -298,6 +306,6 @@ def stamp(section: str) -> None:
 def stamp_phase(name: str) -> None:
     """Record that the protocol entered sequencer phase *name* (persists
     across events until the next phase stamp)."""
-    cap = _ACTIVE
+    cap = ACTIVE
     if cap is not None:
         cap._phase = name

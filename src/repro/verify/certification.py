@@ -54,7 +54,8 @@ class Certification:
 def certify_run(result: MDSTResult, exact_limit: int = 16) -> Certification:
     """Check one run against claims C1 and C4 (structural checks raise
     on failure; quality checks are reported, since the published stopping
-    rule does not guarantee them on every instance — DESIGN.md §4.5)."""
+    rule does not guarantee them on every instance — see
+    :mod:`repro.sequential.local_search`)."""
     assert_spanning_tree(result.graph, result.final_tree)
     assert_degree_not_worse(result.initial_tree, result.final_tree)
     lot = is_locally_optimal(result.graph, result.final_tree)

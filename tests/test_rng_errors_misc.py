@@ -79,9 +79,9 @@ class TestMetricsDetails:
         class B(Message):
             pass
 
-        stats.record_send(A(x=1))
-        stats.record_send(A(x=2))
-        stats.record_send(B())
+        stats.charge(A(x=1))
+        stats.charge(A(x=2))
+        stats.charge(B())
         assert stats.counts_for("A") == 2
         assert stats.counts_for("A", "B") == 3
         assert stats.counts_for("C") == 0
