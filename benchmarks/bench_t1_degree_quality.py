@@ -4,28 +4,17 @@ Ground truth comes from the exact solver (n ≤ 14) and from the
 Hamiltonian-padded family (Δ* = 2 by construction) at larger sizes.
 The table reports paper-claim vs measured for every instance.
 
-The workload lives in :mod:`repro.perf.workloads` and is registered as
-the ``t1_degree_quality`` bench (``repro bench`` times the identical
-runs); this wrapper renders the paper-style table + shape assertion.
+The table is ``EXPERIMENTS["t1"]`` of :mod:`repro.analysis.experiments`
+(also ``repro experiment t1`` and the ``t1_degree_quality`` core bench);
+this wrapper times it, emits it and asserts its shape.
 """
 
-from repro.analysis import Table
-from repro.perf.workloads import run_t1
+from repro.analysis import run_experiment
 
 
 def test_t1_degree_quality(benchmark, emit):
-    rows = benchmark.pedantic(run_t1, rounds=1, iterations=1)
-    table = Table(
-        ["family", "n", "k initial", "k final", "Δ*", "claim ≤ Δ*+1", "holds"],
-        title="T1 — degree quality vs ground truth (claim C1)",
-    )
-    rows_hold = []
-    for name, g, res, opt in rows:
-        holds = res.final_degree <= opt + 1
-        rows_hold.append(holds)
-        table.add(
-            name, g.n, res.initial_degree, res.final_degree, opt, opt + 1, holds
-        )
-    emit("t1_degree_quality", table.render())
+    text, payload = benchmark.pedantic(run_experiment, args=("t1",), rounds=1, iterations=1)
+    emit("t1_degree_quality", text)
+    rows_hold = payload["holds"]
     # shape assertion: the +1 claim holds on every ground-truth instance
     assert all(rows_hold)

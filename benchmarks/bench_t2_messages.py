@@ -5,52 +5,23 @@ predictor (k − k* + 1)·m, and report the fitted constant and R². The
 claim "reproduces" iff the relationship is linear (R² high) with a small
 constant — the paper's own per-round budget is 2m + 3(n−1) ≈ 2–5×m.
 
-The sweep spec is the registry's ``t2_messages`` bench
-(:data:`repro.perf.workloads.CLAIMS_SPEC`).
+The table is ``EXPERIMENTS["t2"]`` of :mod:`repro.analysis.experiments`
+(sweep spec :data:`~repro.analysis.experiments.CLAIMS_SPEC`, the
+``t2_messages`` core bench).
 """
 
-from repro.analysis import Table, fit_claim, run_sweep
-from repro.perf.workloads import CLAIMS_SPEC
+from repro.analysis import run_experiment
 
 
 def test_t2_message_complexity(benchmark, emit, sweep_jobs, sweep_cache):
-    records = benchmark.pedantic(
-        run_sweep,
-        args=(CLAIMS_SPEC,),
-        kwargs={"jobs": sweep_jobs, "cache": sweep_cache},
+    text, payload = benchmark.pedantic(
+        run_experiment,
+        args=("t2", sweep_jobs, sweep_cache),
         rounds=1,
         iterations=1,
     )
-
-    table = Table(
-        ["family", "n", "m", "k0", "k*", "messages", "msgs/((k−k*+1)·m)"],
-        title="T2 — message complexity vs the O((k−k*)·m) claim (C2)",
-    )
-    for r in records:
-        table.add(
-            r.family, r.n, r.m, r.k_initial, r.k_final, r.messages,
-            round(r.messages_normalized, 2),
-        )
-    # the paper's argument decomposes into (per-round budget) × (rounds):
-    # messages per round are Θ(m) — this fit must be tight;
-    per_round = fit_claim(
-        records,
-        x_of=lambda r: (r.rounds + 1) * r.m,
-        y_of=lambda r: r.messages,
-    )
-    # the end-to-end claim substitutes rounds ≈ k − k* + 1 — looser,
-    # since discovery/polish rounds add a workload-dependent factor
-    claim = fit_claim(
-        records,
-        x_of=lambda r: (r.degree_drop + 1) * r.m,
-        y_of=lambda r: r.messages,
-    )
-    text = (
-        table.render()
-        + f"\n\nper-round budget fit: messages {per_round.fmt()}  [x = (rounds+1)·m]"
-        + f"\nend-to-end claim fit: messages {claim.fmt()}  [x = (k−k*+1)·m]"
-    )
     emit("t2_messages", text)
+    records, per_round, claim = payload["records"], payload["per_round"], payload["claim"]
 
     # shape: the per-round Θ(m) budget is linear with a modest constant
     # (paper's own budget is 2m + 3(n−1) ≈ 2–5·m per round)

@@ -3,50 +3,23 @@
 Causal time = longest causal dependency chain with unit message delays —
 the paper's measure exactly. Regressed against (k − k* + 1)·n.
 
-Shares the registry's ``t3_time`` sweep spec
-(:data:`repro.perf.workloads.CLAIMS_SPEC` — the same records as T2, so
-a shared ``--cache`` pays for the runs once).
+The table is ``EXPERIMENTS["t3"]`` of :mod:`repro.analysis.experiments`
+(the ``t3_time`` core bench). It shares T2's sweep spec, so a shared
+``--cache`` pays for the runs once.
 """
 
-from repro.analysis import Table, fit_claim, run_sweep
-from repro.perf.workloads import CLAIMS_SPEC
+from repro.analysis import run_experiment
 
 
 def test_t3_time_complexity(benchmark, emit, sweep_jobs, sweep_cache):
-    records = benchmark.pedantic(
-        run_sweep,
-        args=(CLAIMS_SPEC,),
-        kwargs={"jobs": sweep_jobs, "cache": sweep_cache},
+    text, payload = benchmark.pedantic(
+        run_experiment,
+        args=("t3", sweep_jobs, sweep_cache),
         rounds=1,
         iterations=1,
     )
-
-    table = Table(
-        ["family", "n", "m", "k0", "k*", "causal time", "time/((k−k*+1)·n)"],
-        title="T3 — causal time vs the O((k−k*)·n) claim (C3)",
-    )
-    for r in records:
-        table.add(
-            r.family, r.n, r.m, r.k_initial, r.k_final, r.causal_time,
-            round(r.time_normalized, 2),
-        )
-    # per-round causal chains are Θ(n) (search + move + wave + echo);
-    per_round = fit_claim(
-        records,
-        x_of=lambda r: (r.rounds + 1) * r.n,
-        y_of=lambda r: r.causal_time,
-    )
-    claim = fit_claim(
-        records,
-        x_of=lambda r: (r.degree_drop + 1) * r.n,
-        y_of=lambda r: r.causal_time,
-    )
-    text = (
-        table.render()
-        + f"\n\nper-round budget fit: causal_time {per_round.fmt()}  [x = (rounds+1)·n]"
-        + f"\nend-to-end claim fit: causal_time {claim.fmt()}  [x = (k−k*+1)·n]"
-    )
     emit("t3_time", text)
+    records, per_round, claim = payload["records"], payload["per_round"], payload["claim"]
 
     assert per_round.r_squared >= 0.85
     assert per_round.slope <= 8.0

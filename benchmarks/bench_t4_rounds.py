@@ -5,32 +5,17 @@ compared with single-target mode on workloads engineered to have many
 simultaneous max-degree nodes. The paper's claim is the concurrent
 figure; single-target shows what serializing the improvements costs.
 
-Cases + runs live in :mod:`repro.perf.workloads` (the registry's
-``t4_rounds`` bench).
+The table is ``EXPERIMENTS["t4"]`` of :mod:`repro.analysis.experiments`
+(the ``t4_rounds`` core bench).
 """
 
-from repro.analysis import Table
-from repro.perf.workloads import run_t4
-from repro.sequential import paper_round_count
+from repro.analysis import run_experiment
 
 
 def test_t4_round_count(benchmark, emit):
-    rows = benchmark.pedantic(run_t4, rounds=1, iterations=1)
-    table = Table(
-        ["instance", "k0", "k*", "claim k−k*+1", "rounds (concurrent)",
-         "rounds (single)", "max cutters/round"],
-        title="T4 — rounds vs the k − k* + 1 claim (C4)",
-    )
-    ratios = []
-    for name, g, t0, conc, single in rows:
-        claim = paper_round_count(conc.initial_degree, conc.final_degree)
-        cutters = max((r.cutters for r in conc.rounds), default=1)
-        ratios.append(conc.num_rounds / claim)
-        table.add(
-            name, conc.initial_degree, conc.final_degree, claim,
-            conc.num_rounds, single.num_rounds, cutters,
-        )
-    emit("t4_rounds", table.render())
+    text, payload = benchmark.pedantic(run_experiment, args=("t4",), rounds=1, iterations=1)
+    emit("t4_rounds", text)
+    rows, ratios = payload["rows"], payload["ratios"]
 
     # shape: concurrent rounds track the claim within a small factor
     # (same-cutter restriction + polish rounds add a bounded overhead)

@@ -7,34 +7,17 @@ k* = 2, so we compare measured messages against the n²/k* reference —
 the ratio should be a modest, slowly-growing factor (the paper never
 claims matching the bound, only closeness).
 
-Sizes + runs live in :mod:`repro.perf.workloads` (the registry's
-``t5_lower_bound`` bench).
+The table is ``EXPERIMENTS["t5"]`` of :mod:`repro.analysis.experiments`
+(the ``t5_lower_bound`` core bench).
 """
 
-from repro.analysis import Table, fit_proportional
-from repro.perf.workloads import run_t5
-from repro.sequential import kmz_lower_bound
+from repro.analysis import run_experiment
 
 
 def test_t5_kmz_lower_bound(benchmark, emit):
-    rows = benchmark.pedantic(run_t5, rounds=1, iterations=1)
-    table = Table(
-        ["n", "m", "k0", "k*", "messages", "KMZ Ω(n²/k*)", "ratio"],
-        title="T5 — messages vs the Korach–Moran–Zaks lower bound (C6)",
-    )
-    ratios = []
-    for n, g, res in rows:
-        lb = kmz_lower_bound(n, res.final_degree)
-        ratio = res.messages / lb
-        ratios.append((n, ratio))
-        table.add(n, g.m, res.initial_degree, res.final_degree,
-                  res.messages, int(lb), round(ratio, 1))
-    # messages on K_n start from a star: (k-k*)·m ~ n·n²/2 = Θ(n³);
-    # the bound is Θ(n²) — ratio grows ~linearly in n, as the paper's
-    # own worst case O(n·m) = O(n³) admits.
-    fit = fit_proportional([n for n, _ in ratios], [r for _, r in ratios])
-    text = table.render() + f"\n\nratio growth: ratio {fit.fmt()}  [x = n]"
+    text, payload = benchmark.pedantic(run_experiment, args=("t5",), rounds=1, iterations=1)
     emit("t5_lower_bound", text)
+    rows, fit = payload["rows"], payload["fit"]
 
     assert all(res.final_degree == 2 for _, _, res in rows)
     # the gap factor grows at most linearly in n (worst-case-consistent)

@@ -5,30 +5,17 @@ The total cost is O((k − k*)·m) where k is the *initial* tree's degree:
 to obtain a not so bad k". The table quantifies exactly that across
 every construction in the library.
 
-Methods + runs live in :mod:`repro.perf.workloads` (the registry's
-``t6_initial_tree`` bench).
+The table is ``EXPERIMENTS["t6"]`` of :mod:`repro.analysis.experiments`
+(the ``t6_initial_tree`` core bench).
 """
 
-from repro.analysis import Table
-from repro.perf.workloads import run_t6, t6_graph
+from repro.analysis import run_experiment
 
 
 def test_t6_initial_tree_ablation(benchmark, emit):
-    g = t6_graph()
-    rows = benchmark.pedantic(run_t6, rounds=1, iterations=1)
-    table = Table(
-        ["construction", "k0", "k*", "rounds", "protocol msgs", "startup msgs"],
-        title=f"T6 — initial-tree ablation on G(n={g.n}, m={g.m})",
-    )
-    by_method = {}
-    for method, startup, res in rows:
-        by_method[method] = res
-        table.add(
-            method, res.initial_degree, res.final_degree, res.num_rounds,
-            res.messages,
-            startup.report.total_messages if startup.report else 0,
-        )
-    emit("t6_initial_tree", table.render())
+    text, payload = benchmark.pedantic(run_experiment, args=("t6",), rounds=1, iterations=1)
+    emit("t6_initial_tree", text)
+    by_method = payload["by_method"]
 
     # shape: a lower-degree start costs fewer protocol messages than the
     # adversarial hub tree (the monotonicity §4.2 relies on)

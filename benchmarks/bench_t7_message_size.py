@@ -5,37 +5,25 @@ Audited live on real runs: the metrics layer records the maximum number
 of identity-sized fields over every message sent, and total bit volume
 under ceil(log2 n)-bit identity encoding.
 
-The sweep spec is the registry's ``t7_message_size`` bench
-(:data:`repro.perf.workloads.T7_SPEC`).
+The table is ``EXPERIMENTS["t7"]`` of :mod:`repro.analysis.experiments`
+(sweep spec :data:`~repro.analysis.experiments.T7_SPEC`, the
+``t7_message_size`` core bench).
 """
 
 import math
 
-from repro.analysis import Table, run_sweep
-from repro.perf.workloads import T7_SPEC
+from repro.analysis import run_experiment
 
 
 def test_t7_message_size(benchmark, emit, sweep_jobs, sweep_cache):
-    records = benchmark.pedantic(
-        run_sweep,
-        args=(T7_SPEC,),
-        kwargs={"jobs": sweep_jobs, "cache": sweep_cache},
+    text, payload = benchmark.pedantic(
+        run_experiment,
+        args=("t7", sweep_jobs, sweep_cache),
         rounds=1,
         iterations=1,
     )
-    table = Table(
-        ["n", "messages", "max id-fields/msg", "claim ≤ 4", "bits/msg",
-         "4·log2(n)+5"],
-        title="T7 — message size audit (claim C5: O(log n) bits)",
-    )
-    for r in records:
-        bits_per_msg = r.bits / max(r.messages, 1)
-        budget = 4 * math.ceil(math.log2(r.n)) + 5
-        table.add(
-            r.n, r.messages, r.max_msg_fields, r.max_msg_fields <= 4,
-            round(bits_per_msg, 1), budget,
-        )
-    emit("t7_message_size", table.render())
+    emit("t7_message_size", text)
+    records = payload["records"]
 
     assert all(r.max_msg_fields <= 4 for r in records)
     for r in records:

@@ -11,30 +11,17 @@ reproduction: the published rule stops at the same quality as its
 sequential twin, and both occasionally sit one level above F-R
 (see :mod:`repro.sequential.local_search`).
 
-Cases + runs live in :mod:`repro.perf.workloads` (the registry's
-``t8_vs_sequential`` bench).
+The table is ``EXPERIMENTS["t8"]`` of :mod:`repro.analysis.experiments`
+(the ``t8_vs_sequential`` core bench).
 """
 
-from repro.analysis import Table
-from repro.perf.workloads import run_t8
+from repro.analysis import run_experiment
 
 
 def test_t8_vs_sequential(benchmark, emit):
-    rows = benchmark.pedantic(run_t8, rounds=1, iterations=1)
-    table = Table(
-        ["instance", "k0", "distributed", "local search", "Fürer–Raghavachari",
-         "dist − FR"],
-        title="T8 — final degree: distributed vs sequential baselines",
-    )
-    gaps = []
-    for name, t0, dist, simple, fr in rows:
-        gap = dist.final_degree - fr.max_degree()
-        gaps.append(gap)
-        table.add(
-            name, t0.max_degree(), dist.final_degree, simple.max_degree(),
-            fr.max_degree(), gap,
-        )
-    emit("t8_vs_sequential", table.render())
+    text, payload = benchmark.pedantic(run_experiment, args=("t8",), rounds=1, iterations=1)
+    emit("t8_vs_sequential", text)
+    gaps = payload["gaps"]
 
     # shape: the distributed result never beats F-R (F-R is at least as
     # strong) and stays within one level of it on these workloads

@@ -6,26 +6,17 @@ polish phase (recovering cross-region exchanges after the same-cutter
 restriction). This bench quantifies both axes on the same instances —
 the ablation table of both choices.
 
-Cases + configs live in :mod:`repro.perf.workloads` (the registry's
-``t9_ablation`` bench).
+The table is ``EXPERIMENTS["t9"]`` of :mod:`repro.analysis.experiments`
+(the ``t9_ablation`` core bench).
 """
 
-from repro.analysis import Table
-from repro.perf.workloads import run_t9
+from repro.analysis import run_experiment
 
 
 def test_t9_design_ablation(benchmark, emit):
-    rows = benchmark.pedantic(run_t9, rounds=1, iterations=1)
-    table = Table(
-        ["instance", "config", "k0", "k*", "rounds", "messages", "causal time"],
-        title="T9 — design ablation: concurrency mode × polish phase",
-    )
-    by_case: dict[str, dict[str, object]] = {}
-    for name, label, res in rows:
-        by_case.setdefault(name, {})[label] = res
-        table.add(name, label, res.initial_degree, res.final_degree,
-                  res.num_rounds, res.messages, res.causal_time)
-    emit("t9_ablation", table.render())
+    text, payload = benchmark.pedantic(run_experiment, args=("t9",), rounds=1, iterations=1)
+    emit("t9_ablation", text)
+    by_case = payload["by_case"]
 
     for name, cfgs in by_case.items():
         full = cfgs["concurrent+polish"]

@@ -4,13 +4,14 @@ Every bench regenerates one experiment (T1..T9, F1, F2, A2) and *emits* its
 paper-style table: printed (visible with ``-s``) and written under
 ``benchmarks/out/`` so the rows survive pytest's capture either way.
 
-The workload definitions (case lists, sweep specs, micro-kernels) are
-shared with the :mod:`repro.perf` registry — ``repro bench`` times the
-identical runs and gates them against the committed ``BENCH_*.json``
-trajectory; these pytest wrappers add the paper-style tables and shape
-assertions on top.
+The paper tables T1–T9 are defined once, in
+:mod:`repro.analysis.experiments`: each ``bench_t*.py`` times that
+definition, emits its text (byte-identical to ``repro experiment tN``)
+and asserts its shape on the returned payload, and ``repro bench``
+times the same runs as the ``core`` suite. The engine benches share
+their workloads with :mod:`repro.perf.workloads` the same way.
 
-Sweep-heavy benches honor two execution knobs:
+Sweep-heavy benches honor these execution knobs:
 
 ``--jobs N``
     Fan sweep cells out over N worker processes (records keep the
@@ -20,8 +21,9 @@ Sweep-heavy benches honor two execution knobs:
     invocations at the same DIR to iterate on table formatting without
     paying for the runs again.
 ``--scale K``
-    Size multiplier for scale-aware benches (default 1 — the CI smoke
-    configuration).
+    Size multiplier for the campaign and algorithm head-to-head benches
+    (default 1 — the CI smoke configuration); the paper tables have
+    fixed instance sets.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .algorithms import algorithm_names
 from .analysis.axes import AXES, AXIS, FALLBACK, Axis
@@ -141,10 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     _run_args(cert_p)
 
     exp_p = sub.add_parser(
-        "experiment", help="regenerate a paper experiment table (t1..t8)"
+        "experiment", help="regenerate a paper table (t1..t9)"
     )
-    exp_p.add_argument("name", help="experiment id, e.g. t1")
-    exp_p.add_argument("--scale", type=int, default=1, help="size multiplier")
+    exp_p.add_argument("name", help="table id, e.g. t1")
 
     camp_p = sub.add_parser(
         "campaign",
@@ -766,7 +765,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
         from .analysis.experiments import run_experiment
 
-        text, _payload = run_experiment(args.name, scale=args.scale)
+        text, _payload = run_experiment(args.name)
         print(text)
         return 0
 
@@ -1177,13 +1176,7 @@ def _bench(args: argparse.Namespace) -> int:
 
 
 def _explore(args: argparse.Namespace) -> int:
-    from .exploration import (
-        explore,
-        exploration_grid,
-        shrink,
-        tiny_grid,
-        write_artifact,
-    )
+    from .exploration import explore, exploration_grid, shrink, tiny_grid
 
     if args.tiny:
         grid = tiny_grid()
@@ -1200,43 +1193,15 @@ def _explore(args: argparse.Namespace) -> int:
     )
     if not failures:
         return 0
-    for result in failures[: args.max_shrink]:
-        outcome = shrink(
-            result.cell,
-            exact_limit=args.exact_limit,
-            max_probes=args.max_probes,
-        )
-        path = write_artifact(
-            args.out,
-            outcome.result,
-            note=f"found by repro explore; shrunk from {result.cell.canonical()}",
-        )
-        print()
-        print(f"counterexample: {result.cell.canonical()}")
-        print(
-            f"  shrunk ({outcome.probes} probes) -> "
-            f"{outcome.cell.canonical()}"
-        )
-        for code, detail in zip(
-            outcome.result.verdict.failures, outcome.result.verdict.details
-        ):
-            print(f"  [{code}] {detail}")
-        print(f"  artifact: {path}")
-    skipped = len(failures) - min(len(failures), args.max_shrink)
-    if skipped:
-        print(f"\n({skipped} further failing cell(s) not shrunk; "
-              f"raise --max-shrink to cover them)")
-    return 1
+    outcomes = (
+        shrink(result.cell, exact_limit=args.exact_limit, max_probes=args.max_probes)
+        for result in failures[: args.max_shrink]
+    )
+    return _print_counterexamples(args.out, "explore", outcomes, len(failures))
 
 
 def _fuzz(args: argparse.Namespace) -> int:
-    from .exploration import (
-        MUTATION_OPS,
-        FuzzSpec,
-        load_corpus_cells,
-        run_fuzz,
-        write_artifact,
-    )
+    from .exploration import MUTATION_OPS, FuzzSpec, load_corpus_cells, run_fuzz
 
     if args.list:
         spec = FuzzSpec()
@@ -1280,29 +1245,33 @@ def _fuzz(args: argparse.Namespace) -> int:
     print(f"corpus digest:   {report.corpus_digest}")
     if report.ok:
         return 0
-    for outcome in report.shrunk:
+    return _print_counterexamples(args.out, "fuzz", report.shrunk, len(report.failures))
+
+
+def _print_counterexamples(
+    out: str, command: str, outcomes: Iterable[Any], failures: int
+) -> int:
+    """Write and print each shrunk counterexample of *failures* failing
+    cells; the exit code is always 1."""
+    from .exploration import write_artifact
+
+    shrunk = 0
+    for shrunk, outcome in enumerate(outcomes, 1):
         path = write_artifact(
-            args.out,
+            out,
             outcome.result,
-            note=(
-                "found by repro fuzz; shrunk from "
-                f"{outcome.original.canonical()}"
-            ),
+            note=f"found by repro {command}; shrunk from {outcome.original.canonical()}",
         )
         print()
         print(f"counterexample: {outcome.original.canonical()}")
-        print(
-            f"  shrunk ({outcome.probes} probes) -> "
-            f"{outcome.cell.canonical()}"
-        )
+        print(f"  shrunk ({outcome.probes} probes) -> {outcome.cell.canonical()}")
         for code, detail in zip(
             outcome.result.verdict.failures, outcome.result.verdict.details
         ):
             print(f"  [{code}] {detail}")
         print(f"  artifact: {path}")
-    skipped = len(report.failures) - len(report.shrunk)
-    if skipped:
-        print(f"\n({skipped} further failing cell(s) not shrunk; "
+    if failures > shrunk:
+        print(f"\n({failures - shrunk} further failing cell(s) not shrunk; "
               f"raise --max-shrink to cover them)")
     return 1
 

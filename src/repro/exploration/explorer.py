@@ -23,7 +23,7 @@ from .cells import ExplorationCell
 from .oracle import EXACT_LIMIT, Verdict, check_cell
 from .probe import PROBE_CACHE_SALT, probe_cell
 
-__all__ = ["ExplorationResult", "explore", "explore_one"]
+__all__ = ["ExplorationResult", "explore", "explore_one", "probe_executor"]
 
 
 @dataclass(frozen=True)
@@ -46,22 +46,23 @@ class ExplorationResult:
         }
 
 
-def _probe_executor(
-    executor: Executor | None,
+def probe_executor(
     jobs: int,
     cache: ResultCache | str | Path | None,
+    *,
+    persistent: bool = False,
 ) -> Executor:
-    if executor is not None:
-        return executor
-    if cache is not None:
-        if not isinstance(cache, ResultCache):
-            cache = ResultCache(cache, salt=PROBE_CACHE_SALT)
-        elif not cache.salt:
-            # an unsalted store would alias probe records with plain
-            # sweep records of the same spec; re-open it salted (an
-            # explicitly salted store is left as the caller partitioned)
+    """The probe backend for *jobs* / *cache*. A path-like cache is
+    opened salted, and an unsalted store is re-opened salted, so probe
+    records never alias plain sweep records of the same spec (an
+    explicitly salted store is left as the caller partitioned it).
+    *persistent* keeps one worker pool across batches."""
+    if isinstance(cache, ResultCache):
+        if not cache.salt:
             cache = ResultCache(cache.root, salt=PROBE_CACHE_SALT)
-    return make_executor(jobs=jobs, cache=cache, runner=probe_cell)
+    elif cache is not None:
+        cache = ResultCache(cache, salt=PROBE_CACHE_SALT)
+    return make_executor(jobs=jobs, cache=cache, runner=probe_cell, persistent=persistent)
 
 
 def explore(
@@ -81,7 +82,7 @@ def explore(
     verdict list is bit-identical under serial and parallel execution.
     """
     cells = list(cells)
-    backend = _probe_executor(executor, jobs, cache)
+    backend = executor if executor is not None else probe_executor(jobs, cache)
     specs = [spec for cell in cells for spec in cell.run_specs()]
     t = obs()
     with t.span("explore", cells=len(cells), probes=len(specs)):

@@ -46,12 +46,7 @@ import numpy as np
 
 from ..analysis.axes import FALLBACK, check_spec
 from ..analysis.cache import ResultCache
-from ..analysis.executor import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    CachingExecutor,
-)
+from ..analysis.executor import Executor, ParallelExecutor
 from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 from ..obs import current as obs
@@ -65,9 +60,8 @@ from ..sim.scheduler import (
     replay_spec,
 )
 from .cells import DEFAULT_ALGORITHMS, ExplorationCell
-from .explorer import ExplorationResult, explore
+from .explorer import ExplorationResult, explore, probe_executor
 from .oracle import EXACT_LIMIT
-from .probe import PROBE_CACHE_SALT, probe_cell
 from .shrink import ShrinkOutcome, shrink
 
 __all__ = [
@@ -410,27 +404,6 @@ def load_corpus_cells(directory: str | Path) -> tuple[ExplorationCell, ...]:
     return tuple(cells)
 
 
-def _fuzz_executor(
-    jobs: int, cache: ResultCache | str | Path | None
-) -> tuple[Executor, ParallelExecutor | None]:
-    """A probe backend that persists its worker pool across batches
-    (a campaign is many small batches — one pool spin-up per batch
-    would dominate). Caches are salted exactly as exploration probes."""
-    pool: ParallelExecutor | None = None
-    if jobs > 1:
-        pool = ParallelExecutor(jobs, probe_cell, persistent=True)
-        inner: Executor = pool
-    else:
-        inner = SerialExecutor(probe_cell)
-    if cache is not None:
-        if not isinstance(cache, ResultCache):
-            cache = ResultCache(cache, salt=PROBE_CACHE_SALT)
-        elif not cache.salt:
-            cache = ResultCache(cache.root, salt=PROBE_CACHE_SALT)
-        return CachingExecutor(inner, cache), pool
-    return inner, pool
-
-
 def run_fuzz(
     spec: FuzzSpec,
     *,
@@ -461,9 +434,10 @@ def run_fuzz(
     failures: list[ExplorationResult] = []
     probed = rounds = 0
 
-    own_pool: ParallelExecutor | None = None
+    # a campaign is many small batches: keep one worker pool across them
+    own_executor = executor is None
     if executor is None:
-        executor, own_pool = _fuzz_executor(jobs, cache)
+        executor = probe_executor(jobs, cache, persistent=True)
 
     t = obs()
     try:
@@ -513,8 +487,9 @@ def run_fuzz(
                         )
                     )
     finally:
-        if own_pool is not None:
-            own_pool.close()
+        pool = getattr(executor, "inner", executor)
+        if own_executor and isinstance(pool, ParallelExecutor):
+            pool.close()
 
     return FuzzReport(
         spec=spec,

@@ -9,80 +9,82 @@ registers scenarios). Suites:
   full-protocol reference workload, a two-algorithm sweep, and the
   tiny campaign (faults + adversarial schedules included, so the gate's
   work section covers every axis registry);
-* ``core`` — the paper's t1–t9 experiment workloads plus the engine
-  benches (what ``pytest benchmarks/`` regenerates as tables);
+* ``core`` — the paper's tables T1–T9, one bench per
+  :data:`~repro.analysis.experiments.EXPERIMENTS` entry (the same runs
+  ``repro experiment`` and ``pytest benchmarks/`` render), plus the
+  engine benches;
 * ``full`` — implicitly everything registered.
 """
 
 from __future__ import annotations
 
+from ..analysis.experiments import EXPERIMENTS
 from . import workloads as w
 from .spec import BenchSpec, register_bench
 
 __all__ = ["BUILTIN_BENCHES"]
 
 
-def _t1_micro():
-    def run():
-        rows = w.run_t1()
-        work = w.mdst_result_work([res for _, _, res, _ in rows])
-        work["claim_holds"] = sum(
-            1 for _, _, res, opt in rows if res.final_degree <= opt + 1
-        )
-        return work
-
-    return run
+def _t1_work(payload):
+    work = w.mdst_result_work([res for _, _, res, _ in payload["rows"]])
+    work["claim_holds"] = sum(payload["holds"])
+    return work
 
 
-def _t4_micro():
-    def run():
-        rows = w.run_t4()
-        return w.mdst_result_work(
-            [conc for *_, conc, _ in rows] + [single for *_, single in rows]
-        )
-
-    return run
+def _t4_work(payload):
+    rows = payload["rows"]
+    return w.mdst_result_work(
+        [conc for *_, conc, _ in rows] + [single for *_, single in rows]
+    )
 
 
-def _t5_micro():
-    def run():
-        return w.mdst_result_work([res for _, _, res in w.run_t5()])
-
-    return run
-
-
-def _t6_micro():
-    def run():
-        rows = w.run_t6()
-        work = w.mdst_result_work([res for _, _, res in rows])
-        work["startup_messages"] = sum(
-            s.report.total_messages
-            for _, s, _ in rows
-            if s.report is not None
-        )
-        return work
-
-    return run
+def _t6_work(payload):
+    rows = payload["rows"]
+    work = w.mdst_result_work([res for _, _, res in rows])
+    work["startup_messages"] = sum(
+        s.report.total_messages for _, s, _ in rows if s.report is not None
+    )
+    return work
 
 
-def _t8_micro():
-    def run():
-        rows = w.run_t8()
-        work = w.mdst_result_work([dist for _, _, dist, _, _ in rows])
-        work["fr_degree_total"] = sum(fr.max_degree() for *_, fr in rows)
-        work["local_search_degree_total"] = sum(
-            simple.max_degree() for _, _, _, simple, _ in rows
-        )
-        return work
-
-    return run
+def _t8_work(payload):
+    rows = payload["rows"]
+    work = w.mdst_result_work([dist for _, _, dist, _, _ in rows])
+    work["fr_degree_total"] = sum(fr.max_degree() for *_, fr in rows)
+    work["local_search_degree_total"] = sum(
+        simple.max_degree() for _, _, _, simple, _ in rows
+    )
+    return work
 
 
-def _t9_micro():
-    def run():
-        return w.mdst_result_work([res for _, _, res in w.run_t9()])
+def _results_work(payload):
+    return w.mdst_result_work([row[-1] for row in payload["rows"]])
 
-    return run
+
+#: Work metrics of each in-process paper table, read off its payload
+#: (the sweep-backed tables are lowered to cells instead).
+_TABLE_WORK = {
+    "t1": _t1_work,
+    "t4": _t4_work,
+    "t5": _results_work,
+    "t6": _t6_work,
+    "t8": _t8_work,
+    "t9": _results_work,
+}
+
+
+def _paper_bench(name: str) -> BenchSpec:
+    """Table *name*'s core bench: its sweep, or its runs via the payload."""
+    experiment = EXPERIMENTS[name]
+    work = _TABLE_WORK.get(name)
+    return BenchSpec(
+        name=experiment.slug,
+        description=experiment.description,
+        suites=("core",),
+        sweep=experiment.sweep,
+        micro=None if work is None else lambda: lambda: work(experiment.run()[1]),
+        repeats=2,
+    )
 
 
 def _build() -> tuple[BenchSpec, ...]:
@@ -180,70 +182,8 @@ def _build() -> tuple[BenchSpec, ...]:
             sweep=w.EXECUTOR_SPEC,
             repeats=2,
         ),
-        # -- the paper's experiments (core) ----------------------------
-        BenchSpec(
-            name="t1_degree_quality",
-            description="T1: final degree vs ground truth (claim C1)",
-            suites=("core",),
-            micro=_t1_micro,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t2_messages",
-            description="T2: message complexity vs O((k-k*)·m) (claim C2)",
-            suites=("core",),
-            sweep=w.CLAIMS_SPEC,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t3_time",
-            description="T3: causal time vs O((k-k*)·n) (claim C3; T2's records)",
-            suites=("core",),
-            sweep=w.CLAIMS_SPEC,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t4_rounds",
-            description="T4: rounds vs the k-k*+1 claim, concurrent vs single (C4)",
-            suites=("core",),
-            micro=_t4_micro,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t5_lower_bound",
-            description="T5: messages vs the Korach-Moran-Zaks bound on K_n (C6)",
-            suites=("core",),
-            micro=_t5_micro,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t6_initial_tree",
-            description="T6: startup-construction ablation (the §4.2 remark)",
-            suites=("core",),
-            micro=_t6_micro,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t7_message_size",
-            description="T7: message-size audit, ≤4 id fields per message (C5)",
-            suites=("core",),
-            sweep=w.T7_SPEC,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t8_vs_sequential",
-            description="T8: distributed vs sequential local search vs full F-R",
-            suites=("core",),
-            micro=_t8_micro,
-            repeats=2,
-        ),
-        BenchSpec(
-            name="t9_ablation",
-            description="T9: concurrency mode x polish phase design ablation",
-            suites=("core",),
-            micro=_t9_micro,
-            repeats=2,
-        ),
+        # -- the paper's tables (core) --------------------------------
+        *(_paper_bench(name) for name in EXPERIMENTS),
     )
 
 

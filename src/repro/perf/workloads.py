@@ -1,58 +1,30 @@
-"""Shared benchmark workloads: case lists, sweep specs, micro-kernels.
+"""Engine benchmark workloads: the smoke, executor and campaign sweep
+specs and the micro-kernels.
 
-Single source of truth for *what* every benchmark runs. The pytest
-benches under ``benchmarks/`` import these to render their paper-style
-tables and shape assertions; :mod:`repro.perf.library` wraps the same
-definitions into registered :class:`~repro.perf.spec.BenchSpec` entries
-so ``repro bench`` measures the identical workloads. Case builders are
-functions (not module-level constants) so importing the registry never
-pays for graph generation.
+:mod:`repro.perf.library` registers them as
+:class:`~repro.perf.spec.BenchSpec` entries, and the engine benches
+under ``benchmarks/`` import the same definitions. The paper's tables
+T1–T9 live in :mod:`repro.analysis.experiments`. Kernels build their
+inputs when called, so importing the registry never pays for graph
+generation.
 """
 
 from __future__ import annotations
 
-from ..graphs import (
-    caterpillar_graph,
-    complete,
-    gnp_connected,
-    hamiltonian_padded,
-    random_geometric,
-    wheel,
-)
-from ..mdst import MDSTConfig, MDSTResult, run_mdst
 from ..analysis.executor import RunSpec
 from ..analysis.harness import SweepSpec
 from ..analysis.records import RunRecord
-from ..sequential import (
-    fuerer_raghavachari,
-    local_search_mdst,
-    optimal_degree,
-)
+from ..graphs import gnp_connected
+from ..mdst import MDSTResult, run_mdst
 from ..sim.events import EventKind, EventQueue
 from ..sim.scheduler import PolicyQueue, scheduler_from_name
 from ..spanning import build_spanning_tree, greedy_hub_tree
 
 __all__ = [
-    "CLAIMS_SPEC",
-    "T7_SPEC",
     "EXECUTOR_SPEC",
     "SMOKE_SPEC",
     "CAMPAIGN_SCENARIOS",
     "campaign_cells",
-    "t1_cases",
-    "run_t1",
-    "t4_cases",
-    "run_t4",
-    "T5_SIZES",
-    "run_t5",
-    "T6_METHODS",
-    "t6_graph",
-    "run_t6",
-    "t8_cases",
-    "run_t8",
-    "t9_cases",
-    "T9_CONFIGS",
-    "run_t9",
     "mdst_result_work",
     "cache_ops_kernel",
     "group_fanout_kernel",
@@ -67,23 +39,6 @@ __all__ = [
 ]
 
 # -- sweep-lowered workloads -----------------------------------------------
-
-#: T2 (message complexity) and T3 (time complexity) regress the same
-#: record set against their respective predictors.
-CLAIMS_SPEC = SweepSpec(
-    families=("gnp_sparse", "geometric"),
-    sizes=(16, 24, 32, 48, 64),
-    seeds=(0, 1, 2),
-    initial_methods=("echo",),
-    modes=("concurrent",),
-)
-
-#: T7 — message-size audit over growing n (claim C5).
-T7_SPEC = SweepSpec(
-    families=("gnp_sparse",),
-    sizes=(16, 32, 64, 96),
-    seeds=(0,),
-)
 
 #: Executor-scaling workload: enough cells for process-pool fan-out to
 #: amortize worker startup (``benchmarks/bench_executor_scaling.py``).
@@ -126,134 +81,6 @@ def campaign_cells() -> tuple[RunSpec, ...]:
     return tuple(
         cell for scenario in campaign.scenarios for cell in scenario.cells()
     )
-
-
-# -- t-experiment case lists ------------------------------------------------
-
-#: Hamiltonian-padded sizes with Δ* = 2 by construction (T1).
-T1_HAM_SIZES = (24, 36, 48)
-
-
-def t1_cases() -> list[tuple[str, object]]:
-    """Ground-truth instances for the degree-quality claim (C1)."""
-    return [
-        ("complete", complete(10)),
-        ("wheel", wheel(12)),
-        ("gnp", gnp_connected(12, 0.35, seed=1)),
-        ("gnp", gnp_connected(14, 0.3, seed=2)),
-        ("hamiltonian", hamiltonian_padded(12, 14, seed=3)),
-    ]
-
-
-def run_t1() -> list[tuple[str, object, MDSTResult, int]]:
-    """(name, graph, result, Δ*) per ground-truth instance."""
-    rows = []
-    for name, g in t1_cases():
-        res = run_mdst(g, greedy_hub_tree(g), seed=0)
-        rows.append((name, g, res, optimal_degree(g)))
-    for n in T1_HAM_SIZES:
-        g = hamiltonian_padded(n, 2 * n, seed=n)
-        res = run_mdst(g, greedy_hub_tree(g), seed=0)
-        rows.append(("hamiltonian", g, res, 2))
-    return rows
-
-
-def t4_cases() -> list[tuple[str, object]]:
-    """Workloads engineered to have many simultaneous max-degree nodes."""
-    return [
-        ("complete-12", complete(12)),
-        ("wheel-14", wheel(14)),
-        ("caterpillar-6x3", caterpillar_graph(6, 3)),
-        ("caterpillar-8x4", caterpillar_graph(8, 4)),
-        ("gnp-32", gnp_connected(32, 0.18, seed=4)),
-    ]
-
-
-def run_t4() -> list[tuple[str, object, object, MDSTResult, MDSTResult]]:
-    """(name, graph, t0, concurrent result, single-target result)."""
-    rows = []
-    for name, g in t4_cases():
-        t0 = greedy_hub_tree(g)
-        conc = run_mdst(g, t0, config=MDSTConfig(mode="concurrent"), seed=0)
-        single = run_mdst(g, t0, config=MDSTConfig(mode="single"), seed=0)
-        rows.append((name, g, t0, conc, single))
-    return rows
-
-
-#: Complete-graph sizes for the Korach–Moran–Zaks comparison (C6).
-T5_SIZES = (8, 12, 16, 24, 32)
-
-
-def run_t5() -> list[tuple[int, object, MDSTResult]]:
-    rows = []
-    for n in T5_SIZES:
-        g = complete(n)
-        rows.append((n, g, run_mdst(g, greedy_hub_tree(g), seed=0)))
-    return rows
-
-
-#: Every startup construction in the library (T6 ablation).
-T6_METHODS = ("echo", "dfs", "ghs", "bfs", "cdfs", "random", "greedy_hub")
-
-
-def t6_graph():
-    return gnp_connected(40, 0.15, seed=9)
-
-
-def run_t6() -> list[tuple[str, object, MDSTResult]]:
-    g = t6_graph()
-    rows = []
-    for method in T6_METHODS:
-        startup = build_spanning_tree(g, method=method, seed=9)
-        rows.append((method, startup, run_mdst(g, startup.tree, seed=9)))
-    return rows
-
-
-def t8_cases() -> list[tuple[str, object]]:
-    return [
-        ("complete-12", complete(12)),
-        ("wheel-12", wheel(12)),
-        ("caterpillar", caterpillar_graph(6, 3)),
-        ("gnp-28", gnp_connected(28, 0.2, seed=5)),
-        ("gnp-36", gnp_connected(36, 0.15, seed=6)),
-        ("geo-30", random_geometric(30, 0.35, seed=7)),
-    ]
-
-
-def run_t8() -> list[tuple[str, object, MDSTResult, object, object]]:
-    """(name, t0, distributed, sequential local search, full F-R tree)."""
-    rows = []
-    for name, g in t8_cases():
-        t0 = greedy_hub_tree(g)
-        dist = run_mdst(g, t0, seed=0)
-        simple, _swaps = local_search_mdst(g, t0)
-        fr, _stats = fuerer_raghavachari(g, t0)
-        rows.append((name, t0, dist, simple, fr))
-    return rows
-
-
-def t9_cases() -> list[tuple[str, object]]:
-    return [
-        ("caterpillar-8x4", caterpillar_graph(8, 4)),
-        ("gnp-36", gnp_connected(36, 0.15, seed=2)),
-        ("geo-32", random_geometric(32, 0.34, seed=3)),
-    ]
-
-
-T9_CONFIGS = (
-    ("concurrent+polish", MDSTConfig(mode="concurrent", polish=True)),
-    ("concurrent, no polish", MDSTConfig(mode="concurrent", polish=False)),
-    ("single-target", MDSTConfig(mode="single")),
-)
-
-
-def run_t9() -> list[tuple[str, str, MDSTResult]]:
-    rows = []
-    for name, g in t9_cases():
-        t0 = greedy_hub_tree(g)
-        for label, cfg in T9_CONFIGS:
-            rows.append((name, label, run_mdst(g, t0, config=cfg, seed=0)))
-    return rows
 
 
 def mdst_result_work(results: list[MDSTResult]) -> dict[str, int]:

@@ -8,6 +8,7 @@ from .bounds import (
     paper_round_message_budget,
     paper_total_message_budget,
     paper_total_time_budget,
+    rounds_within_claim,
 )
 from .exact import (
     exact_minimum_degree_spanning_tree,
@@ -33,4 +34,5 @@ __all__ = [
     "paper_round_message_budget",
     "paper_total_message_budget",
     "paper_total_time_budget",
+    "rounds_within_claim",
 ]

@@ -20,6 +20,7 @@ __all__ = [
     "paper_total_message_budget",
     "paper_total_time_budget",
     "paper_round_count",
+    "rounds_within_claim",
 ]
 
 
@@ -78,6 +79,12 @@ def paper_round_count(k: int, k_star: int) -> int:
     if k < k_star:
         raise ValueError("initial degree below final degree")
     return k - k_star + 1
+
+
+def rounds_within_claim(rounds: int, k: int, k_star: int) -> bool:
+    """The round-count check of ``certify`` and table T4: at most
+    2·(k − k* + 1) + 2 rounds, slack for discovery and polish rounds."""
+    return rounds <= 2 * paper_round_count(k, k_star) + 2
 
 
 def paper_total_message_budget(n: int, m: int, k: int, k_star: int) -> int:

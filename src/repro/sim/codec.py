@@ -187,9 +187,10 @@ def codec_entry(cls: type) -> CodecEntry:
     return entry
 
 
-def registered_codes() -> dict[str, int]:
-    """Class-name -> code snapshot, for diagnostics and tests."""
-    return {e.name: e.code for e in _BY_CODE}
+def registered_codes() -> dict[type, int]:
+    """Class -> code snapshot, for diagnostics and tests (keyed by the
+    class itself: two modules may each define a message of one name)."""
+    return {e.cls: e.code for e in _BY_CODE}
 
 
 def encode_message(msg: Message) -> tuple:

@@ -25,6 +25,19 @@ MESSAGE_TYPE_BITS = 5
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
+def _rebind_frozen(cls: type) -> None:
+    """``dataclass(frozen=True, slots=True)`` rebuilds the class it
+    decorates, but the frozen ``__setattr__``/``__delattr__`` it made
+    still close over the replaced class (Python 3.11), so on a field-less
+    message they raise ``TypeError`` from ``super()`` instead of
+    ``FrozenInstanceError``. Point them at *cls*, the class in use."""
+    for name in ("__setattr__", "__delattr__"):
+        fn = cls.__dict__.get(name)
+        code = getattr(fn, "__code__", None)
+        if code is not None and "cls" in code.co_freevars:
+            fn.__closure__[code.co_freevars.index("cls")].cell_contents = cls
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """Base class for all protocol messages.
@@ -33,6 +46,9 @@ class Message:
     floats, short tuples of ints, or None. ``type_name`` is used for
     per-type accounting.
     """
+
+    def __init_subclass__(cls) -> None:
+        _rebind_frozen(cls)
 
     @property
     def type_name(self) -> str:
@@ -65,6 +81,9 @@ class Message:
     def id_field_count(self) -> int:
         """Number of identity-sized payload slots this message carries."""
         return len(self.field_values())
+
+
+_rebind_frozen(Message)
 
 
 def message_bits(msg: Message, n: int, type_bits: int = MESSAGE_TYPE_BITS) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..errors import SolverError
 from ..mdst.result import MDSTResult
-from ..sequential.bounds import paper_round_count
+from ..sequential.bounds import rounds_within_claim
 from ..sequential.exact import optimal_degree
 from .local_optimality import certified_within_one, is_locally_optimal
 from .tree_checks import assert_degree_not_worse, assert_spanning_tree
@@ -70,8 +70,6 @@ def certify_run(result: MDSTResult, exact_limit: int = 16) -> Certification:
             opt = None
     if within is None and fr:
         within = True  # certified without ground truth
-    claim = paper_round_count(result.initial_degree, result.final_degree)
-    rounds_ok = result.num_rounds <= 2 * claim + 2
     return Certification(
         spanning_tree=True,
         degree_not_worse=True,
@@ -79,5 +77,7 @@ def certify_run(result: MDSTResult, exact_limit: int = 16) -> Certification:
         fr_certificate=fr,
         optimal=opt,
         within_one_of_optimal=within,
-        rounds_within_claim=rounds_ok,
+        rounds_within_claim=rounds_within_claim(
+            result.num_rounds, result.initial_degree, result.final_degree
+        ),
     )
