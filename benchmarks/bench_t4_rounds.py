@@ -22,4 +22,4 @@ def test_t4_round_count(benchmark, emit):
     assert all(r <= 4.0 for r in ratios)
     # single-target serializes improvements: at least as many rounds
     for _name, _g, _t0, conc, single in rows:
-        assert single.num_rounds + 2 >= conc.num_rounds or single.num_rounds >= conc.num_rounds
+        assert single.num_rounds >= conc.num_rounds

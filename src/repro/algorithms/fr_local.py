@@ -31,8 +31,9 @@ policy hooks:
   ``_collect``) — one F-R step per round: the round barrier is a
   countdown of one, a :class:`~repro.protocol.PhaseSequencer` names the
   ``search`` and ``improve`` phases, and the protocol only terminates
-  when *no* maximum-degree vertex admits a direct improvement, the same
-  fixpoint class as :func:`repro.sequential.fuerer_raghavachari`;
+  when *no* maximum-degree vertex admits a direct improvement. That
+  fixpoint has no blocking resolution, so it is weaker than the
+  witness of :func:`repro.sequential.fr_phase`;
 * **the send order** (``_order``) — broadcasts go out in sorted order.
 """
 
@@ -235,8 +236,9 @@ def _register() -> None:
                 "Fürer–Raghavachari-style local improvement: fixed "
                 "coordinator, one full-fragment improvement step per round"
             ),
-            # terminates at the sequential F-R fixpoint (no max-degree
-            # vertex admits a direct improvement)
+            # the paper's claim; it terminates when no max-degree vertex
+            # admits a direct improvement, a weaker fixpoint than F-R's
+            # witness (repro.sequential.fr_phase)
             degree_bound=lambda opt, n: opt + 1,
             build=build_fr_local,
         )

@@ -128,8 +128,9 @@ def _register_builtin_blin() -> None:
                 "Blin & Butelle MDegST: migrating round root, concurrent "
                 "same-cutter exchanges with single-target polish"
             ),
-            # terminates only when no max-degree node has a direct
-            # improvement — the same fixpoint class as sequential F-R
+            # the paper's claim; it terminates when no max-degree node
+            # has a direct improvement, a weaker fixpoint than F-R's
+            # witness (repro.sequential.fr_phase)
             degree_bound=lambda opt, n: opt + 1,
             build=_build_blin,
         )

@@ -21,10 +21,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..analysis.executor import RunSpec
 from ..analysis.records import RunRecord
 from ..graphs.generators import make_family
-from ..sequential.bounds import degree_lower_bound
+from ..graphs.properties import min_degree_lower_bound
 from ..viz.charts import render_bar_chart
 from .runner import CampaignResult, ScenarioResult
 
@@ -46,22 +45,8 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-class _LowerBoundMemo:
-    """Memoized Δ* lower bound per (family, requested n, seed) instance."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[str, int, int], int] = {}
-
-    def __call__(self, cell: RunSpec) -> int:
-        key = (cell.family, cell.n, cell.seed)
-        if key not in self._memo:
-            graph = make_family(cell.family, cell.n, seed=cell.seed)
-            self._memo[key] = degree_lower_bound(graph)
-        return self._memo[key]
-
-
 def aggregate_scenario(
-    result: ScenarioResult, lb: _LowerBoundMemo | None = None
+    result: ScenarioResult, lb: dict[tuple[str, int, int], int] | None = None
 ) -> list[dict[str, Any]]:
     """Collapse a scenario's records over seeds into aggregate rows.
 
@@ -70,9 +55,11 @@ def aggregate_scenario(
     metric means *and* from the lower-bound mean, so ``k_final`` and
     ``degree_lb`` average over the same instances (per-instance
     k* ≥ lb, hence mean k* ≥ mean lb, row by row); a group whose every
-    run stalled reports ``None`` means.
+    run stalled reports ``None`` means. *lb* memoizes the Δ* lower
+    bound per (family, requested n, seed) instance, and can be shared
+    across calls.
     """
-    lb = lb or _LowerBoundMemo()
+    lb = {} if lb is None else lb
     groups: dict[tuple, dict[str, Any]] = {}
     for cell, record in zip(result.cells, result.records):
         key = tuple(getattr(cell, axis) for axis in _GROUP_AXES)
@@ -87,8 +74,11 @@ def aggregate_scenario(
             }
         row["runs"] += 1
         if record.ok:
+            instance = (cell.family, cell.n, cell.seed)
+            if instance not in lb:
+                lb[instance] = min_degree_lower_bound(make_family(*instance))
             row["_ok"].append(record)
-            row["_lb"].append(lb(cell))
+            row["_lb"].append(lb[instance])
         else:
             row["stalled"] += 1
     out = []
@@ -132,7 +122,7 @@ def _group_label(row: dict[str, Any]) -> str:
 
 def _campaign_aggregates(result: CampaignResult) -> list[list[dict[str, Any]]]:
     """Aggregate every scenario once, sharing one lower-bound memo."""
-    lb = _LowerBoundMemo()
+    lb: dict[tuple[str, int, int], int] = {}
     return [aggregate_scenario(sr, lb) for sr in result.results]
 
 

@@ -1,7 +1,6 @@
 """Sequential baselines and reference bounds."""
 
 from .bounds import (
-    degree_lower_bound,
     fr_quality_guarantee,
     kmz_lower_bound,
     paper_round_count,
@@ -15,12 +14,14 @@ from .exact import (
     optimal_degree,
     spanning_tree_with_max_degree,
 )
-from .fuerer_raghavachari import FRStats, find_fr_improvement, fuerer_raghavachari
+from .fuerer_raghavachari import FRStats, Improvement, Witness, fr_phase, fuerer_raghavachari
 from .local_search import find_simple_improvement, local_search_mdst
 
 __all__ = [
     "fuerer_raghavachari",
-    "find_fr_improvement",
+    "fr_phase",
+    "Improvement",
+    "Witness",
     "FRStats",
     "local_search_mdst",
     "find_simple_improvement",
@@ -29,7 +30,6 @@ __all__ = [
     "optimal_degree",
     "kmz_lower_bound",
     "fr_quality_guarantee",
-    "degree_lower_bound",
     "paper_round_count",
     "paper_round_message_budget",
     "paper_total_message_budget",

@@ -12,16 +12,15 @@ gap.
 from __future__ import annotations
 
 from ..errors import NotConnectedError
-from ..graphs.graph import Graph, canonical_edge
+from ..graphs.graph import Graph
 from ..graphs.traversal import is_connected
 from ..graphs.trees import RootedTree
+from .fuerer_raghavachari import Swap, cycle_swap
 
 __all__ = ["find_simple_improvement", "local_search_mdst"]
 
 
-def find_simple_improvement(
-    graph: Graph, tree: RootedTree
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
+def find_simple_improvement(graph: Graph, tree: RootedTree) -> Swap | None:
     """Return ``(remove_edge, add_edge)`` under the published rule, or
     ``None`` when stuck. Deterministic: candidates are scanned in
     (max endpoint degree, edge) order, mirroring the protocol's choice."""
@@ -40,11 +39,8 @@ def find_simple_improvement(
     for _dmax, u, v in candidates:
         cycle = tree.path(u, v)
         w = next((x for x in cycle if deg[x] == k), None)
-        if w is None:
-            continue
-        i = cycle.index(w)
-        nbr = cycle[i + 1] if i + 1 < len(cycle) else cycle[i - 1]
-        return canonical_edge(w, nbr), canonical_edge(u, v)
+        if w is not None:
+            return cycle_swap(cycle, w)
     return None
 
 

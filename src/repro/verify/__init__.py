@@ -1,19 +1,13 @@
 """Certification of trees and runs against the paper's claims."""
 
 from .certification import Certification, certify_run
-from .local_optimality import (
-    certified_within_one,
-    forest_has_no_crossing_edges,
-    is_locally_optimal,
-)
+from .local_optimality import forest_has_no_crossing_edges
 from .tree_checks import assert_degree_not_worse, assert_spanning_tree
 
 __all__ = [
     "assert_spanning_tree",
     "assert_degree_not_worse",
     "forest_has_no_crossing_edges",
-    "is_locally_optimal",
-    "certified_within_one",
     "Certification",
     "certify_run",
 ]

@@ -1,18 +1,15 @@
-"""Locally-Optimal-Tree (LOT) checkers — Theorem 1 of the paper.
+"""The locally-optimal-tree condition — Theorem 1 of the paper.
 
 Theorem 1 (Fürer–Raghavachari): let T be a spanning tree of degree k,
 S the degree-k vertices, B ⊆ degree-(k−1) vertices. Remove S ∪ B from
 the graph, breaking T into forest F. If G has **no edges between
 different trees of F**, then k ≤ Δ\\* + 1.
 
-Three checkers of increasing strength:
-
-* :func:`forest_has_no_crossing_edges` — the raw condition for a *given*
-  B;
-* :func:`is_locally_optimal` — tries B = all degree-(k−1) vertices
-  (what the published distributed rule effectively enforces);
-* :func:`certified_within_one` — full F-R fixpoint (unmark-merge); True
-  guarantees Δ(T) ≤ Δ\\* + 1 unconditionally.
+:func:`forest_has_no_crossing_edges` checks that condition for a given
+S ∪ B. It is the reference check, written independently of the search
+that finds the set: :func:`repro.sequential.fr_phase` returns its
+:class:`~repro.sequential.Witness`, and :func:`~repro.verify.certify_run`
+re-checks it here.
 """
 
 from __future__ import annotations
@@ -22,13 +19,8 @@ from collections.abc import Iterable
 from ..graphs.graph import Graph
 from ..graphs.traversal import connected_components
 from ..graphs.trees import RootedTree
-from ..sequential.fuerer_raghavachari import find_fr_improvement
 
-__all__ = [
-    "forest_has_no_crossing_edges",
-    "is_locally_optimal",
-    "certified_within_one",
-]
+__all__ = ["forest_has_no_crossing_edges"]
 
 
 def forest_has_no_crossing_edges(
@@ -55,24 +47,3 @@ def forest_has_no_crossing_edges(
         if comp_of[u] != comp_of[v]:
             return False
     return True
-
-
-def is_locally_optimal(graph: Graph, tree: RootedTree) -> bool:
-    """Theorem 1 with B = *all* degree-(k−1) vertices — the stopping
-    condition the published distributed rule aims at. Sufficient for
-    k ≤ Δ\\* + 1 when it holds, but B is not adversarially chosen, so it
-    can be False while the tree is still within one of optimal."""
-    k = tree.max_degree()
-    if k <= 2:
-        return True
-    removed = [u for u in tree.nodes() if tree.degree(u) >= k - 1]
-    return forest_has_no_crossing_edges(graph, tree, removed)
-
-
-def certified_within_one(graph: Graph, tree: RootedTree) -> bool:
-    """Full Fürer–Raghavachari certificate: True iff no improvement
-    (including blocking resolution) exists, which by Theorem 1 proves
-    Δ(T) ≤ Δ\\* + 1."""
-    if tree.max_degree() <= 2:
-        return True
-    return find_fr_improvement(graph, tree) is None

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from repro.graphs import gnp_connected, min_degree_lower_bound
 from repro.sequential import (
+    Witness,
+    fr_phase,
     fuerer_raghavachari,
     optimal_degree,
     spanning_tree_with_max_degree,
 )
 from repro.spanning import greedy_hub_tree, random_spanning_tree
-from repro.verify import certified_within_one
+from repro.verify import assert_spanning_tree, forest_has_no_crossing_edges
 
 small_sizes = st.integers(min_value=3, max_value=11)
 seeds = st.integers(min_value=0, max_value=5_000)
@@ -40,7 +42,28 @@ class TestExactProperties:
         final, _stats = fuerer_raghavachari(g, t0)
         opt = optimal_degree(g)
         assert opt <= final.max_degree() <= opt + 1
-        assert certified_within_one(g, final)
+        phase = fr_phase(g, final)
+        assert isinstance(phase, Witness)
+        assert forest_has_no_crossing_edges(g, final, phase.marked)
+
+    @given(st.integers(min_value=3, max_value=10), densities, seeds, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_phase_on_any_tree_against_ground_truth(self, n, p, gseed, tseed):
+        """One phase on an arbitrary tree: a witness bounds Δ* from
+        below (k − 1 ≤ lb ≤ Δ*), an improvement applies to a spanning
+        tree with fewer degree-k vertices or a lower k."""
+        g = gnp_connected(n, p, seed=gseed)
+        t = random_spanning_tree(g, seed=tseed)
+        k = t.max_degree()
+        phase = fr_phase(g, t)
+        if isinstance(phase, Witness):
+            assert forest_has_no_crossing_edges(g, t, phase.marked)
+            assert k - 1 <= phase.lb <= optimal_degree(g)
+        else:
+            after = phase.apply(t)
+            assert_spanning_tree(g, after)
+            top = [sum(x.degree(v) == k for v in x.nodes()) for x in (t, after)]
+            assert after.max_degree() < k or top[1] < top[0]
 
     @given(small_sizes, densities, seeds)
     @settings(max_examples=20, deadline=None)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.graphs import gnp_connected
 from repro.mdst import MDSTConfig, run_mdst
-from repro.sequential import fuerer_raghavachari, local_search_mdst
+from repro.sequential import Witness, fr_phase, fuerer_raghavachari, local_search_mdst
 from repro.sim import ExponentialDelay, UniformDelay, UnitDelay
 from repro.spanning import build_spanning_tree, random_spanning_tree
-from repro.verify import certified_within_one
+from repro.verify import forest_has_no_crossing_edges
 
 sizes = st.integers(min_value=3, max_value=18)
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -83,7 +83,10 @@ class TestProtocolProperties:
         """After F-R the tree is always certified within Δ* + 1."""
         graph, tree = inst
         fr_tree, _ = fuerer_raghavachari(graph, tree)
-        assert certified_within_one(graph, fr_tree)
+        phase = fr_phase(graph, fr_tree)
+        assert isinstance(phase, Witness)
+        assert forest_has_no_crossing_edges(graph, fr_tree, phase.marked)
+        assert phase.lb >= fr_tree.max_degree() - 1
 
     @given(sizes, seeds, modes)
     @settings(max_examples=20, deadline=None)

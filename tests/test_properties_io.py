@@ -14,12 +14,14 @@ from repro.graphs import (
     load,
     loads,
     loads_dimacs,
+    make_family,
     min_degree_lower_bound,
     path_graph,
     ring,
     save,
     star,
 )
+from repro.sequential import optimal_degree
 
 
 class TestArticulation:
@@ -91,6 +93,21 @@ class TestLowerBound:
     def test_empty_raises(self):
         with pytest.raises(GraphError):
             min_degree_lower_bound(Graph())
+
+    @pytest.mark.parametrize(
+        "family, n, seed",
+        [("ring", 8, 0), ("complete", 7, 0), ("gnp_sparse", 10, 2),
+         ("bipartite", 12, 0), ("wheel", 8, 0)],
+    )
+    def test_matches_or_undershoots_exact_optimum(self, family, n, seed):
+        g = make_family(family, n, seed=seed)
+        assert 1 <= min_degree_lower_bound(g) <= optimal_degree(g)
+
+    def test_family_cut_vertex_certificate(self):
+        assert min_degree_lower_bound(make_family("complete", 6)) == 2
+        assert min_degree_lower_bound(make_family("ring", 3)) == 2
+        # star: hub removal leaves n-1 singletons, LB = n-1 = Δ*
+        assert min_degree_lower_bound(star(9)) == 8
 
     def test_spider_hub(self):
         # hub 0 with 3 paths of length 2, no tip cycle -> removal splits 3 ways

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.errors import AnalysisError
-from repro.graphs.generators import make_family
 from repro.scenarios import (
     SCENARIOS,
     CampaignSpec,
@@ -25,8 +24,6 @@ from repro.scenarios import (
     scenario_names,
     write_report,
 )
-from repro.sequential.bounds import degree_lower_bound
-from repro.sequential.exact import optimal_degree
 
 
 class TestScenarioSpec:
@@ -285,26 +282,3 @@ class TestRunnerAndReport:
         for other in (parallel, cold, warm):
             assert render_markdown(other) == reference_md
             assert json.dumps(report_json_dict(other), sort_keys=True) == reference_json
-
-
-class TestDegreeLowerBound:
-    def test_matches_or_undershoots_exact_optimum(self):
-        instances = [
-            make_family("ring", 8),
-            make_family("complete", 7),
-            make_family("gnp_sparse", 10, seed=2),
-            make_family("bipartite", 12),
-            make_family("wheel", 8),
-        ]
-        for g in instances:
-            assert 1 <= degree_lower_bound(g) <= optimal_degree(g)
-
-    def test_cut_vertex_certificate(self):
-        # star: hub removal leaves n-1 singletons, LB = n-1 = Δ*
-        g = make_family("complete", 6)
-        star = make_family("ring", 3)
-        assert degree_lower_bound(g) == 2
-        assert degree_lower_bound(star) == 2
-        from repro.graphs.generators import star as star_graph
-
-        assert degree_lower_bound(star_graph(9)) == 8

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.batch import CellTemplate
+from repro.analysis.executor import RunSpec
 from repro.errors import NotConnectedError, SolverError
 from repro.graphs import (
     Graph,
@@ -15,12 +17,15 @@ from repro.graphs import (
     ring,
     spider,
     star,
+    tree_from_edges,
     wheel,
 )
 from repro.sequential import (
+    Improvement,
+    Witness,
     exact_minimum_degree_spanning_tree,
-    find_fr_improvement,
     find_simple_improvement,
+    fr_phase,
     fr_quality_guarantee,
     fuerer_raghavachari,
     kmz_lower_bound,
@@ -33,6 +38,7 @@ from repro.sequential import (
     spanning_tree_with_max_degree,
 )
 from repro.spanning import bfs_tree, greedy_hub_tree
+from repro.verify import assert_spanning_tree, forest_has_no_crossing_edges
 
 SMALL_GRAPHS = {
     "k6": complete(6),
@@ -132,9 +138,9 @@ class TestFuererRaghavachari:
         assert t.max_degree() == 5
         assert stats.improvements == 0
 
-    def test_find_improvement_none_at_optimum(self):
+    def test_phase_witness_at_optimum(self):
         g = ring(8)
-        assert find_fr_improvement(g, bfs_tree(g)) is None
+        assert isinstance(fr_phase(g, bfs_tree(g)), Witness)
 
     def test_max_iterations(self):
         g = complete(10)
@@ -156,14 +162,72 @@ class TestFuererRaghavachari:
                 (3, 6), (4, 7), (6, 7),           # alternative route
             ]
         )
-        from repro.graphs import tree_from_edges
-
         t0 = tree_from_edges(
             0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 6), (4, 7)]
         )
         assert t0.max_degree() == 4
         t, _ = fuerer_raghavachari(g, t0)
         assert t.max_degree() <= 3
+
+
+def _improves(graph, tree, phase):
+    """Applying *phase* keeps a spanning tree and lowers k or the number
+    of degree-k vertices."""
+    k = tree.max_degree()
+    after = phase.apply(tree)
+    assert_spanning_tree(graph, after)
+    top = [sum(t.degree(v) == k for v in t.nodes()) for t in (tree, after)]
+    return after.max_degree() < k or top[1] < top[0]
+
+
+class TestFRPhase:
+    def test_relieves_a_degree_k_minus_1_endpoint_first(self):
+        """Hub 0 has degree k = 4. The only edge whose cycle passes it,
+        (1, 2), has endpoint 1 of degree k−1. Blocking resolution over
+        (5, 6) unmarks 1 and records that swap; the improvement applies
+        it first, so 1 ends at degree 3, not 4."""
+        g = Graph(
+            edges=[
+                (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),  # the tree
+                (5, 6), (1, 2),
+            ]
+        )
+        t = tree_from_edges(0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6)])
+        phase = fr_phase(g, t)
+        assert phase == Improvement(swaps=(((1, 6), (5, 6)), ((0, 2), (1, 2))))
+        assert _improves(g, t, phase)
+        assert phase.apply(t).max_degree() == 3
+
+    #: the final trees at n=64 that stop with an F-R improvement left
+    #: (all other (algorithm, family, seed) cells end with a witness)
+    IMPROVABLE_AT_64 = {
+        ("blin_butelle", "gnp_sparse", 1), ("blin_butelle", "gnp_sparse", 2),
+        ("blin_butelle", "pref_attach", 1), ("blin_butelle", "pref_attach", 2),
+        ("fr_local", "gnp_sparse", 2), ("fr_local", "pref_attach", 0),
+        ("fr_local", "pref_attach", 1), ("fr_local", "pref_attach", 2),
+    }
+
+    @pytest.mark.parametrize("algorithm", ["blin_butelle", "fr_local"])
+    @pytest.mark.parametrize(
+        "family",
+        ["gnp_sparse", "geometric", "pref_attach", "gnp_dense", "grid",
+         "hypercube", "regular4"],
+    )
+    def test_final_trees_at_64(self, algorithm, family):
+        """Each final tree gets a witness that passes the independent
+        forest check with lb ≥ k−1, or an improvement that applies."""
+        for seed in range(3):
+            spec = RunSpec(family=family, n=64, seed=seed, algorithm=algorithm)
+            res = CellTemplate(spec).attempt(seed, None)[3]
+            g, t = res.graph, res.final_tree
+            phase = fr_phase(g, t)
+            if (algorithm, family, seed) in self.IMPROVABLE_AT_64:
+                assert isinstance(phase, Improvement)
+                assert _improves(g, t, phase)
+            else:
+                assert isinstance(phase, Witness)
+                assert forest_has_no_crossing_edges(g, t, phase.marked)
+                assert phase.lb >= t.max_degree() - 1
 
 
 class TestLocalSearch:

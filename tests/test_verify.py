@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.analysis.batch import CellTemplate
+from repro.analysis.executor import RunSpec
 from repro.errors import VerificationError
 from repro.graphs import (
-    Graph,
     complete,
     gnp_connected,
     ring,
@@ -13,14 +14,13 @@ from repro.graphs import (
     wheel,
 )
 from repro.mdst import run_mdst
+from repro.sequential import Improvement, Witness, fr_phase
 from repro.spanning import bfs_tree, greedy_hub_tree
 from repro.verify import (
     assert_degree_not_worse,
     assert_spanning_tree,
-    certified_within_one,
     certify_run,
     forest_has_no_crossing_edges,
-    is_locally_optimal,
 )
 
 
@@ -54,19 +54,21 @@ class TestLocalOptimality:
     def test_chain_is_always_optimal(self):
         g = complete(5)
         chain = tree_from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert is_locally_optimal(g, chain)
-        assert certified_within_one(g, chain)
+        assert isinstance(fr_phase(g, chain), Witness)
 
     def test_star_tree_in_complete_graph_not_optimal(self):
         g = complete(5)
         t = greedy_hub_tree(g)
-        assert not certified_within_one(g, t)
+        assert isinstance(fr_phase(g, t), Improvement)
 
     def test_star_graph_is_optimal(self):
         g = star(6)
         t = bfs_tree(g)
-        assert is_locally_optimal(g, t)
-        assert certified_within_one(g, t)
+        phase = fr_phase(g, t)
+        assert isinstance(phase, Witness)
+        assert forest_has_no_crossing_edges(g, t, phase.marked)
+        # W = {hub}, c = 5 leaves: Δ* ≥ 5 = k, so the tree is optimal
+        assert phase.lb == t.max_degree() == 5
 
     def test_forest_condition_direct(self):
         g = complete(4)
@@ -77,21 +79,6 @@ class TestLocalOptimality:
         # removing everything leaves nothing to cross
         assert forest_has_no_crossing_edges(g, t, g.nodes())
 
-    def test_fr_certificate_stronger_than_naive(self):
-        """is_locally_optimal (B = all k−1) can hold while the F-R
-        fixpoint still finds an unmark-merge improvement."""
-        g = Graph(
-            edges=[
-                (0, 1), (0, 2), (0, 3), (0, 4),
-                (1, 5), (2, 5),
-                (3, 6), (4, 7), (6, 7),
-            ]
-        )
-        t = tree_from_edges(
-            0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (3, 6), (4, 7)]
-        )
-        assert not certified_within_one(g, t)
-
 
 class TestCertifyRun:
     def test_complete_graph_certification(self):
@@ -101,6 +88,7 @@ class TestCertifyRun:
         assert cert.all_structural
         assert cert.optimal == 2
         assert cert.within_one_of_optimal
+        assert isinstance(cert.fr_phase, Witness)
         assert cert.rounds_within_claim
         assert "PASS" in cert.summary()
 
@@ -110,9 +98,36 @@ class TestCertifyRun:
         cert = certify_run(res, exact_limit=16)
         assert cert.optimal is None
         assert cert.all_structural
-        # when the F-R certificate holds we know ≤ Δ*+1 without ground truth
-        if cert.fr_certificate:
-            assert cert.within_one_of_optimal
+        # beyond the exact solver only the witness speaks to Δ*+1
+        assert cert.within_one_of_optimal is None
+        assert "----  within Δ*+1 (ground truth)" in cert.summary()
+
+    def test_improvable_tree_claims_no_quality_bound(self):
+        """pref_attach n=64 seed 2: fr_local stops at k=5 on a tree that
+        a complete F-R phase still improves."""
+        spec = RunSpec(family="pref_attach", n=64, seed=2, algorithm="fr_local")
+        res = CellTemplate(spec).attempt(spec.seed, None)[3]
+        cert = certify_run(res)
+        assert res.final_degree == 5
+        assert isinstance(cert.fr_phase, Improvement)
+        assert cert.within_one_of_optimal is None
+        summary = cert.summary()
+        assert "FAIL  F-R improvement found" in summary
+        for line in summary.splitlines():
+            assert not (
+                line.strip().startswith("PASS")
+                and ("Δ*+1" in line or "ground truth" in line)
+            ), line
+
+    def test_witness_above_exact_limit(self):
+        spec = RunSpec(family="geometric", n=64, seed=0)
+        res = CellTemplate(spec).attempt(spec.seed, None)[3]
+        cert = certify_run(res)
+        phase = cert.fr_phase
+        assert isinstance(phase, Witness)
+        assert phase.lb >= res.final_degree - 1
+        assert cert.within_one_of_optimal is None
+        assert f"PASS  F-R witness |W| = {len(phase.marked)}" in cert.summary()
 
     def test_wheel_certification(self):
         g = wheel(10)
