@@ -52,4 +52,4 @@ print(render_tree(result.final_tree, max_depth=3))
 # 5. certification ----------------------------------------------------------
 print()
 print("certification against the paper's claims:")
-print(certify_run(result).summary())
+print(certify_run(result))

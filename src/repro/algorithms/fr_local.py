@@ -236,10 +236,6 @@ def _register() -> None:
                 "Fürer–Raghavachari-style local improvement: fixed "
                 "coordinator, one full-fragment improvement step per round"
             ),
-            # the paper's claim; it terminates when no max-degree vertex
-            # admits a direct improvement, a weaker fixpoint than F-R's
-            # witness (repro.sequential.fr_phase)
-            degree_bound=lambda opt, n: opt + 1,
             build=build_fr_local,
         )
     )

@@ -3,7 +3,7 @@
 The reproduction started as a single-protocol codebase (`run_mdst`, the
 Blin–Butelle MDegST protocol). The registry turns it into a comparison
 platform: every algorithm is a named entry with a uniform runner
-signature and a *claimed* quality bound, so the sweep harness, the CLI
+signature, so the sweep harness, the CLI
 (``--algorithm``, ``repro compare``) and the property tests can treat
 "which algorithm" as just another experiment axis.
 
@@ -29,9 +29,10 @@ optional :class:`~repro.sim.provenance.CausalTally` the runner must
 attach to its protocol network (not the startup construction), so run
 forensics cover every registered algorithm uniformly.
 
-``degree_bound(opt, n)`` states the certified worst-case final degree on
-a graph with optimum ``opt`` and ``n`` nodes; the property suite checks
-every registered algorithm against it on exhaustively solved instances.
+Every registered algorithm claims the paper's quality target, Δ* + 1
+(:func:`repro.sequential.fr_quality_guarantee`); the property suite and
+the exploration oracle check each against it on exactly solved
+instances.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class Algorithm:
     name: str
     run: Callable[..., Any] = field(repr=False)
     description: str
-    #: (opt, n) -> certified maximum final tree degree
-    degree_bound: Callable[[int, int], int] = field(repr=False)
     #: optional build half of ``run``: same keyword surface minus
     #: ``max_events``, returning ``(net, finalize)`` so a caller can
     #: drive ``net.run()`` itself and time the stages apart (the
@@ -128,10 +127,6 @@ def _register_builtin_blin() -> None:
                 "Blin & Butelle MDegST: migrating round root, concurrent "
                 "same-cutter exchanges with single-target polish"
             ),
-            # the paper's claim; it terminates when no max-degree node
-            # has a direct improvement, a weaker fixpoint than F-R's
-            # witness (repro.sequential.fr_phase)
-            degree_bound=lambda opt, n: opt + 1,
             build=_build_blin,
         )
     )

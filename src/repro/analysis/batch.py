@@ -45,6 +45,7 @@ from ..sim.provenance import CausalTally
 from ..sim.scheduler import scheduler_from_name
 from ..spanning.base import SpanningTreeOutcome
 from ..spanning.provider import build_spanning_tree
+from ..verify.certification import judge
 from .axes import axis_fields
 from .executor import RunSpec, execute_cell
 from .records import RunRecord
@@ -245,6 +246,7 @@ class CellTemplate:
     def ok_record(
         self, seed, graph, startup_messages, result, cap=None
     ) -> RunRecord:
+        judgement = judge(graph, result.final_tree)
         return RunRecord(
             **self.fields,
             n=graph.n,
@@ -259,6 +261,8 @@ class CellTemplate:
             max_msg_fields=result.report.max_id_fields,
             startup_messages=startup_messages,
             events=result.report.events_processed,
+            lb=judgement.lb,
+            fr_improvable=judgement.fr_improvable,
             causal=cap.summary() if cap is not None else {},
         )
 

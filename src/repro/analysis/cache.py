@@ -66,7 +66,10 @@ __all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key", "MEMORY_ENTRIES",
 #: v7: records gained the ``causal`` provenance digest (run-forensics
 #: PR) — a v6 entry would deserialize with an empty digest and starve
 #: the fuzzer's causal coverage signals on warm-cache campaigns.
-CACHE_SCHEMA_VERSION = 7
+#: v8: records gained the judge's ``lb`` and ``fr_improvable`` (one
+#: F-R phase per completed run) — a v7 entry would deserialize with
+#: ``lb=0`` and blank the campaign report's ``LB(Δ*)`` column.
+CACHE_SCHEMA_VERSION = 8
 
 #: LRU budget of the in-memory tier (entries, not bytes — records are
 #: small, flat dataclasses).

@@ -62,6 +62,12 @@ class RunRecord:
     #: fields are then zeroed and ``k_final`` repeats ``k_initial`` —
     #: no improvement was certified)
     outcome: str = "ok"
+    #: the final tree's :class:`~repro.verify.Judgement`: a lower bound
+    #: on Δ*, and whether one F-R phase still improves the tree (else it
+    #: is certified within Δ*+1). Stalled and error records, and records
+    #: saved before the judge existed, carry ``lb=0``, not improvable.
+    lb: int = 0
+    fr_improvable: bool = False
     #: causal provenance digest (critical-path length, per-primitive
     #: message/bit attribution — see
     #: :meth:`repro.sim.provenance.CausalTally.summary`). Populated by

@@ -754,7 +754,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(result.summary())
         if args.command == "certify":
             print()
-            print(certify_run(result).summary())
+            print(certify_run(result))
         elif args.show_tree:
             print()
             print(render_tree(result.final_tree, max_depth=6))

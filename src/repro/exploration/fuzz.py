@@ -51,6 +51,7 @@ from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 from ..obs import current as obs
 from ..rng import substream
+from ..sequential.bounds import fr_quality_guarantee
 from ..sim.scheduler import (
     NO_SCHEDULER,
     REPLAY_CHOICE_SPACE,
@@ -128,17 +129,15 @@ def record_signature(record: RunRecord, opt: int | None = None) -> tuple:
       a schedule that starves the wave but floods token walks is new
       behaviour);
     * ``near_bound`` — True when the oracle solved the instance exactly
-      (*opt* is Δ*) and the run finished **at** its algorithm's claimed
-      degree bound: the worst certified tree the claim allows, exactly
-      the region counterexamples border.
+      (*opt* is Δ*) and the run finished **at** the claimed Δ*+1: the
+      worst certified tree the claim allows, exactly the region
+      counterexamples border.
     """
     causal = record.causal or {}
-    near_bound = False
-    if opt is not None and record.ok:
-        from ..algorithms import get_algorithm
-
-        bound = get_algorithm(record.algorithm).degree_bound(opt, record.n)
-        near_bound = record.k_final == bound
+    near_bound = (
+        opt is not None and record.ok
+        and record.k_final == fr_quality_guarantee(opt)
+    )
     return (
         record.algorithm,
         record.outcome,

@@ -7,9 +7,10 @@ under test, mirroring :mod:`repro.verify`:
   tree, parent/children agreement, degree never worse) surfaces as an
   ``outcome != "ok"`` probe record; any such record fails the cell;
 * **claimed degree bound** — on instances the exact solver can reach,
-  each algorithm's final degree is checked against its *claimed*
-  ``degree_bound(Δ*, n)`` from the registry (and against Δ* itself from
-  below: a "better than optimal" tree means the tree is not real);
+  each algorithm's final degree is checked against the claimed Δ*+1
+  (:func:`~repro.sequential.fr_quality_guarantee`), and against Δ*
+  itself from below: a "better than optimal" tree means the tree is not
+  real;
 * **cross-algorithm agreement** — every registered algorithm claims a
   final degree within Δ*+1, so two algorithms on the identical instance
   may differ by at most one even when n is too big to solve exactly.
@@ -29,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..algorithms import get_algorithm
 from ..analysis.batch import instance
 from ..analysis.records import RunRecord
 from ..errors import AnalysisError, SolverError
+from ..sequential.bounds import fr_quality_guarantee
 from .cells import ExplorationCell
 
 __all__ = ["Verdict", "check_cell", "EXACT_LIMIT"]
@@ -134,8 +135,8 @@ def check_cell(
         except SolverError:
             opt = None
     if opt is not None:
+        bound = fr_quality_guarantee(opt)
         for record in ok_records:
-            bound = get_algorithm(record.algorithm).degree_bound(opt, record.n)
             if record.k_final > bound:
                 fail(
                     f"degree_bound:{record.algorithm}",

@@ -15,87 +15,57 @@ __all__ = [
     "articulation_points",
     "has_hamiltonian_path",
     "min_degree_lower_bound",
-    "bridges",
 ]
 
 
+def _cut_components(graph: Graph) -> dict[int, int]:
+    """c(v) for every node: the number of components its removal leaves
+    of v's own component, from one iterative Tarjan lowlink pass.
+
+    A DFS child u of v whose subtree cannot reach above v
+    (``low[u] >= disc[v]``) is cut off with v gone; v's DFS ancestors
+    form one more component unless v is the DFS root. So c(v) ≥ 2
+    exactly for the articulation points.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    cut: dict[int, int] = {}
+    timer = 0
+    for start in graph.nodes():
+        if start in disc:
+            continue
+        parent[start] = None
+        disc[start] = low[start] = timer
+        timer += 1
+        cut[start] = 0
+        stack = [(start, iter(graph.neighbors(start)))]
+        while stack:
+            u, it = stack[-1]
+            for v in it:
+                if v not in disc:
+                    parent[v] = u
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    cut[v] = 1
+                    stack.append((v, iter(graph.neighbors(v))))
+                    break
+                if v != parent[u] and disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:
+                        cut[p] += 1
+    return cut
+
+
 def articulation_points(graph: Graph) -> set[int]:
-    """Articulation points (cut vertices) via iterative Tarjan lowlink."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    points: set[int] = set()
-    timer = 0
-    for start in graph.nodes():
-        if start in disc:
-            continue
-        parent[start] = None
-        stack: list[tuple[int, iter]] = [(start, iter(sorted(graph.neighbors(start))))]  # type: ignore[type-arg]
-        disc[start] = low[start] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in disc:
-                    parent[v] = u
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    if u == start:
-                        root_children += 1
-                    stack.append((v, iter(sorted(graph.neighbors(v)))))
-                    advanced = True
-                    break
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if parent[u] == p and p != start and low[u] >= disc[p]:
-                        points.add(p)
-        if root_children >= 2:
-            points.add(start)
-    return points
-
-
-def bridges(graph: Graph) -> set[tuple[int, int]]:
-    """Bridge edges (canonical form) via the same lowlink computation."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    out: set[tuple[int, int]] = set()
-    timer = 0
-    for start in graph.nodes():
-        if start in disc:
-            continue
-        parent[start] = None
-        disc[start] = low[start] = timer
-        timer += 1
-        stack = [(start, iter(sorted(graph.neighbors(start))))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in disc:
-                    parent[v] = u
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, iter(sorted(graph.neighbors(v)))))
-                    advanced = True
-                    break
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        out.add((min(p, u), max(p, u)))
-    return out
+    """Articulation points (cut vertices): the nodes v with c(v) ≥ 2."""
+    return {v for v, c in _cut_components(graph).items() if c >= 2}
 
 
 def has_hamiltonian_path(graph: Graph, node_limit: int = 20) -> bool:
@@ -150,22 +120,13 @@ def min_degree_lower_bound(graph: Graph) -> int:
     * every spanning tree of a connected graph with n >= 3 has a node of
       degree >= 2, and Δ* >= ⌈(n−1)/ (n−1)⌉ = 1 trivially;
     * forced-degree bound: a node v whose removal splits the graph into c
-      components must have tree degree >= c, so Δ* >= max_v c(v). We
-      compute c(v) for articulation points only (others give c = 1).
+      components must have tree degree >= c, so Δ* >= max_v c(v), with
+      every c(v) from one lowlink pass.
     """
     if graph.n == 0:
         raise GraphError("empty graph")
     if not is_connected(graph):
         raise NotConnectedError("lower bound defined for connected graphs")
-    if graph.n == 1:
-        return 0
-    if graph.n == 2:
-        return 1
-    bound = 2 if graph.n >= 3 else 1
-    from .traversal import connected_components
-
-    for v in articulation_points(graph):
-        rest = graph.subgraph([u for u in graph.nodes() if u != v])
-        c = len(connected_components(rest))
-        bound = max(bound, c)
-    return bound
+    if graph.n <= 2:
+        return graph.n - 1
+    return max(2, *_cut_components(graph).values())

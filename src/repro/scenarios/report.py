@@ -3,9 +3,10 @@
 One campaign run aggregates into two deterministic documents:
 
 * ``report.md`` — human-readable: per-scenario tables (mean final
-  degree vs. the cheap combinatorial lower bound on Δ*, rounds,
-  messages, causal time, stall counts under fault plans) plus ASCII
-  charts rendered with :func:`repro.viz.render_bar_chart`;
+  degree vs. the records' judged lower bound on Δ*, how many final
+  trees carry an F-R witness, rounds, messages, causal time, stall
+  counts under fault plans) plus ASCII charts rendered with
+  :func:`repro.viz.render_bar_chart`;
 * ``report.json`` — machine-readable: the campaign spec, every record,
   and the aggregate rows, for downstream tooling.
 
@@ -22,8 +23,6 @@ from pathlib import Path
 from typing import Any
 
 from ..analysis.records import RunRecord
-from ..graphs.generators import make_family
-from ..graphs.properties import min_degree_lower_bound
 from ..viz.charts import render_bar_chart
 from .runner import CampaignResult, ScenarioResult
 
@@ -45,21 +44,17 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def aggregate_scenario(
-    result: ScenarioResult, lb: dict[tuple[str, int, int], int] | None = None
-) -> list[dict[str, Any]]:
+def aggregate_scenario(result: ScenarioResult) -> list[dict[str, Any]]:
     """Collapse a scenario's records over seeds into aggregate rows.
 
     One row per distinct non-seed cell configuration, in first-seen cell
     order. Stalled runs are counted (``stalled``) but excluded from the
-    metric means *and* from the lower-bound mean, so ``k_final`` and
-    ``degree_lb`` average over the same instances (per-instance
-    k* ≥ lb, hence mean k* ≥ mean lb, row by row); a group whose every
-    run stalled reports ``None`` means. *lb* memoizes the Δ* lower
-    bound per (family, requested n, seed) instance, and can be shared
-    across calls.
+    metric means *and* from the mean of the records' judged ``lb``, so
+    ``k_final`` and ``degree_lb`` average over the same instances
+    (per-instance k* ≥ lb, hence mean k* ≥ mean lb, row by row); a group
+    whose every run stalled reports ``None`` means. ``fr_certified``
+    counts the completed runs whose final tree has an F-R witness.
     """
-    lb = {} if lb is None else lb
     groups: dict[tuple, dict[str, Any]] = {}
     for cell, record in zip(result.cells, result.records):
         key = tuple(getattr(cell, axis) for axis in _GROUP_AXES)
@@ -70,22 +65,17 @@ def aggregate_scenario(
                 "runs": 0,
                 "stalled": 0,
                 "_ok": [],
-                "_lb": [],
             }
         row["runs"] += 1
         if record.ok:
-            instance = (cell.family, cell.n, cell.seed)
-            if instance not in lb:
-                lb[instance] = min_degree_lower_bound(make_family(*instance))
             row["_ok"].append(record)
-            row["_lb"].append(lb[instance])
         else:
             row["stalled"] += 1
     out = []
     for row in groups.values():
         ok: list[RunRecord] = row.pop("_ok")
-        lbs: list[int] = row.pop("_lb")
-        row["degree_lb"] = _mean(lbs)
+        row["degree_lb"] = _mean([r.lb for r in ok])
+        row["fr_certified"] = sum(not r.fr_improvable for r in ok)
         row["k_initial"] = _mean([r.k_initial for r in ok])
         row["k_final"] = _mean([r.k_final for r in ok])
         row["rounds"] = _mean([r.rounds for r in ok])
@@ -120,12 +110,6 @@ def _group_label(row: dict[str, Any]) -> str:
     return "/".join(parts)
 
 
-def _campaign_aggregates(result: CampaignResult) -> list[list[dict[str, Any]]]:
-    """Aggregate every scenario once, sharing one lower-bound memo."""
-    lb: dict[tuple[str, int, int], int] = {}
-    return [aggregate_scenario(sr, lb) for sr in result.results]
-
-
 def _scenario_markdown(
     result: ScenarioResult, rows: list[dict[str, Any]]
 ) -> list[str]:
@@ -143,8 +127,9 @@ def _scenario_markdown(
         f"churns={list(sc.churns)} algorithms={list(sc.algorithms)}",
         "",
         "| algorithm | family | n | initial | mode | delay | fault | sched "
-        "| churn | runs | stalled | k0 | k* | LB(Δ*) | rounds | msgs | time |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "| churn | runs | stalled | k0 | k* | LB(Δ*) | F-R cert. | rounds "
+        "| msgs | time |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for row in rows:
         lines.append(
@@ -154,7 +139,7 @@ def _scenario_markdown(
             f"| {row['churn']} | {row['runs']} "
             f"| {row['stalled']} | {_fmt(row['k_initial'])} "
             f"| {_fmt(row['k_final'])} | {_fmt(row['degree_lb'])} "
-            f"| {_fmt(row['rounds'])} | {_fmt(row['messages'], 0)} "
+            f"| {row['fr_certified']} | {_fmt(row['rounds'])} | {_fmt(row['messages'], 0)} "
             f"| {_fmt(row['causal_time'], 0)} |"
         )
     degree_items = [
@@ -196,7 +181,7 @@ def render_markdown(
         "",
     ]
     if aggregates is None:
-        aggregates = _campaign_aggregates(result)
+        aggregates = [aggregate_scenario(sr) for sr in result.results]
     for scenario_result, rows in zip(result.results, aggregates):
         lines += _scenario_markdown(scenario_result, rows)
     return "\n".join(lines).rstrip() + "\n"
@@ -209,7 +194,7 @@ def report_json_dict(
 ) -> dict[str, Any]:
     """The machine-readable report payload."""
     if aggregates is None:
-        aggregates = _campaign_aggregates(result)
+        aggregates = [aggregate_scenario(sr) for sr in result.results]
     scenarios = []
     for scenario_result, rows in zip(result.results, aggregates):
         scenarios.append(
@@ -239,7 +224,7 @@ def write_report(result: CampaignResult, out_dir: str | Path) -> tuple[Path, Pat
     out.mkdir(parents=True, exist_ok=True)
     md_path = out / "report.md"
     json_path = out / "report.json"
-    aggregates = _campaign_aggregates(result)
+    aggregates = [aggregate_scenario(sr) for sr in result.results]
     md_path.write_text(
         render_markdown(result, aggregates=aggregates), encoding="utf-8"
     )

@@ -8,7 +8,7 @@ different trees of F**, then k ≤ Δ\\* + 1.
 :func:`forest_has_no_crossing_edges` checks that condition for a given
 S ∪ B. It is the reference check, written independently of the search
 that finds the set: :func:`repro.sequential.fr_phase` returns its
-:class:`~repro.sequential.Witness`, and :func:`~repro.verify.certify_run`
+:class:`~repro.sequential.Witness`, and :func:`~repro.verify.judge`
 re-checks it here.
 """
 

@@ -28,9 +28,9 @@ class TestEndToEnd:
         graph = make_family(family, 20, seed=3)
         startup = build_spanning_tree(graph, method="ghs", seed=3)
         result = run_mdst(graph, startup.tree, seed=3)
-        cert = certify_run(result, exact_limit=14)
-        assert cert.all_structural
-        assert cert.rounds_within_claim
+        # the structural checks raise on failure
+        summary = certify_run(result, exact_limit=14)
+        assert "PASS  rounds within claim" in summary
 
     def test_small_instance_full_ground_truth(self):
         """On a fully solvable instance, every layer must agree."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import algorithm_names, get_algorithm
 from repro.graphs import gnp_connected
-from repro.sequential import optimal_degree
+from repro.sequential import fr_quality_guarantee, optimal_degree
 from repro.sim import ExponentialDelay, UniformDelay, UnitDelay
 from repro.spanning import random_spanning_tree
 
@@ -46,7 +46,7 @@ class TestClaimedBounds:
             )
             assert res.final_tree.is_spanning_tree_of(graph), name
             assert opt <= res.final_degree, name
-            assert res.final_degree <= algo.degree_bound(opt, graph.n), (
+            assert res.final_degree <= fr_quality_guarantee(opt), (
                 name,
                 res.final_degree,
                 opt,

@@ -26,7 +26,11 @@ from repro.cli import main
 from repro.errors import ProtocolError, ReproError
 from repro.graphs import complete, gnp_connected, lollipop, ring, star, torus
 from repro.mdst import run_mdst
-from repro.sequential import fuerer_raghavachari, optimal_degree
+from repro.sequential import (
+    fr_quality_guarantee,
+    fuerer_raghavachari,
+    optimal_degree,
+)
 from repro.sim import ExponentialDelay, PerLinkDelay, UniformDelay
 from repro.spanning import (
     build_spanning_tree,
@@ -57,7 +61,6 @@ class TestRegistry:
                     name="no spaces!",
                     run=lambda *a, **k: None,
                     description="x",
-                    degree_bound=lambda opt, n: opt,
                 )
             )
 
@@ -171,12 +174,11 @@ class TestFRQuality:
             assert abs(res.final_degree - fr_tree.max_degree()) <= 1
 
     def test_within_claimed_bound_of_exact(self):
-        bound = get_algorithm("fr_local").degree_bound
         for seed in range(6):
             g = gnp_connected(9, 0.4, seed=seed)
             opt = optimal_degree(g)
             res = run_fr_local(g, random_spanning_tree(g, seed=seed))
-            assert res.final_degree <= bound(opt, g.n)
+            assert res.final_degree <= fr_quality_guarantee(opt)
 
 
 class TestAlgorithmAxis:

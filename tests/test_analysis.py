@@ -55,6 +55,22 @@ class TestRunRecord:
         back = load_records(path)
         assert back == recs
 
+    def test_judgement_fields_round_trip(self):
+        rec = _record(lb=3, fr_improvable=True)
+        assert RunRecord.from_json_dict(rec.to_json_dict()) == rec
+
+    def test_records_saved_before_the_judge_load_uncertified_defaults(self):
+        data = _record(lb=3, fr_improvable=True).to_json_dict()
+        del data["lb"], data["fr_improvable"]
+        old = RunRecord.from_json_dict(data)
+        assert (old.lb, old.fr_improvable) == (0, False)
+        assert old == _record()
+
+    def test_completed_runs_carry_their_judgement(self):
+        rec = run_single("pref_attach", 64, seed=2, algorithm="fr_local")
+        assert rec.fr_improvable
+        assert 2 <= rec.lb <= rec.k_final
+
 
 class TestHarness:
     def test_run_single(self):

@@ -19,8 +19,8 @@ BENCH_LIST_GOLDEN = """\
 bench suites:
 
   smoke   9 benches  seconds-scale regression gate (runs on every CI push)
-  core   21 benches  the paper's t1-t9 experiment workloads + engine benches
-  full   22 benches  every registered bench
+  core   20 benches  the paper's t1-t9 experiment workloads + engine benches
+  full   21 benches  every registered bench
 
 benches (suites in brackets):
 
@@ -39,7 +39,6 @@ benches (suites in brackets):
   smoke_sweep        sweep  [smoke]  both algorithms across small sparse/geometric instances
   t1_degree_quality  micro  [core]  T1: final degree vs ground truth (claim C1)
   t2_messages        sweep  [core]  T2: message complexity vs O((k-k*)·m) (claim C2)
-  t3_time            sweep  [core]  T3: causal time vs O((k-k*)·n) (claim C3; T2's records)
   t4_rounds          micro  [core]  T4: rounds vs the k-k*+1 claim, concurrent vs single (C4)
   t5_lower_bound     micro  [core]  T5: messages vs the Korach-Moran-Zaks bound on K_n (C6)
   t6_initial_tree    micro  [core]  T6: startup-construction ablation (the §4.2 remark)

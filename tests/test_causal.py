@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro._mutation import mutated
-from repro.algorithms import get_algorithm
 from repro.analysis.batch import CellTemplate
 from repro.analysis.cache import ResultCache
 from repro.analysis.executor import (
@@ -32,6 +31,7 @@ from repro.obs.causal import (
     write_causal,
     write_timeline,
 )
+from repro.sequential import fr_quality_guarantee
 from repro.sim import CausalCapture, CausalTally, Network, stamp
 from repro.sim.messages import Message
 from repro.sim.node import Process
@@ -461,7 +461,7 @@ class TestNearBoundSignal:
 
         record = run_single("gnp_sparse", 6, 0, initial_method="random")
         opt = 2
-        bound = get_algorithm(record.algorithm).degree_bound(opt, record.n)
+        bound = fr_quality_guarantee(opt)
         at_bound = replace(record, k_final=bound)
         below = replace(record, k_final=bound - 1)
         assert record_signature(at_bound, opt)[-1] is True

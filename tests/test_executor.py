@@ -308,6 +308,35 @@ class TestCacheSchemaVersioning:
         )
         assert cache_key(spec) != key_now
 
+    def test_schema_7_entry_is_a_miss_not_an_error(self, tmp_path):
+        """A v7 row, written before records carried the judge's ``lb``
+        and ``fr_improvable``, is never served with their defaults."""
+        import json
+        import sqlite3
+        import warnings
+
+        from repro.analysis import cache as cache_mod
+
+        spec = RunSpec(family="ring", n=8, seed=0)
+        record = run_single("ring", 8, seed=0)
+        store = ResultCache(tmp_path)
+        store.put(spec, record)
+        v7_record = record.to_json_dict()
+        del v7_record["lb"], v7_record["fr_improvable"]
+        payload = json.dumps({"spec": spec.to_json_dict(), "record": v7_record})
+        with sqlite3.connect(store.path) as db:
+            db.execute("DELETE FROM results")
+            db.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?)",
+                (cache_mod._key(spec.to_json_dict(), "", 7), "", 7, payload),
+            )
+        db.close()
+        fresh = ResultCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fresh.get(spec) is None
+        assert (fresh.hits, fresh.misses) == (0, 1)
+
     def test_schema_version_is_bumped_past_pr1(self):
         from repro.analysis.cache import CACHE_SCHEMA_VERSION
 

@@ -6,19 +6,23 @@ from repro.errors import GraphError
 from repro.graphs import (
     Graph,
     articulation_points,
-    bridges,
+    caterpillar_graph,
     complete,
+    connected_components,
     dumps,
     dumps_dimacs,
     has_hamiltonian_path,
     load,
     loads,
     loads_dimacs,
+    lollipop,
     make_family,
     min_degree_lower_bound,
     path_graph,
+    random_tree,
     ring,
     save,
+    spider,
     star,
 )
 from repro.sequential import optimal_degree
@@ -37,18 +41,6 @@ class TestArticulation:
     def test_two_triangles_sharing_a_node(self):
         g = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         assert articulation_points(g) == {2}
-
-
-class TestBridges:
-    def test_path_all_bridges(self):
-        assert bridges(path_graph(4)) == {(0, 1), (1, 2), (2, 3)}
-
-    def test_ring_no_bridges(self):
-        assert bridges(ring(5)) == set()
-
-    def test_mixed(self):
-        g = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        assert bridges(g) == {(2, 3)}
 
 
 class TestHamiltonianPath:
@@ -113,6 +105,33 @@ class TestLowerBound:
         # hub 0 with 3 paths of length 2, no tip cycle -> removal splits 3 ways
         g = Graph(edges=[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         assert min_degree_lower_bound(g) == 3
+
+    @staticmethod
+    def _instances():
+        for family in ("gnp_sparse", "geometric", "pref_attach", "barbell",
+                       "grid", "wheel"):
+            for n in (6, 9, 16, 33):
+                for seed in range(3):
+                    yield make_family(family, n, seed=seed)
+        for seed in range(5):
+            yield random_tree(20, seed=seed)
+        yield caterpillar_graph(5, 3)
+        yield spider(4, 3)
+        yield lollipop(5, 4)
+
+    def test_one_lowlink_pass_matches_brute_force(self):
+        """The bound and the cut vertices from one lowlink pass equal a
+        brute-force count of the components of G − v for every v."""
+        for g in self._instances():
+            splits = {
+                v: len(connected_components(
+                    g.subgraph(u for u in g.nodes() if u != v)))
+                for v in g.nodes()
+            }
+            assert articulation_points(g) == {
+                v for v, c in splits.items() if c >= 2
+            }
+            assert min_degree_lower_bound(g) == max(2, *splits.values())
 
 
 class TestEdgeListIO:

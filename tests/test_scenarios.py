@@ -12,6 +12,7 @@ from repro.scenarios import (
     SCENARIOS,
     CampaignSpec,
     ScenarioSpec,
+    aggregate_scenario,
     builtin_campaign,
     dump_campaign,
     dump_scenario,
@@ -231,8 +232,31 @@ class TestRunnerAndReport:
             for row in scenario["aggregates"]:
                 if row["k_final"] is None:
                     assert row["degree_lb"] is None
+                    assert row["fr_certified"] == 0
                 else:
                     assert row["k_final"] >= row["degree_lb"]
+                    assert row["fr_certified"] <= row["runs"] - row["stalled"]
+
+    def test_report_reads_the_records_judgement(self):
+        """LB(Δ*) is the mean of the completed runs' judged lb, and
+        F-R cert. counts their unimprovable trees."""
+        result = run_campaign(builtin_campaign(["paper_baseline"]).tiny())
+        (scenario_result,) = result.results
+        rows = aggregate_scenario(scenario_result)
+        ok = [r for r in scenario_result.records if r.ok]
+        assert sum(row["fr_certified"] for row in rows) == sum(
+            not r.fr_improvable for r in ok
+        )
+        first = rows[0]
+        axes = ("algorithm", "family", "n", "initial_method", "mode", "delay",
+                "fault", "scheduler", "churn")
+        lbs = [
+            r.lb
+            for c, r in zip(scenario_result.cells, scenario_result.records)
+            if r.ok and all(getattr(c, a) == first[a] for a in axes)
+        ]
+        assert first["degree_lb"] == sum(lbs) / len(lbs)
+        assert "| LB(Δ*) | F-R cert. |" in render_markdown(result)
 
     def test_write_report_artifacts(self, tmp_path):
         result = run_campaign(builtin_campaign(["lossy_links"]).tiny())

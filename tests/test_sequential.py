@@ -215,19 +215,26 @@ class TestFRPhase:
     )
     def test_final_trees_at_64(self, algorithm, family):
         """Each final tree gets a witness that passes the independent
-        forest check with lb ≥ k−1, or an improvement that applies."""
+        forest check with lb ≥ k−1, or an improvement that applies; the
+        cell's record carries the same verdict, with lb ≤ k."""
         for seed in range(3):
             spec = RunSpec(family=family, n=64, seed=seed, algorithm=algorithm)
-            res = CellTemplate(spec).attempt(seed, None)[3]
-            g, t = res.graph, res.final_tree
+            template = CellTemplate(spec)
+            g, _, startup_messages, res = template.attempt(seed, None)
+            record = template.ok_record(seed, g, startup_messages, res)
+            t = res.final_tree
             phase = fr_phase(g, t)
-            if (algorithm, family, seed) in self.IMPROVABLE_AT_64:
+            improvable = (algorithm, family, seed) in self.IMPROVABLE_AT_64
+            assert record.fr_improvable == improvable
+            assert record.lb <= record.k_final == t.max_degree()
+            if improvable:
                 assert isinstance(phase, Improvement)
                 assert _improves(g, t, phase)
             else:
                 assert isinstance(phase, Witness)
                 assert forest_has_no_crossing_edges(g, t, phase.marked)
                 assert phase.lb >= t.max_degree() - 1
+                assert record.lb >= record.k_final - 1
 
 
 class TestLocalSearch:

@@ -1,5 +1,7 @@
 """Tests for the verification / certification module."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.batch import CellTemplate
@@ -8,19 +10,23 @@ from repro.errors import VerificationError
 from repro.graphs import (
     complete,
     gnp_connected,
+    make_family,
     ring,
     star,
     tree_from_edges,
     wheel,
 )
 from repro.mdst import run_mdst
-from repro.sequential import Improvement, Witness, fr_phase
+from repro.sequential import Improvement, Witness, fr_phase, fuerer_raghavachari
 from repro.spanning import bfs_tree, greedy_hub_tree
 from repro.verify import (
+    Judgement,
     assert_degree_not_worse,
     assert_spanning_tree,
     certify_run,
+    certification,
     forest_has_no_crossing_edges,
+    judge,
 )
 
 
@@ -80,38 +86,69 @@ class TestLocalOptimality:
         assert forest_has_no_crossing_edges(g, t, g.nodes())
 
 
+class TestJudge:
+    def test_witness_lb_beats_the_cut_vertex_bound(self):
+        """K_{2,6} has no cut vertex (bound 2), but W = the two hubs
+        leaves 6 components: Δ* ≥ ⌈7/2⌉ = 4."""
+        g = make_family("bipartite", 8, seed=0)
+        tree, _ = fuerer_raghavachari(g)
+        assert judge(g, tree) == Judgement(lb=4, fr_improvable=False)
+
+    def test_cut_vertex_bound_beats_the_witness_lb(self):
+        g = complete(5)
+        chain = tree_from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert fr_phase(g, chain).lb == 1
+        assert judge(g, chain) == Judgement(lb=2, fr_improvable=False)
+
+    def test_improvable_tree_keeps_only_the_cut_vertex_bound(self):
+        g = complete(5)
+        assert judge(g, greedy_hub_tree(g)) == Judgement(lb=2, fr_improvable=True)
+
+    def test_forged_witness_raises(self, monkeypatch):
+        g = complete(4)
+        t = greedy_hub_tree(g)
+        forged = Witness(frozenset({t.root}), 3)  # K4 edges join the leaves
+        monkeypatch.setattr(certification, "fr_phase", lambda graph, tree: forged)
+        with pytest.raises(VerificationError, match="Theorem 1"):
+            judge(g, t)
+
+    def test_weak_witness_raises(self, monkeypatch):
+        """A witness that holds but proves less than k − 1."""
+        g = star(6)
+        t = bfs_tree(g)
+        weak = Witness(frozenset(g.nodes()), 0)  # lb 1 < k − 1 = 4
+        monkeypatch.setattr(certification, "fr_phase", lambda graph, tree: weak)
+        with pytest.raises(VerificationError):
+            judge(g, t)
+
+
 class TestCertifyRun:
     def test_complete_graph_certification(self):
         g = complete(8)
         res = run_mdst(g, greedy_hub_tree(g))
-        cert = certify_run(res)
-        assert cert.all_structural
-        assert cert.optimal == 2
-        assert cert.within_one_of_optimal
-        assert isinstance(cert.fr_phase, Witness)
-        assert cert.rounds_within_claim
-        assert "PASS" in cert.summary()
+        assert certify_run(res).splitlines() == [
+            "  PASS  F-R witness: Δ* ≥ 2, so k ≤ Δ*+1",
+            "  PASS  within Δ*+1 (ground truth)",
+            "  PASS  rounds within claim",
+            "        Δ* = 2",
+        ]
 
     def test_large_instance_uses_fr_certificate(self):
         g = gnp_connected(30, 0.2, seed=6)
         res = run_mdst(g, greedy_hub_tree(g))
-        cert = certify_run(res, exact_limit=16)
-        assert cert.optimal is None
-        assert cert.all_structural
+        summary = certify_run(res, exact_limit=16)
         # beyond the exact solver only the witness speaks to Δ*+1
-        assert cert.within_one_of_optimal is None
-        assert "----  within Δ*+1 (ground truth)" in cert.summary()
+        assert "----  within Δ*+1 (ground truth)" in summary
+        assert "Δ* =" not in summary
 
     def test_improvable_tree_claims_no_quality_bound(self):
         """pref_attach n=64 seed 2: fr_local stops at k=5 on a tree that
         a complete F-R phase still improves."""
         spec = RunSpec(family="pref_attach", n=64, seed=2, algorithm="fr_local")
         res = CellTemplate(spec).attempt(spec.seed, None)[3]
-        cert = certify_run(res)
         assert res.final_degree == 5
-        assert isinstance(cert.fr_phase, Improvement)
-        assert cert.within_one_of_optimal is None
-        summary = cert.summary()
+        assert judge(res.graph, res.final_tree).fr_improvable
+        summary = certify_run(res)
         assert "FAIL  F-R improvement found" in summary
         for line in summary.splitlines():
             assert not (
@@ -122,15 +159,23 @@ class TestCertifyRun:
     def test_witness_above_exact_limit(self):
         spec = RunSpec(family="geometric", n=64, seed=0)
         res = CellTemplate(spec).attempt(spec.seed, None)[3]
-        cert = certify_run(res)
-        phase = cert.fr_phase
-        assert isinstance(phase, Witness)
-        assert phase.lb >= res.final_degree - 1
-        assert cert.within_one_of_optimal is None
-        assert f"PASS  F-R witness |W| = {len(phase.marked)}" in cert.summary()
+        judgement = judge(res.graph, res.final_tree)
+        assert not judgement.fr_improvable
+        assert judgement.lb >= res.final_degree - 1
+        summary = certify_run(res)
+        assert f"PASS  F-R witness: Δ* ≥ {judgement.lb}" in summary
+        assert "----  within Δ*+1 (ground truth)" in summary
 
     def test_wheel_certification(self):
         g = wheel(10)
         res = run_mdst(g, greedy_hub_tree(g))
-        cert = certify_run(res)
-        assert cert.within_one_of_optimal
+        assert "PASS  within Δ*+1 (ground truth)" in certify_run(res)
+
+    def test_structural_failure_raises(self):
+        g = complete(6)
+        res = run_mdst(g, greedy_hub_tree(g))
+        worse = dataclasses.replace(
+            res, initial_tree=res.final_tree, final_tree=res.initial_tree
+        )
+        with pytest.raises(VerificationError, match="degree increased"):
+            certify_run(worse)
