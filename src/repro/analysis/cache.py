@@ -69,7 +69,10 @@ __all__ = ["ResultCache", "CACHE_SCHEMA_VERSION", "cache_key", "MEMORY_ENTRIES",
 #: v8: records gained the judge's ``lb`` and ``fr_improvable`` (one
 #: F-R phase per completed run) — a v7 entry would deserialize with
 #: ``lb=0`` and blank the campaign report's ``LB(Δ*)`` column.
-CACHE_SCHEMA_VERSION = 8
+#: v9: the judge's ``lb`` became the largest set bound over its
+#: candidate sets (``graphs.set_bound``) — a v8 entry would serve the
+#: weaker witness/cut-vertex ``lb``, which can only move up.
+CACHE_SCHEMA_VERSION = 9
 
 #: LRU budget of the in-memory tier (entries, not bytes — records are
 #: small, flat dataclasses).

@@ -63,8 +63,9 @@ class RunRecord:
     #: no improvement was certified)
     outcome: str = "ok"
     #: the final tree's :class:`~repro.verify.Judgement`: a lower bound
-    #: on Δ*, and whether one F-R phase still improves the tree (else it
-    #: is certified within Δ*+1). Stalled and error records, and records
+    #: on Δ* (the largest set bound over the judge's candidate sets),
+    #: and whether one F-R phase still improves the tree (else it is
+    #: certified within Δ*+1). Stalled and error records, and records
     #: saved before the judge existed, carry ``lb=0``, not improvable.
     lb: int = 0
     fr_improvable: bool = False

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -75,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     # lazy import in _bench. The exploration specs are the explore/fuzz
     # flags' targets (their defaults are the flags' defaults).
     from .exploration import FuzzSpec, exploration_grid
-    from .perf.compare import TIME_TOLERANCE
     from .perf.spec import SUITES
 
     parser = argparse.ArgumentParser(
@@ -248,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
             "gate time metrics: auto = only when the machine "
             "fingerprints match (work metrics are always gated exactly)"
         ),
-    )
-    bench_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=TIME_TOLERANCE,
-        help="relative time-regression tolerance (default %(default)s)",
     )
     bench_p.add_argument(
         "--repeats",
@@ -674,6 +668,17 @@ def _stall_message(spec: RunSpec, exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        rc = _main(argv)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:  # the reader left early: `repro families | head -1`
+        # devnull takes the rest, so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     if trace_out is None:
@@ -1086,16 +1091,10 @@ def _bench(args: argparse.Namespace) -> int:
     if args.profile is not None:
         return _bench_profile(args)
 
-    # resolve gate inputs BEFORE the (potentially long) suite run: a bad
-    # tolerance or a missing baseline must fail fast, and the default
-    # "newest BENCH_*.json in the cwd" must never resolve to the file
-    # --out is about to write (that would gate the run against itself)
-    if args.tolerance < 0:
-        print(
-            f"bench: tolerance must be >= 0, got {args.tolerance}",
-            file=sys.stderr,
-        )
-        return 2
+    # resolve gate inputs BEFORE the (potentially long) suite run: a
+    # missing baseline must fail fast, and the default "newest
+    # BENCH_*.json in the cwd" must never resolve to the file --out is
+    # about to write (that would gate the run against itself)
     compare_path = args.compare
     if compare_path is None and args.gate:
         latest = latest_baseline_path(".")
@@ -1164,9 +1163,7 @@ def _bench(args: argparse.Namespace) -> int:
         )
         return 2
     gate_time = {"auto": None, "on": True, "off": False}[args.gate_time]
-    comparison = compare_baselines(
-        baseline, fresh, tolerance=args.tolerance, gate_time=gate_time
-    )
+    comparison = compare_baselines(baseline, fresh, gate_time=gate_time)
     print()
     print(f"baseline: {compare_path} (rev {baseline.git_rev})")
     print(comparison.render())

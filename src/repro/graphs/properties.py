@@ -1,20 +1,23 @@
 """Structural graph properties used by verification and the exact solver.
 
-Includes cut-vertex detection (articulation points give a cheap lower
-bound on the achievable spanning-tree degree) and small-n Hamiltonian-path
-testing (Δ* = 2 iff a Hamiltonian path exists).
+Includes the set bound on the optimal spanning-tree degree Δ*, cut-vertex
+detection (the set bound's closed form on singletons) and small-n
+Hamiltonian-path testing (Δ* = 2 iff a Hamiltonian path exists).
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from ..errors import GraphError, NotConnectedError
-from .graph import Graph
-from .traversal import is_connected
+from .graph import Edge, Graph
+from .traversal import is_connected, spanning_forest
 
 __all__ = [
     "articulation_points",
     "has_hamiltonian_path",
     "min_degree_lower_bound",
+    "set_bound",
 ]
 
 
@@ -114,19 +117,31 @@ def has_hamiltonian_path(graph: Graph, node_limit: int = 20) -> bool:
     return bool(reach[full])
 
 
-def min_degree_lower_bound(graph: Graph) -> int:
-    """A cheap lower bound on Δ* (the optimal spanning-tree degree).
+def set_bound(graph: Graph, S: Collection[int]) -> int:
+    """⌈min_T Σ_{v∈S} deg_T(v) / |S|⌉ over the spanning trees T of the
+    connected *graph* (0 for an empty *S*), a lower bound on Δ* as a
+    vertex of S has at least the mean tree degree: one Kruskal pass over
+    the edges in order of their weight |e ∩ S| ∈ {0, 1, 2}."""
+    if not S:
+        return 0
+    inside = set(S)
 
-    * every spanning tree of a connected graph with n >= 3 has a node of
-      degree >= 2, and Δ* >= ⌈(n−1)/ (n−1)⌉ = 1 trivially;
-    * forced-degree bound: a node v whose removal splits the graph into c
-      components must have tree degree >= c, so Δ* >= max_v c(v), with
-      every c(v) from one lowlink pass.
-    """
+    def weight(e: Edge) -> int:
+        return (e[0] in inside) + (e[1] in inside)
+
+    tree = spanning_forest(graph, sorted(graph.edges(), key=weight))
+    if len(tree) != graph.n - 1:
+        raise NotConnectedError("set bound defined for connected graphs")
+    return -(-sum(map(weight, tree)) // len(inside))
+
+
+def min_degree_lower_bound(graph: Graph) -> int:
+    """The largest :func:`set_bound` over the singletons and S = V, in
+    closed form: a singleton {v} must reach every component of G − v,
+    so its bound is c(v), all from one lowlink pass; S = V holds both
+    ends of all n − 1 tree edges, so its bound is ⌈2(n−1)/n⌉."""
     if graph.n == 0:
         raise GraphError("empty graph")
     if not is_connected(graph):
         raise NotConnectedError("lower bound defined for connected graphs")
-    if graph.n <= 2:
-        return graph.n - 1
-    return max(2, *_cut_components(graph).values())
+    return max(-(-2 * (graph.n - 1) // graph.n), *_cut_components(graph).values())

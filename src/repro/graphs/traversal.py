@@ -7,9 +7,10 @@ exact baselines — the distributed BFS/DFS live in :mod:`repro.spanning`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from ..errors import GraphError, NotConnectedError
-from .graph import Graph
+from .graph import Edge, Graph
 
 __all__ = [
     "bfs_order",
@@ -19,6 +20,7 @@ __all__ = [
     "dfs_parents",
     "connected_components",
     "is_connected",
+    "spanning_forest",
     "shortest_path_lengths",
     "eccentricity",
     "diameter",
@@ -141,6 +143,29 @@ def is_connected(graph: Graph) -> bool:
         return False
     first = graph.nodes()[0]
     return len(bfs_order(graph, first)) == graph.n
+
+
+def spanning_forest(graph: Graph, edges: Iterable[Edge]) -> list[Edge]:
+    """Kruskal's pass: the *edges*, taken in order, that join two
+    components of the forest chosen so far (union-find; it stops at
+    n − 1 edges, once the forest spans)."""
+    parent = {u: u for u in graph.nodes()}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen: list[Edge] = []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append((u, v))
+            if len(chosen) == graph.n - 1:
+                break
+    return chosen
 
 
 def shortest_path_lengths(graph: Graph, source: int) -> dict[int, int]:

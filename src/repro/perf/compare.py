@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import AnalysisError
 from .baseline import Baseline
 
 __all__ = ["TIME_TOLERANCE", "Verdict", "Comparison", "compare_baselines"]
 
-#: Default relative tolerance for the time gate: a bench fails when its
-#: min-of-k time exceeds the baseline's by more than this fraction. The
+#: Relative tolerance of the time gate: a bench fails when its min-of-k
+#: time exceeds the baseline's by more than this fraction. The
 #: ``slow_event_loop`` mutation self-test regresses the loop-dominated
 #: benches by ~1.8x, so the gate keeps a wide margin on both sides.
 TIME_TOLERANCE = 0.20
@@ -67,7 +66,6 @@ class Comparison:
 
     verdicts: tuple[Verdict, ...]
     time_gated: bool
-    tolerance: float
 
     @property
     def ok(self) -> bool:
@@ -85,7 +83,7 @@ class Comparison:
         ~150 of them and they all say "equal").
         """
         lines = [
-            f"gate: work metrics exact; time within {self.tolerance:.0%} "
+            f"gate: work metrics exact; time within {TIME_TOLERANCE:.0%} "
             f"({'gated' if self.time_gated else 'not gated — machine mismatch'})"
         ]
         ok_work: dict[str, int] = {}
@@ -147,7 +145,6 @@ def _time_verdict(
     cur: dict[str, Any],
     *,
     gated: bool,
-    tolerance: float,
 ) -> Verdict:
     b, c = base.get("best"), cur.get("best")
     if not isinstance(b, (int, float)) or not isinstance(c, (int, float)) or b <= 0:
@@ -162,11 +159,11 @@ def _time_verdict(
             f"{b:.4g}s -> {c:.4g}s ({ratio - 1.0:+.0%} vs baseline, not gated)",
             b, c,
         )
-    if ratio > 1.0 + tolerance:
+    if ratio > 1.0 + TIME_TOLERANCE:
         return Verdict(
             name, "time.best", "time", _FAIL,
             f"{b:.4g}s -> {c:.4g}s ({ratio - 1.0:+.0%} exceeds the "
-            f"{tolerance:.0%} tolerance)",
+            f"{TIME_TOLERANCE:.0%} tolerance)",
             b, c,
         )
     note = "improved" if ratio < 1.0 else "within tolerance"
@@ -180,7 +177,6 @@ def compare_baselines(
     baseline: Baseline,
     current: Baseline,
     *,
-    tolerance: float = TIME_TOLERANCE,
     gate_time: bool | None = None,
 ) -> Comparison:
     """Compare *current* against *baseline*.
@@ -190,8 +186,6 @@ def compare_baselines(
     in *current* are informational (the baseline predates them); benches
     missing from *current* fail — a suite must never silently shrink.
     """
-    if tolerance < 0:
-        raise AnalysisError(f"tolerance must be >= 0, got {tolerance}")
     gated = (
         gate_time
         if gate_time is not None
@@ -218,7 +212,6 @@ def compare_baselines(
                 base_result.timing,
                 cur_result.timing,
                 gated=gated,
-                tolerance=tolerance,
             )
         )
     known = set(baseline.bench_names())
@@ -231,6 +224,4 @@ def compare_baselines(
                     "baseline to start tracking it",
                 )
             )
-    return Comparison(
-        verdicts=tuple(verdicts), time_gated=gated, tolerance=tolerance
-    )
+    return Comparison(verdicts=tuple(verdicts), time_gated=gated)

@@ -71,19 +71,12 @@ class Improvement:
 
 @dataclass(frozen=True)
 class Witness:
-    """Theorem 1's certificate: removing ``marked`` (W, every vertex of
-    degree ≥ k−1) splits the tree into ``components`` (c) trees, and no
-    graph edge joins two of them. Then every spanning tree has at least
-    |W| + c − 1 edges at W, so Δ* ≥ :attr:`lb` ≥ k − 1."""
+    """Theorem 1's certificate: removing ``marked`` (W, the degree ≥ k−1
+    vertices that blocking resolution left marked) splits the tree into c
+    components that no graph edge joins, so every spanning tree has
+    ≥ |W| + c − 1 edges at W and W's set bound is ≥ k − 1."""
 
     marked: frozenset[int]
-    components: int
-
-    @property
-    def lb(self) -> int:
-        """⌈(|W| + c − 1) / |W|⌉, a lower bound on Δ*."""
-        w = len(self.marked)
-        return -(-(w + self.components - 1) // w)
 
 
 @dataclass(frozen=True)
@@ -153,8 +146,7 @@ def fr_phase(graph: Graph, tree: RootedTree) -> Improvement | Witness:
                     parent[find(b)] = find(c)
                 else:
                     queue.append(edge)
-    components = len({find(v) for v in deg if v not in marked})
-    return Witness(frozenset(marked), components)
+    return Witness(frozenset(marked))
 
 
 def _relief_chain(last: Swap, relief: dict[int, Swap]) -> tuple[Swap, ...]:

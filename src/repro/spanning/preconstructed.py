@@ -15,7 +15,7 @@ from collections import deque
 
 from ..errors import NotConnectedError
 from ..graphs.graph import Graph
-from ..graphs.traversal import bfs_parents, dfs_parents, is_connected
+from ..graphs.traversal import bfs_parents, dfs_parents, is_connected, spanning_forest
 from ..graphs.trees import RootedTree
 from ..rng import substream
 
@@ -80,23 +80,7 @@ def random_spanning_tree(graph: Graph, seed: int, root: int | None = None) -> Ro
     rng = substream(seed, f"rst:{graph.n}:{graph.m}")
     edges = graph.edges()
     order = rng.permutation(len(edges))
-    parent_uf: dict[int, int] = {u: u for u in graph.nodes()}
-
-    def find(x: int) -> int:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    chosen: list[tuple[int, int]] = []
-    for idx in order:
-        u, v = edges[int(idx)]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent_uf[ru] = rv
-            chosen.append((u, v))
-            if len(chosen) == graph.n - 1:
-                break
+    chosen = spanning_forest(graph, (edges[int(idx)] for idx in order))
     r = min(graph.nodes()) if root is None else root
     return _root_edges(r, chosen)
 
@@ -108,22 +92,8 @@ def kruskal_mst(graph: Graph, root: int | None = None) -> RootedTree:
     edges = sorted(
         graph.edges(), key=lambda e: (graph.weight(*e), e[0], e[1])
     )
-    parent_uf: dict[int, int] = {u: u for u in graph.nodes()}
-
-    def find(x: int) -> int:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    chosen: list[tuple[int, int]] = []
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent_uf[ru] = rv
-            chosen.append((u, v))
     r = min(graph.nodes()) if root is None else root
-    return _root_edges(r, chosen)
+    return _root_edges(r, spanning_forest(graph, edges))
 
 
 def _root_edges(root: int, edges: list[tuple[int, int]]) -> RootedTree:

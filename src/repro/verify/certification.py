@@ -1,9 +1,9 @@
 """The judge of a finished run, and ``repro certify``'s rendering of it.
 
 :func:`judge` is the one quality check behind every record: one
-Fürer–Raghavachari phase on the final tree (the paper's reference [3]).
-A :class:`~repro.sequential.Witness` proves k ≤ Δ* + 1 at any n once it
-passes Theorem 1's independent forest check; an
+Fürer–Raghavachari phase on the final tree (the paper's reference [3])
+and one lower bound on Δ*. A :class:`~repro.sequential.Witness` proves
+k ≤ Δ* + 1 at any n once its set bound reaches k − 1; an
 :class:`~repro.sequential.Improvement` means the tree is not certified.
 """
 
@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 from ..errors import SolverError, VerificationError
 from ..graphs.graph import Graph
-from ..graphs.properties import min_degree_lower_bound
+from ..graphs.properties import min_degree_lower_bound, set_bound
 from ..graphs.trees import RootedTree
 from ..mdst.result import MDSTResult
 from ..sequential.bounds import rounds_within_claim
 from ..sequential.exact import optimal_degree
 from ..sequential.fuerer_raghavachari import Witness, fr_phase
-from .local_optimality import forest_has_no_crossing_edges
 from .tree_checks import assert_degree_not_worse, assert_spanning_tree
 
 __all__ = ["Judgement", "judge", "certify_run"]
@@ -27,11 +26,11 @@ __all__ = ["Judgement", "judge", "certify_run"]
 
 @dataclass(frozen=True)
 class Judgement:
-    """What one F-R phase says about a final tree.
+    """What one F-R phase and the set bound say about a final tree.
 
-    ``lb`` is a lower bound on Δ*: the larger of the witness's and the
-    cut-vertex bound's, or the cut-vertex bound alone when the tree is
-    ``fr_improvable``. A certified tree has k ≤ lb + 1 ≤ Δ* + 1.
+    ``lb`` is a lower bound on Δ*: the largest set bound over the
+    singletons, V, the witness, the tree's vertices of degree ≥ k − 1 and
+    the graph's of degree ≥ k. A certified tree has k ≤ lb + 1 ≤ Δ* + 1.
     """
 
     lb: int
@@ -39,19 +38,23 @@ class Judgement:
 
 
 def judge(graph: Graph, tree: RootedTree) -> Judgement:
-    """Run one F-R phase on *tree* and re-check its witness; raise
-    :class:`VerificationError` if the witness fails Theorem 1's check or
-    proves less than k − 1."""
+    """Run one F-R phase on *tree* and bound Δ* from below; raise
+    :class:`VerificationError` if a witness's set bound is below k − 1,
+    which Theorem 1 rules out for a valid witness."""
     phase = fr_phase(graph, tree)
-    cut_lb = min_degree_lower_bound(graph)
-    if not isinstance(phase, Witness):
-        return Judgement(lb=cut_lb, fr_improvable=True)
-    if not (
-        forest_has_no_crossing_edges(graph, tree, phase.marked)
-        and phase.lb >= tree.max_degree() - 1
-    ):
-        raise VerificationError(f"F-R witness fails Theorem 1's check: {phase}")
-    return Judgement(lb=max(phase.lb, cut_lb), fr_improvable=False)
+    k = tree.max_degree()
+    witness = phase.marked if isinstance(phase, Witness) else None
+    bounds = {
+        s: set_bound(graph, s)
+        for s in {
+            witness or frozenset(),
+            frozenset(v for v in tree.nodes() if tree.degree(v) >= k - 1),
+            frozenset(v for v in graph.nodes() if graph.degree(v) >= k),
+        }
+    }
+    if witness is not None and bounds[witness] < k - 1:
+        raise VerificationError(f"F-R witness proves only Δ* ≥ {bounds[witness]} < k − 1")
+    return Judgement(max(min_degree_lower_bound(graph), *bounds.values()), witness is None)
 
 
 def certify_run(result: MDSTResult, exact_limit: int = 16) -> str:
@@ -66,11 +69,7 @@ def certify_run(result: MDSTResult, exact_limit: int = 16) -> str:
     assert_degree_not_worse(result.initial_tree, tree)
     judgement = judge(graph, tree)
     if judgement.fr_improvable:
-        fr_row = (
-            f"F-R improvement found: no Δ*+1 certificate"
-            f" (Δ* ≥ {judgement.lb} by cut vertices)",
-            False,
-        )
+        fr_row = (f"F-R improvement found: no Δ*+1 certificate (Δ* ≥ {judgement.lb})", False)
     else:
         fr_row = (f"F-R witness: Δ* ≥ {judgement.lb}, so k ≤ Δ*+1", True)
     opt: int | None = None

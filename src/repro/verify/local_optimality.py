@@ -7,9 +7,9 @@ different trees of F**, then k ≤ Δ\\* + 1.
 
 :func:`forest_has_no_crossing_edges` checks that condition for a given
 S ∪ B. It is the reference check, written independently of the search
-that finds the set: :func:`repro.sequential.fr_phase` returns its
-:class:`~repro.sequential.Witness`, and :func:`~repro.verify.judge`
-re-checks it here.
+that finds the set: the tests compare every witness of
+:func:`repro.sequential.fr_phase` against it, while
+:func:`~repro.verify.judge` checks a witness by its set bound.
 """
 
 from __future__ import annotations

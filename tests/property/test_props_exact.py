@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import gnp_connected, min_degree_lower_bound
+from repro.graphs import gnp_connected, min_degree_lower_bound, set_bound
 from repro.sequential import (
     Witness,
     fr_phase,
@@ -50,7 +50,7 @@ class TestExactProperties:
     @settings(max_examples=40, deadline=None)
     def test_phase_on_any_tree_against_ground_truth(self, n, p, gseed, tseed):
         """One phase on an arbitrary tree: a witness bounds Δ* from
-        below (k − 1 ≤ lb ≤ Δ*), an improvement applies to a spanning
+        below (k − 1 ≤ its set bound ≤ Δ*), an improvement applies to a spanning
         tree with fewer degree-k vertices or a lower k."""
         g = gnp_connected(n, p, seed=gseed)
         t = random_spanning_tree(g, seed=tseed)
@@ -58,7 +58,7 @@ class TestExactProperties:
         phase = fr_phase(g, t)
         if isinstance(phase, Witness):
             assert forest_has_no_crossing_edges(g, t, phase.marked)
-            assert k - 1 <= phase.lb <= optimal_degree(g)
+            assert k - 1 <= set_bound(g, phase.marked) <= optimal_degree(g)
         else:
             after = phase.apply(t)
             assert_spanning_tree(g, after)

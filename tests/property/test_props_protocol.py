@@ -5,7 +5,7 @@ the paper's invariants."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import gnp_connected
+from repro.graphs import gnp_connected, set_bound
 from repro.mdst import MDSTConfig, run_mdst
 from repro.sequential import Witness, fr_phase, fuerer_raghavachari, local_search_mdst
 from repro.sim import ExponentialDelay, UniformDelay, UnitDelay
@@ -86,7 +86,7 @@ class TestProtocolProperties:
         phase = fr_phase(graph, fr_tree)
         assert isinstance(phase, Witness)
         assert forest_has_no_crossing_edges(graph, fr_tree, phase.marked)
-        assert phase.lb >= fr_tree.max_degree() - 1
+        assert set_bound(graph, phase.marked) >= fr_tree.max_degree() - 1
 
     @given(sizes, seeds, modes)
     @settings(max_examples=20, deadline=None)

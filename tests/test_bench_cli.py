@@ -175,12 +175,6 @@ class TestBenchRun:
         assert rc == 0, out
         assert "baseline: BENCH_0001.json" in out  # not BENCH_0002
 
-    def test_negative_tolerance_fails_fast(self, capsys):
-        rc = main(["bench", "--suite", "smoke", "--tolerance", "-0.5",
-                   "--compare", "whatever.json"])
-        assert rc == 2
-        assert "tolerance must be >= 0" in capsys.readouterr().err
-
 
 class TestBenchProfile:
     def test_profile_prints_hot_functions(self, capsys):

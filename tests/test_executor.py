@@ -308,11 +308,11 @@ class TestCacheSchemaVersioning:
         )
         assert cache_key(spec) != key_now
 
-    def test_schema_7_entry_is_a_miss_not_an_error(self, tmp_path):
-        """A v7 row, written before records carried the judge's ``lb``
-        and ``fr_improvable``, is never served with their defaults."""
+    @staticmethod
+    def _old_row_is_a_miss(tmp_path, version, drop=()):
+        """Store one record as a raw row of schema *version* (without
+        the fields in *drop*): a fresh cache misses it, warning-free."""
         import json
-        import sqlite3
         import warnings
 
         from repro.analysis import cache as cache_mod
@@ -321,14 +321,15 @@ class TestCacheSchemaVersioning:
         record = run_single("ring", 8, seed=0)
         store = ResultCache(tmp_path)
         store.put(spec, record)
-        v7_record = record.to_json_dict()
-        del v7_record["lb"], v7_record["fr_improvable"]
-        payload = json.dumps({"spec": spec.to_json_dict(), "record": v7_record})
+        old_record = record.to_json_dict()
+        for field in drop:
+            del old_record[field]
+        payload = json.dumps({"spec": spec.to_json_dict(), "record": old_record})
         with sqlite3.connect(store.path) as db:
             db.execute("DELETE FROM results")
             db.execute(
                 "INSERT INTO results VALUES (?, ?, ?, ?)",
-                (cache_mod._key(spec.to_json_dict(), "", 7), "", 7, payload),
+                (cache_mod._key(spec.to_json_dict(), "", version), "", version, payload),
             )
         db.close()
         fresh = ResultCache(tmp_path)
@@ -336,6 +337,16 @@ class TestCacheSchemaVersioning:
             warnings.simplefilter("error")
             assert fresh.get(spec) is None
         assert (fresh.hits, fresh.misses) == (0, 1)
+
+    def test_schema_7_entry_is_a_miss_not_an_error(self, tmp_path):
+        """A v7 row, written before records carried the judge's ``lb``
+        and ``fr_improvable``, is never served with their defaults."""
+        self._old_row_is_a_miss(tmp_path, 7, drop=("lb", "fr_improvable"))
+
+    def test_schema_8_entry_is_a_miss_not_an_error(self, tmp_path):
+        """A v8 row carries the witness/cut-vertex ``lb``, which the set
+        bound can raise; it is never served."""
+        self._old_row_is_a_miss(tmp_path, 8)
 
     def test_schema_version_is_bumped_past_pr1(self):
         from repro.analysis.cache import CACHE_SCHEMA_VERSION

@@ -272,13 +272,13 @@ class TestCompareGate:
     def test_time_drift_within_tolerance_passes(self):
         base = _baseline([_result(best=1.0)])
         cur = _baseline([_result(best=1.15)])
-        comp = compare_baselines(base, cur, tolerance=0.20)
+        comp = compare_baselines(base, cur)
         assert comp.ok
 
     def test_time_regression_beyond_tolerance_fails_when_gated(self):
         base = _baseline([_result(best=1.0)])
         cur = _baseline([_result(best=1.5)])
-        comp = compare_baselines(base, cur, tolerance=0.20)
+        comp = compare_baselines(base, cur)
         assert not comp.ok
         (failure,) = comp.failures
         assert failure.metric == "time.best"
@@ -318,11 +318,6 @@ class TestCompareGate:
         base = _baseline([_result(best=1.0)])
         cur = _baseline([_result(best=0.5)])
         assert compare_baselines(base, cur).ok
-
-    def test_tolerance_validation(self):
-        base = _baseline([_result()])
-        with pytest.raises(AnalysisError):
-            compare_baselines(base, base, tolerance=-0.1)
 
 
 def _tiny_sweep_bench(name="zz_sweep", suites=("smoke",)):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import GraphError, NotConnectedError
 from repro.graphs import (
     Graph,
     articulation_points,
@@ -22,6 +22,7 @@ from repro.graphs import (
     random_tree,
     ring,
     save,
+    set_bound,
     spider,
     star,
 )
@@ -85,6 +86,13 @@ class TestLowerBound:
     def test_empty_raises(self):
         with pytest.raises(GraphError):
             min_degree_lower_bound(Graph())
+
+    def test_set_bound_edge_cases(self):
+        """An empty set bounds nothing; a disconnected graph has no
+        spanning tree to bound."""
+        assert set_bound(star(6), []) == 0
+        with pytest.raises(NotConnectedError):
+            set_bound(Graph(edges=[(0, 1), (2, 3)]), [0])
 
     @pytest.mark.parametrize(
         "family, n, seed",

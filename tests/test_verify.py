@@ -8,10 +8,12 @@ from repro.analysis.batch import CellTemplate
 from repro.analysis.executor import RunSpec
 from repro.errors import VerificationError
 from repro.graphs import (
+    Graph,
     complete,
     gnp_connected,
     make_family,
     ring,
+    set_bound,
     star,
     tree_from_edges,
     wheel,
@@ -74,7 +76,7 @@ class TestLocalOptimality:
         assert isinstance(phase, Witness)
         assert forest_has_no_crossing_edges(g, t, phase.marked)
         # W = {hub}, c = 5 leaves: Δ* ≥ 5 = k, so the tree is optimal
-        assert phase.lb == t.max_degree() == 5
+        assert set_bound(g, phase.marked) == t.max_degree() == 5
 
     def test_forest_condition_direct(self):
         g = complete(4)
@@ -94,31 +96,45 @@ class TestJudge:
         tree, _ = fuerer_raghavachari(g)
         assert judge(g, tree) == Judgement(lb=4, fr_improvable=False)
 
-    def test_cut_vertex_bound_beats_the_witness_lb(self):
-        g = complete(5)
-        chain = tree_from_edges(0, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert fr_phase(g, chain).lb == 1
-        assert judge(g, chain) == Judgement(lb=2, fr_improvable=False)
+    def test_cut_vertex_bound_beats_every_candidate_set(self):
+        """K4 on {0, 1, 3, 5} with leaves 2 and 4 hung on 3: c(3) = 3,
+        but the witness and both degree sets only bound Δ* ≥ 2."""
+        g = Graph(edges=[(0, 1), (0, 3), (0, 5), (1, 3), (1, 5), (3, 5),
+                         (2, 3), (3, 4)])
+        t = tree_from_edges(3, [(0, 1), (0, 5), (2, 3), (3, 4), (3, 5)])
+        phase = fr_phase(g, t)
+        assert isinstance(phase, Witness)
+        assert set_bound(g, phase.marked) == 2
+        assert judge(g, t) == Judgement(lb=3, fr_improvable=False)
 
-    def test_improvable_tree_keeps_only_the_cut_vertex_bound(self):
+    def test_improvable_tree_keeps_a_set_bound(self):
         g = complete(5)
         assert judge(g, greedy_hub_tree(g)) == Judgement(lb=2, fr_improvable=True)
+
+    def test_set_bound_settles_an_improvable_tree(self):
+        """pref_attach n=64 seed 2: fr_local stops at k=5 on a tree that
+        F-R still improves. The cut-vertex bound alone gives Δ* ≥ 2;
+        the set bound gives Δ* ≥ 4, so k ≤ lb + 1 holds anyway."""
+        spec = RunSpec(family="pref_attach", n=64, seed=2, algorithm="fr_local")
+        res = CellTemplate(spec).attempt(spec.seed, None)[3]
+        assert res.final_degree == 5
+        assert judge(res.graph, res.final_tree) == Judgement(lb=4, fr_improvable=True)
 
     def test_forged_witness_raises(self, monkeypatch):
         g = complete(4)
         t = greedy_hub_tree(g)
-        forged = Witness(frozenset({t.root}), 3)  # K4 edges join the leaves
+        forged = Witness(frozenset({t.root}))  # K4 edges join the leaves
         monkeypatch.setattr(certification, "fr_phase", lambda graph, tree: forged)
-        with pytest.raises(VerificationError, match="Theorem 1"):
+        with pytest.raises(VerificationError, match="proves only Δ\\* ≥ 1 < k − 1"):
             judge(g, t)
 
     def test_weak_witness_raises(self, monkeypatch):
         """A witness that holds but proves less than k − 1."""
         g = star(6)
         t = bfs_tree(g)
-        weak = Witness(frozenset(g.nodes()), 0)  # lb 1 < k − 1 = 4
+        weak = Witness(frozenset(g.nodes()))  # set bound ⌈10/6⌉ = 2 < k − 1 = 4
         monkeypatch.setattr(certification, "fr_phase", lambda graph, tree: weak)
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="proves only Δ\\* ≥ 2 < k − 1"):
             judge(g, t)
 
 

@@ -1,5 +1,10 @@
 """Tests for ASCII viz and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -16,6 +21,15 @@ from repro.viz import (
     render_tree,
     round_narrative,
 )
+
+
+def _module_env() -> dict[str, str]:
+    """The environment that runs ``python -m repro`` from the source
+    tree, whether or not the package is installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 class TestAsciiTree:
@@ -148,20 +162,31 @@ class TestCli:
         assert "MDegST sweep" in out
 
     def test_entrypoint_module(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # run from the source tree whether or not the package is installed
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "families"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_module_env(),
         )
         assert proc.returncode == 0
         assert "ring" in proc.stdout
+
+    @pytest.mark.parametrize("command", [["families"], ["bench", "--list"]])
+    def test_closed_stdout_exits_without_a_traceback(self, command):
+        """``repro families | head -1``: the reader leaves before the
+        output ends. Here its end of the pipe is closed before the first
+        write, so the write fails whether stdout is line- or
+        block-buffered; the CLI stops with exit 1 and an empty stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=_module_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
