@@ -6,12 +6,12 @@ algorithm, delay, fault, scheduler. The runner exploits that shape:
 
 * :class:`CellTemplate` factors the seed axis out of a
   :class:`~repro.analysis.executor.RunSpec` — the algorithm registry
-  lookup and the delay/scheduler name validation happen once per group,
-  and ``run(seed)`` is the one cell semantics
+  lookup and the delay model and scheduler policy are resolved once per
+  group, and ``run(seed)`` is the one cell semantics
   (:func:`repro.analysis.harness.run_single` itself delegates here);
 * :func:`instance` is the per-process instance memo the template (and
   the exploration oracle, probe and shrinker) build every graph,
-  startup tree and exact Δ* through;
+  startup tree, churn plan, graph-only Δ* bound and exact Δ* through;
 * :func:`group_cells` finds the seed-varying groups positionally;
 * :func:`run_cells` runs one group through one template, cell by cell;
 * :func:`maybe_run_batched` is the executor hook: it routes groups
@@ -27,7 +27,6 @@ and fault plans.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 from typing import Sequence
 
@@ -35,10 +34,11 @@ from ..algorithms import get_algorithm
 from ..errors import AnalysisError, ProtocolError, StallError, TerminationError
 from ..graphs.generators import make_family
 from ..graphs.graph import Graph
+from ..graphs.properties import min_degree_lower_bound
 from ..obs import Telemetry
 from ..obs import current as obs
 from ..sequential.exact import optimal_degree
-from ..sim.churn import NO_CHURN, churn_plan_from_name, merge_plans
+from ..sim.churn import NO_CHURN, ChurnPlan, churn_plan_from_name, merge_plans
 from ..sim.delays import delay_model_from_name
 from ..sim.faults import NO_FAULT, fault_plan_from_name
 from ..sim.provenance import CausalTally
@@ -76,6 +76,12 @@ class Instance:
     * :meth:`startup` — the startup tree and startup message count per
       initial method (built with the instance seed, as every cell does;
       the startup network's report is dropped, never kept);
+    * :meth:`churn_plan` — the expanded churn plan per plan name (plans
+      are deterministic in ``(name, n, seed)``, and a plan's wrappers
+      keep their state per wrapped process, so one plan serves every
+      run);
+    * :meth:`lower_bound` — the graph-only lower bound on Δ* that
+      :func:`~repro.verify.certification.judge` takes the maximum with;
     * :meth:`optimum` — Δ* per exact-solver limit.
 
     Instances are shared through :func:`instance`, so the graph and the
@@ -84,12 +90,14 @@ class Instance:
     ``tests/test_batch.py``).
     """
 
-    __slots__ = ("graph", "seed", "_startups", "_optima")
+    __slots__ = ("graph", "seed", "_startups", "_plans", "_bound", "_optima")
 
     def __init__(self, graph: Graph, seed: int) -> None:
         self.graph = graph
         self.seed = seed
         self._startups: dict[str, tuple[SpanningTreeOutcome, int]] = {}
+        self._plans: dict[str, ChurnPlan] = {}
+        self._bound: int | None = None
         self._optima: dict[int, int] = {}
 
     def startup(self, method: str) -> tuple[SpanningTreeOutcome, int]:
@@ -102,6 +110,22 @@ class Instance:
             got = (SpanningTreeOutcome(tree=built.tree, report=None), messages)
             self._startups[method] = got
         return got
+
+    def churn_plan(self, name: str) -> ChurnPlan:
+        """The churn plan *name* expanded for this graph and seed (an
+        unknown name raises ``ValueError``, uncached)."""
+        plan = self._plans.get(name)
+        if plan is None:
+            plan = self._plans[name] = churn_plan_from_name(
+                name, self.graph.n, self.seed
+            )
+        return plan
+
+    def lower_bound(self) -> int:
+        """``min_degree_lower_bound`` of the graph."""
+        if self._bound is None:
+            self._bound = min_degree_lower_bound(self.graph)
+        return self._bound
 
     def optimum(self, limit: int) -> int:
         """Δ* from the exact solver capped at *limit* nodes (a
@@ -124,17 +148,18 @@ def instance(family: str, n: int, seed: int) -> Instance:
 class CellTemplate:
     """A :class:`RunSpec` with the seed axis factored out.
 
-    Construction resolves the algorithm and validates the delay and
-    scheduler names (raising exactly what a run would raise for the same
-    spec, just eagerly). ``run(seed)`` reproduces
+    Construction resolves the algorithm, the delay model and the
+    scheduler policy (raising exactly what a run would raise for the
+    same spec, just eagerly). ``run(seed)`` reproduces
     :func:`~repro.analysis.harness.run_single` for ``replace(spec,
     seed=seed)`` — it *is* its implementation.
 
-    Delay models and scheduler policies carry per-run RNG state, so
-    every run gets fresh instances; what the template hoists is the
-    name resolution and the shared record-building epilogue. The graph
-    and startup tree come from the :func:`instance` memo and are shared
-    with every other run of the same ``(family, n, seed)`` in the
+    Delay models and scheduler policies carry per-run RNG state, but the
+    network re-binds both at build time (``bind(seed, ...)`` resets every
+    stream and cursor), so the template's one instance of each serves
+    all its runs, one after another. The graph, startup tree, churn plan
+    and graph-only Δ* bound come from the :func:`instance` memo and are
+    shared with every other run of the same ``(family, n, seed)`` in the
     process — a run must never mutate them.
 
     With ``causal=True`` every run is driven with a fresh
@@ -145,16 +170,18 @@ class CellTemplate:
     however the cells are grouped.
     """
 
-    __slots__ = ("spec", "algorithm", "causal", "fields")
+    __slots__ = ("spec", "algorithm", "causal", "fields", "delay", "scheduler", "_instance")
 
     def __init__(self, spec: RunSpec, *, causal: bool = False) -> None:
         self.spec = spec
         self.algorithm = get_algorithm(spec.algorithm)
         self.causal = bool(causal)
         self.fields = axis_fields(spec)
-        delay_model_from_name(spec.delay)
-        scheduler_from_name(spec.scheduler)
+        self.delay = delay_model_from_name(spec.delay)
+        self.scheduler = scheduler_from_name(spec.scheduler)
         churn_plan_from_name(spec.churn, 1, 0)  # eager name validation
+        #: the instance of the latest :meth:`setup`
+        self._instance: Instance | None = None
 
     # -- seed-dependent prelude ------------------------------------------
 
@@ -167,11 +194,11 @@ class CellTemplate:
         plan, exactly once per seed.
         """
         s = self.spec
-        inst = instance(s.family, s.n, seed)
+        inst = self._instance = instance(s.family, s.n, seed)
         graph = inst.graph
         startup, startup_messages = inst.startup(s.initial_method)
         plan = merge_plans(
-            churn_plan_from_name(s.churn, graph.n, seed),
+            inst.churn_plan(s.churn),
             fault_plan_from_name(s.fault, graph.n, seed),
         )
         return graph, startup, startup_messages, plan
@@ -212,9 +239,9 @@ class CellTemplate:
                 mode=s.mode,
                 max_rounds=s.max_rounds,
                 seed=seed,
-                delay=delay_model_from_name(s.delay),
+                delay=self.delay,
                 faults=plan or None,
-                scheduler=scheduler_from_name(s.scheduler),
+                scheduler=self.scheduler,
                 causal=cap,
             )
         except (TerminationError, ProtocolError) as exc:
@@ -246,7 +273,13 @@ class CellTemplate:
     def ok_record(
         self, seed, graph, startup_messages, result, cap=None
     ) -> RunRecord:
-        judgement = judge(graph, result.final_tree)
+        inst = self._instance
+        judgement = judge(
+            graph,
+            result.final_tree,
+            # the memo's bound, when this is the graph the template set up
+            graph_bound=inst.lower_bound() if inst is not None and inst.graph is graph else None,
+        )
         return RunRecord(
             **self.fields,
             n=graph.n,
@@ -290,9 +323,12 @@ class CellTemplate:
         )
 
 
-def group_key(spec: RunSpec) -> RunSpec:
-    """The seed-erased identity of a cell (group membership key)."""
-    return dataclasses.replace(spec, seed=0)
+def group_key(spec: RunSpec) -> tuple:
+    """The seed-erased identity of a cell (group membership key): every
+    field value but the seed, in field order."""
+    key = dict(spec.__dict__)
+    del key["seed"]
+    return tuple(key.values())
 
 
 def group_cells(cells: Sequence[RunSpec]) -> list[list[int]]:

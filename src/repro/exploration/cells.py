@@ -17,7 +17,7 @@ a cell being a *value*.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from ..analysis.axes import AXES, check_spec, checked
@@ -73,7 +73,9 @@ class ExplorationCell:
         )
 
     def to_json_dict(self) -> dict[str, Any]:
-        data = asdict(self)
+        # every field is a str, an int or a tuple of str: a shallow copy
+        # is what ``dataclasses.asdict`` would deep-copy
+        data = dict(self.__dict__)
         data["algorithms"] = list(self.algorithms)
         return data
 
@@ -90,8 +92,16 @@ class ExplorationCell:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def with_(self, **changes: Any) -> "ExplorationCell":
-        """Frozen-copy update (the shrinker's single mutation primitive)."""
-        return replace(self, **changes)
+        """Frozen-copy update (the shrinker's and the mutation engine's
+        single primitive). Only the changed axes are checked again: the
+        rest were checked when *self* was built."""
+        unknown = changes.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            raise TypeError(f"ExplorationCell has no field {sorted(unknown)[0]!r}")
+        cell = object.__new__(ExplorationCell)
+        cell.__dict__.update(self.__dict__, **changes)
+        cell.__dict__.update(checked(changes))
+        return cell
 
 
 def exploration_grid(

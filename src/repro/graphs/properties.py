@@ -7,7 +7,7 @@ Hamiltonian-path testing (Δ* = 2 iff a Hamiltonian path exists).
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 
 from ..errors import GraphError, NotConnectedError
 from .graph import Edge, Graph
@@ -117,11 +117,14 @@ def has_hamiltonian_path(graph: Graph, node_limit: int = 20) -> bool:
     return bool(reach[full])
 
 
-def set_bound(graph: Graph, S: Collection[int]) -> int:
+def set_bound(
+    graph: Graph, S: Collection[int], *, edges: Sequence[Edge] | None = None
+) -> int:
     """⌈min_T Σ_{v∈S} deg_T(v) / |S|⌉ over the spanning trees T of the
     connected *graph* (0 for an empty *S*), a lower bound on Δ* as a
     vertex of S has at least the mean tree degree: one Kruskal pass over
-    the edges in order of their weight |e ∩ S| ∈ {0, 1, 2}."""
+    the edges in order of their weight |e ∩ S| ∈ {0, 1, 2}. A caller
+    bounding several sets passes *edges*, ``graph.edges()`` sorted once."""
     if not S:
         return 0
     inside = set(S)
@@ -129,7 +132,9 @@ def set_bound(graph: Graph, S: Collection[int]) -> int:
     def weight(e: Edge) -> int:
         return (e[0] in inside) + (e[1] in inside)
 
-    tree = spanning_forest(graph, sorted(graph.edges(), key=weight))
+    if edges is None:
+        edges = graph.edges()
+    tree = spanning_forest(graph, sorted(edges, key=weight))
     if len(tree) != graph.n - 1:
         raise NotConnectedError("set bound defined for connected graphs")
     return -(-sum(map(weight, tree)) // len(inside))

@@ -33,7 +33,7 @@ class RootedTree:
     there are no cycles, and all nodes are reachable from the root.
     """
 
-    __slots__ = ("_root", "_parents", "_children")
+    __slots__ = ("_root", "_parents", "_children", "_max_degree")
 
     def __init__(self, root: int, parents: dict[int, int | None]) -> None:
         cleaned: dict[int, int] = {}
@@ -49,6 +49,7 @@ class RootedTree:
                 raise NotATreeError(f"parent {par} of {node} is not a tree node")
         self._root = root
         self._parents = cleaned
+        self._max_degree: int | None = None  # computed on first use
         self._children: dict[int, set[int]] = {node: set() for node in nodes}
         for node, par in cleaned.items():
             self._children[par].add(node)
@@ -99,8 +100,11 @@ class RootedTree:
         return len(self.children(node)) + (0 if node == self._root else 1)
 
     def max_degree(self) -> int:
-        """Maximum tree degree (the quantity the paper minimizes)."""
-        return max(self.degree(u) for u in self._children)
+        """Maximum tree degree (the quantity the paper minimizes); a tree
+        never changes, so it is computed once."""
+        if self._max_degree is None:
+            self._max_degree = max(self.degree(u) for u in self._children)
+        return self._max_degree
 
     def max_degree_nodes(self) -> list[int]:
         """Sorted identities of nodes achieving the maximum tree degree."""

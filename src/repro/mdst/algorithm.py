@@ -163,14 +163,17 @@ def build_protocol(
     """
     if graph.n == 0:
         raise ReproError("empty graph")
-    if not is_connected(graph):
-        raise NotConnectedError(f"{name} requires a connected network")
-    if initial_tree is None:
-        initial_tree = build_spanning_tree(
-            graph, method=initial_method, seed=seed
-        ).tree
-    if not initial_tree.is_spanning_tree_of(graph):
-        raise ReproError("initial_tree is not a spanning tree of graph")
+    # a given spanning tree proves the graph connected, so connectivity
+    # is searched only without one, or to name the error when it fails
+    if initial_tree is None or not initial_tree.is_spanning_tree_of(graph):
+        if not is_connected(graph):
+            raise NotConnectedError(f"{name} requires a connected network")
+        if initial_tree is None:
+            initial_tree = build_spanning_tree(
+                graph, method=initial_method, seed=seed
+            ).tree
+        if not initial_tree.is_spanning_tree_of(graph):
+            raise ReproError("initial_tree is not a spanning tree of graph")
 
     if graph.n <= 2:
         # nothing to optimize: a single node or a single edge

@@ -186,6 +186,13 @@ def _build() -> tuple[BenchSpec, ...]:
             repeats=3,
         ),
         BenchSpec(
+            name="probe_path",
+            description="fuzz-shaped probes: replay x churn, captured, n 6-8",
+            suites=("core",),
+            micro=w.probe_path_kernel,
+            repeats=3,
+        ),
+        BenchSpec(
             name="executor_sweep",
             description="the executor-scaling sweep (24 cells, uniform delays)",
             suites=("core",),

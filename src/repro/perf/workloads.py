@@ -11,6 +11,9 @@ generation.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from ..analysis.executor import RunSpec
 from ..analysis.harness import SweepSpec
 from ..analysis.records import RunRecord
@@ -32,6 +35,8 @@ __all__ = [
     "policy_queue_kernel",
     "message_codec_kernel",
     "batch_runner_kernel",
+    "PROBE_PATH_SPECS",
+    "probe_path_kernel",
     "echo_wave_kernel",
     "full_protocol_kernel",
     "ghs_startup_kernel",
@@ -336,6 +341,47 @@ def batch_runner_kernel():
             "events": sum(r.events for r in records),
             "messages": sum(r.messages for r in records),
             "bits": sum(r.bits for r in records),
+        }
+
+    return run
+
+
+#: The ``probe_path`` bench's fixed probes: replay schedules (random and
+#: lifo fallbacks, with and without a choice prefix) × churn plans × both
+#: algorithms at n ∈ {6, 8} -- the shape of a fuzz campaign's probes.
+PROBE_PATH_SPECS: tuple[RunSpec, ...] = tuple(
+    RunSpec(
+        family="gnp_sparse",
+        n=n,
+        seed=seed,
+        initial_method="random",
+        algorithm=algorithm,
+        scheduler=scheduler,
+        churn=churn,
+    )
+    for n in (6, 8)
+    for seed in (0, 1)
+    for churn in ("none", "restart_one", "restart_wave")
+    for scheduler in ("replay", "replay:lifo", "replay:random:5.0.33.2.17", "replay:lifo:9.24.32")
+    for algorithm in ("blin_butelle", "fr_local")
+)
+
+
+def probe_path_kernel():
+    """Exploration probes through :func:`~repro.exploration.probe_cell`:
+    the captured, policy-ordered path every fuzz probe takes (build,
+    policy drive loop, causal tally, judge). Work metrics: events,
+    messages and an integer digest of the records' causal summaries."""
+    from ..exploration import probe_cell
+
+    def run() -> dict[str, int]:
+        records = [probe_cell(spec) for spec in PROBE_PATH_SPECS]
+        causal = json.dumps([r.causal for r in records], sort_keys=True)
+        return {
+            "probes": len(records),
+            "events": sum(r.events for r in records),
+            "messages": sum(r.messages for r in records),
+            "causal_digest": int(hashlib.sha256(causal.encode("utf-8")).hexdigest()[:12], 16),
         }
 
     return run

@@ -27,6 +27,9 @@ from ..sim import provenance
 
 __all__ = ["DrainSet", "WaveEchoTracker"]
 
+#: An unarmed tracker's expectations (immutable, so one serves them all).
+_NOTHING: frozenset[int] = frozenset()
+
 
 class DrainSet:
     """A set of peers from each of whom exactly one reply is awaited."""
@@ -78,14 +81,17 @@ class WaveEchoTracker:
     )
 
     def __init__(self, name: str = "wave", owner: int | None = None) -> None:
-        self.expected_echo: set[int] = set()
-        self.expected_cross: set[int] = set()
+        # unarmed: nothing expected (the shared empty sets are never
+        # mutated -- a reply must be expected before it is discarded, and
+        # arm installs fresh sets) and nothing deferred yet
+        self.expected_echo: set[int] | frozenset[int] = _NOTHING
+        self.expected_cross: set[int] | frozenset[int] = _NOTHING
         self.echoed = False
         #: best candidate seen so far (tuple ordering = protocol's choice key)
         self.best: tuple | None = None
         #: which peer reported ``best`` (None = booked locally)
         self.via_best: int | None = None
-        self.deferred: list[Any] = []
+        self.deferred: list[Any] | tuple = ()
         self.armed = False
         self.name = name
         #: owning node id: errors read ``{owner}:{name}``, formatted only
@@ -110,12 +116,12 @@ class WaveEchoTracker:
 
     def defer(self, item: Any) -> None:
         """Park a probe that arrived before the fragment identity did."""
-        self.deferred.append(item)
+        self.deferred = [*self.deferred, item]
 
     def take_deferred(self) -> list[Any]:
         if provenance.ACTIVE is not None:
             provenance.stamp("wave")
-        pending, self.deferred = self.deferred, []
+        pending, self.deferred = list(self.deferred), ()
         return pending
 
     # -- replies ---------------------------------------------------------

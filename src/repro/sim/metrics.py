@@ -49,8 +49,8 @@ class MessageStats:
     class in first-send order); ``total_messages``, ``total_bits``,
     ``by_type`` and ``max_id_fields`` are derived from the tallies on
     read. The delivery-side counters (``deliveries``,
-    ``max_causal_depth``, ``max_sim_time``) are written by the drive
-    loops.
+    ``max_causal_depth``, ``max_sim_time``) are settled by the drive
+    loops at loop exit and before each monitor sweep.
     """
 
     def __init__(self, n: int = 0) -> None:
@@ -82,13 +82,6 @@ class MessageStats:
         if fields > tally.max_fields:
             tally.max_fields = fields
         return MESSAGE_TYPE_BITS + fields * self._id_bits
-
-    def record_delivery(self, depth: int, time: float) -> None:
-        self.deliveries += 1
-        if depth > self.max_causal_depth:
-            self.max_causal_depth = depth
-        if time > self.max_sim_time:
-            self.max_sim_time = time
 
     # -- totals, derived from the tallies --------------------------------
 

@@ -28,14 +28,27 @@ construction from the run configuration:
   raw-tuple order, so every metric is byte-for-byte the same.
 * **send** — every node gets its own send closure as ``ctx.send``, with
   its id and neighbour set prebound (O(1) adjacency check, the same
-  :class:`~repro.errors.ChannelError` text everywhere). In the unit-delay
-  configuration that closure is the whole send, one frame: adjacency
-  check, one :class:`~repro.sim.metrics.ClassTally` update (sends, summed
-  fields, widest message), ``seq`` and a direct append to the ``now + 1``
-  bucket. Elsewhere it checks adjacency and calls :meth:`Network._send`,
-  which charges the same tally through ``MessageStats.charge`` and adds
-  delay sampling, FIFO clamping, tracing and causal capture.
-  ``ctx._send`` is always that validated 3-argument method.
+  :class:`~repro.errors.ChannelError` text everywhere). The send frame
+  is chosen once per configuration:
+
+  - *unit delays, nothing attached* — the closure is the whole send,
+    one frame: adjacency check, one
+    :class:`~repro.sim.metrics.ClassTally` update (sends, summed fields,
+    widest message), ``seq`` and a direct append to the ``now + 1``
+    bucket;
+  - *a scheduler policy* — the closure is the whole send too: adjacency
+    check, the class tally, ``seq``, the append to the link's FIFO ring
+    of the :class:`~repro.sim.scheduler.PolicyQueue` (a new head joins
+    the policy's views), the causal tally's section accounting and the
+    trace record;
+  - *anything else* (random delays, or unit delays with a trace,
+    capture or monitor) — the closure checks adjacency and calls
+    :meth:`Network._send`, which charges the tally through
+    ``MessageStats.charge`` and adds delay sampling, FIFO clamping,
+    tracing and causal capture.
+
+  ``ctx._send`` is always that validated 3-argument method (valid in
+  every configuration; under a policy its delivery time is a label).
 * **loops** — :meth:`Network.run` picks one of two. The fast loop
   (unit delays; no trace, capture, scheduler or monitors) walks bucket
   lists with prebound handler tables (one index per event, no ``Event``
@@ -44,13 +57,15 @@ construction from the run configuration:
   bound at run time, after fault plans have wrapped the processes.
 * **counters** — message totals (``total_messages``, ``total_bits``,
   ``by_type``, ``max_id_fields``) are derived from the per-class tallies
-  on read. Per delivery the fast loop only keeps the delivery time in a
-  local, raises the target's clock and calls the handler; at loop exit
-  (also when a handler raises) it derives ``deliveries`` (events −
-  starts), the causal time (the deepest node clock) and the sim time (the
-  last delivery's). The general loop keeps them per delivery, since its
-  monitors may read them mid-run.
-  :attr:`Network.in_flight` is always sent − delivered.
+  on read. Per delivery a loop only keeps the delivery time in a local,
+  raises the target's clock and calls the handler; at loop exit (also
+  when a handler raises) both loops derive ``deliveries`` (events −
+  starts), the causal time (the deepest node clock) and the sim time
+  (the last delivery's: every queue pops in non-decreasing time), and
+  settle an attached causal tally's counters the same way. The general
+  loop flushes the same counters before each monitor sweep, so monitors
+  always see them current. :attr:`Network.in_flight` is sent −
+  delivered.
 
 The ``slow_event_loop`` mutation wraps every ``on_message`` handler with
 a from-scratch ``message_bits`` recomputation — metrics stay
@@ -68,10 +83,10 @@ from ..errors import ChannelError, SimulationError, TerminationError
 from ..graphs.graph import Graph
 from .delays import DelayModel, UnitDelay
 from .events import BucketQueue, EventKind, EventQueue
-from .messages import Message, message_bits
+from .messages import MESSAGE_TYPE_BITS, Message, message_bits
 from .metrics import MessageStats, SimulationReport
 from .node import NodeContext, Process
-from .provenance import CausalTally, swap_active
+from .provenance import CausalCapture, CausalTally, swap_active
 from .scheduler import PolicyQueue, SchedulerPolicy
 from .trace import TraceRecord, TraceRecorder
 
@@ -211,43 +226,42 @@ class Network:
         )
         # FIFO floors (random-delay path only): flat n*n slab under dense
         # ids, keyed by the dense link id src*n+dst; dict fallback else.
-        self._dense_floors = dense and graph.n * graph.n <= _MAX_DENSE_FLOORS
+        n = graph.n
+        self._dense_floors = dense and not self._unit_delay and n * n <= _MAX_DENSE_FLOORS
         if self._dense_floors:
-            self._fifo_floor: list[float] | dict = [0.0] * (graph.n * graph.n)
+            self._fifo_floor: list[float] | dict = [0.0] * (n * n)
         else:
             self._fifo_floor = {}
         self._processed = 0
-        # the unit-delay/no-policy/no-trace configuration gets one
-        # specialized send frame per node over the bucket queue's
-        # internals; everything else goes through the general method
-        if (
-            trace is None
-            and scheduler is None
-            and causal is None
-            and self._unit_delay
-        ):
+        # one send frame per node, chosen once for the configuration: the
+        # unit-delay and policy frames are the whole send; everything
+        # else goes through the general method
+        if scheduler is not None:
+            node_send = self._policy_sender()
+        elif trace is None and causal is None and self._unit_delay:
             node_send = self._unit_sender()
         else:
             node_send = _checked_sender(self._send)
         self.processes: dict[int, Process] = {}
+        processes = self.processes
+        neighbors_of = graph.neighbors
+        general_send = self._send
         now_fn = self.queue.get_now
         marker = self._make_marker()
         for u in nodes:
-            neighbors = tuple(sorted(graph.neighbors(u)))
-            ctx = NodeContext(node_id=u, neighbors=neighbors)
-            ctx._send = self._send
-            ctx._now = now_fn
-            ctx._mark = marker
+            neighbors = tuple(sorted(neighbors_of(u)))
+            ctx = NodeContext(u, neighbors, general_send, now_fn, marker)
             # instance attribute shadows the NodeContext.send method: the
             # prebound closure drops a frame and the O(degree) scan
             ctx.send = node_send(u, neighbors)  # type: ignore[method-assign]
-            self.processes[u] = factory(ctx)  # type: ignore[operator]
+            processes[u] = factory(ctx)  # type: ignore[operator]
         starts = dict(start_times or {})
         unknown = set(starts) - set(nodes)
         if unknown:
             raise SimulationError(f"start_times for unknown nodes {sorted(unknown)}")
+        push = self.queue.push_raw
         for u in nodes:
-            self.queue.push_raw(starts.get(u, 0.0), _START, target=u)
+            push(starts.get(u, 0.0), _START, u)
 
     # -- wiring ------------------------------------------------------------
 
@@ -308,15 +322,89 @@ class Network:
 
         return make
 
+    def _policy_sender(self):
+        """Per-node send factory under a scheduler policy: each node's
+        closure is the whole send -- adjacency check, per-class tally,
+        seq, the append to the link's FIFO ring (an idle link's first
+        message becomes a head the policy sees), the causal tally's
+        section accounting and the trace record. Sparse node ids keep
+        the queue's dict-keyed rings through ``push_raw``."""
+        queue: PolicyQueue = self.queue  # type: ignore[assignment]
+        rings = queue._rings
+        n = queue._n
+        heads = queue._heads
+        views = queue._views
+        push_raw = queue.push_raw
+        clocks = self._clocks
+        stats = self.stats
+        tallies = stats.tallies
+        tally_of = stats.tally_of
+        id_bits = stats._id_bits
+        trace = self.trace
+        causal = self._causal
+        # a capture keeps a row per send; a bare tally is charged inline
+        capture = causal if isinstance(causal, CausalCapture) else None
+        sent = causal._sent if causal is not None else None
+
+        def make(src: int, neighbors: tuple):
+            nbset = frozenset(neighbors)
+            base = src * n
+
+            def send(dst: int, msg: Message) -> None:
+                if dst not in nbset:
+                    raise _no_link(src, dst, neighbors)
+                tally = tallies.get(msg.__class__)
+                if tally is None:
+                    tally = tally_of(msg.__class__)  # validates Message-ness
+                fields = tally.count(msg)
+                tally.sends += 1
+                tally.fields += fields
+                if fields > tally.max_fields:
+                    tally.max_fields = fields
+                now = queue._now  # a label only: the policy orders deliveries
+                depth = clocks[src] + 1
+                if rings is None:
+                    seq = push_raw(now, _DELIVER, dst, src, msg, depth)
+                else:
+                    seq = queue._seq
+                    queue._seq = seq + 1
+                    queue._size += 1
+                    entry = (now, seq, _DELIVER, dst, src, msg, depth)
+                    ring = rings[base + dst]
+                    if ring is None:
+                        rings[base + dst] = [[entry], 0]
+                        heads.append(entry)
+                        views.append((seq, dst, src))
+                    else:
+                        ring[0].append(entry)
+                if causal is not None:
+                    bits = MESSAGE_TYPE_BITS + fields * id_bits
+                    if capture is not None:
+                        capture.on_send(seq, src, tally.name, bits, depth)
+                    else:
+                        key = (causal._section, causal._phase)
+                        acc = sent.get(key)
+                        if acc is None:
+                            sent[key] = [1, bits]
+                        else:
+                            acc[0] += 1
+                            acc[1] += bits
+                if trace is not None:
+                    trace.emit(TraceRecord(now, "send", src, dst, msg))
+
+            return send
+
+        return make
+
     def _send(self, src: int, dst: int, msg: Message) -> None:
-        """General send: any delay model, scheduler label times, tracing
-        and causal capture."""
+        """General send: any delay model, tracing and causal capture.
+        Under a policy the delivery time it computes is only a label
+        (the policy frame is the send there; this stays valid as
+        ``ctx._send``)."""
         bits = self.stats.charge(msg)  # raises for non-Message
         queue = self.queue
         now = queue._now
-        if self.scheduler is not None:
-            deliver_at = now  # a label only: the policy orders deliveries
-        elif self._unit_delay:
+        if self._unit_delay:
             deliver_at = now + 1.0
         else:
             latency = self.delay.sample(src, dst)
@@ -406,15 +494,25 @@ class Network:
             return on_message, on_start
         return dict(zip(procs, on_message)), dict(zip(procs, on_start))
 
+    def _settle(self, deliveries: int, last_time: float | None) -> None:
+        """Write the delivery counters a drive loop keeps in locals:
+        *deliveries* in total, the causal time (the deepest node clock)
+        and the sim time (*last_time*, the last delivery's; queues pop
+        in non-decreasing time)."""
+        stats = self.stats
+        stats.deliveries = deliveries
+        clocks = self._clocks
+        deepest = max(clocks.values() if isinstance(clocks, dict) else clocks)
+        if deepest > stats.max_causal_depth:
+            stats.max_causal_depth = deepest
+        if last_time is not None and last_time > stats.max_sim_time:
+            stats.max_sim_time = last_time
+
     def _drive_fast_bucket(self, stop_at: int) -> int:
         """Fast loop over the bucket queue: no trace, capture or monitors.
 
-        Per delivery it only keeps the delivery time in a local, raises
-        the target's clock and calls the handler; the delivery counters
-        are derived once on exit (also when a handler raises):
-        deliveries = events - starts, causal time = the deepest node
-        clock, and -- simulated time being non-decreasing here -- sim
-        time = the last delivery's time.
+        Walks the bucket lists directly; the delivery counters are
+        settled once on exit (also when a handler raises).
         """
         queue: BucketQueue = self.queue  # type: ignore[assignment]
         buckets = queue._buckets
@@ -422,6 +520,7 @@ class Network:
         clocks = self._clocks
         on_message, on_start = self._handler_tables()
         processed = first = self._processed
+        delivered = self.stats.deliveries
         starts = 0
         last_time = None
         cur = queue._cur
@@ -452,13 +551,7 @@ class Network:
             queue._cur = cur
             queue._cur_idx = idx
             self._processed = processed
-            stats = self.stats
-            stats.deliveries += processed - first - starts
-            deepest = max(clocks.values() if isinstance(clocks, dict) else clocks)
-            if deepest > stats.max_causal_depth:
-                stats.max_causal_depth = deepest
-            if last_time is not None and last_time > stats.max_sim_time:
-                stats.max_sim_time = last_time
+            self._settle(delivered + processed - first - starts, last_time)
         return processed
 
     def _drive_general(self, stop_at: int) -> int:
@@ -466,51 +559,63 @@ class Network:
 
         Pops via the queue (so the binary heap of random delay models, a
         :class:`PolicyQueue`'s policy-ordered ``pop_raw`` and the bucket
-        queue all slot in transparently); the only additions over the
-        fast loop are the ``trace.emit`` / capture calls and the periodic
-        monitor sweep.
+        queue all slot in transparently). Per event it adds to the fast
+        loop only the trace record, a capture's row (or, for a bare
+        causal tally, the section reset) and the periodic monitor sweep;
+        the counters are settled before each sweep and on exit.
         """
         queue = self.queue
         pop_raw = queue.pop_raw
         trace = self.trace
         causal = self._causal
+        capture = causal if isinstance(causal, CausalCapture) else None
         monitors = self.monitors
         monitor_interval = self.monitor_interval
         clocks = self._clocks
-        stats = self.stats
         on_message, on_start = self._handler_tables()
-        processed = self._processed
+        processed = first = self._processed
+        delivered = self.stats.deliveries
+        starts = 0
+        last_time = None
         # the capture becomes the primitives' stamp target for exactly
         # this run (restored on exit)
         prev_active = swap_active(causal) if causal is not None else None
         try:
             while queue and processed < stop_at:
-                time, _seq, kind, target, sender, payload, depth = pop_raw()
+                time, seq, kind, target, sender, payload, depth = pop_raw()
                 processed += 1
                 if kind:  # DELIVER
+                    last_time = time
                     if depth > clocks[target]:
                         clocks[target] = depth
-                    stats.deliveries += 1
-                    if depth > stats.max_causal_depth:
-                        stats.max_causal_depth = depth
-                    if time > stats.max_sim_time:
-                        stats.max_sim_time = time
                     if trace is not None:
                         trace.emit(TraceRecord(time, "deliver", sender, target, payload))
-                    if causal is not None:
-                        causal.begin_deliver(_seq, target, sender, time, depth)
+                    if capture is not None:
+                        capture.begin_deliver(seq, target, sender, time, depth)
+                    elif causal is not None:
+                        causal._section = ""
                     on_message[target](sender, payload)
                 else:
+                    starts += 1
                     if trace is not None:
                         trace.emit(TraceRecord(time, "start", -1, target, None))
-                    if causal is not None:
-                        causal.begin_start(target, time)
+                    if capture is not None:
+                        capture.begin_start(target, time)
+                    elif causal is not None:
+                        causal._section = ""
                     on_start[target]()
                 if monitors and processed % monitor_interval == 0:
+                    self._settle(delivered + processed - first - starts, last_time)
                     for monitor in monitors:
                         monitor(self)  # type: ignore[operator]
         finally:
+            self._processed = processed
+            self._settle(delivered + processed - first - starts, last_time)
             if causal is not None:
                 swap_active(prev_active)
-            self._processed = processed
+                causal.settle(
+                    processed - first,
+                    processed - first - starts,
+                    self.stats.max_causal_depth,
+                )
         return processed

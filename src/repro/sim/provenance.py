@@ -6,8 +6,9 @@ both attached as ``Network(..., causal=...)``:
 
 * :class:`CausalTally` keeps only the flat digest that travels on
   :class:`~repro.analysis.records.RunRecord` — per-section and
-  per-phase send tallies plus running event/delivery/in-flight
-  counters and the critical-path length. This is what a
+  per-phase send tallies plus event/delivery/in-flight counters and
+  the critical-path length, the counters derived from the network's
+  own when its drive loop exits. This is what a
   ``CellTemplate(causal=True)`` run without an explicit sink drives,
   which is every exploration probe: constant memory, no row per event.
 * :class:`CausalCapture` (a tally subclass) additionally records, for
@@ -48,9 +49,10 @@ check, with no call. (Unguarded, the calls cost about 4% of a
 unit-delay sweep: some 1.5 per delivery.) The active capture pointer,
 :data:`ACTIVE`, is swapped in for the duration of one ``Network.run``
 (and restored on exit), so a network only ever stamps into its own
-capture. The network charges each send once
-(:meth:`~repro.sim.metrics.MessageStats.charge` returns its bit cost)
-and hands the message name and that cost to the capture.
+capture. The network's send frame charges each send once (class tally
+and bit cost) and charges the same cost to the tally's current section
+and phase -- inline for a bare tally, through :meth:`CausalTally.on_send`
+for a capture, which also keeps the send's row provenance.
 
 Everything recorded is a pure function of the run: serial, ``--jobs N``
 and warm-cache replays of the same spec produce byte-identical rows and
@@ -121,73 +123,60 @@ class CausalEvent:
 class CausalTally:
     """Summary-only provenance for one network run.
 
-    Keeps what :meth:`summary` reports and nothing else: the send-side
-    section/phase tallies and four running counters (handled ``events``,
-    delivered ``messages``, ``in_flight`` sends and the deepest causal
-    depth ``crit_len``). Constant memory per run, so a caller that keeps
-    only the digest — a fuzz probe, a ``causal=True``
-    :class:`~repro.analysis.batch.CellTemplate` — pays no row per event.
+    Keeps what :meth:`summary` reports and nothing else. Per send, the
+    network charges the message to the current ``(section, phase)``
+    pair (:meth:`on_send`, or the same three lines inlined in the
+    policy send frame); per handled event the drive loop only clears
+    the section. The counters -- handled ``events``, delivered
+    ``messages`` and the deepest causal depth ``crit_len`` -- are
+    derived from the network's own counters when the drive loop exits
+    (:meth:`settle`, also when a handler raises), and ``in_flight`` is
+    sends minus deliveries. Constant memory per run, so a caller that
+    keeps only the digest -- a fuzz probe, a ``causal=True``
+    :class:`~repro.analysis.batch.CellTemplate` -- pays no row per
+    event.
     """
 
-    __slots__ = (
-        "events",
-        "messages",
-        "in_flight",
-        "crit_len",
-        "_section",
-        "_phase",
-        "_sent",
-        "_phase_sent",
-    )
+    __slots__ = ("events", "messages", "crit_len", "_section", "_phase", "_sent")
 
     def __init__(self) -> None:
         self.events = 0
         self.messages = 0
-        self.in_flight = 0
         self.crit_len = 0
         self._section: str = ""
         self._phase: str = ""
-        #: send-time attribution: section -> [messages, bits] (counts
-        #: every send, including ones a stalled run never delivers)
-        self._sent: dict[str, list[int]] = {}
-        self._phase_sent: dict[str, list[int]] = {}
+        #: send-time attribution: (section, phase) -> [messages, bits]
+        #: (counts every send, including ones a stalled run never
+        #: delivers; "" is the unattributed section / no phase)
+        self._sent: dict[tuple[str, str], list[int]] = {}
 
-    # -- send side (called by Network._send) ---------------------------
+    # -- send side (called by the network's send frames) ---------------
 
     def on_send(self, seq: int, src: int, msg: str, bits: int, depth: int) -> None:
         """Charge one send of message class *msg* costing *bits* to the
-        current section and phase (the network resolved both once)."""
-        self.in_flight += 1
-        section = self._section or UNATTRIBUTED_SECTION
-        tally = self._sent.get(section)
-        if tally is None:
-            self._sent[section] = [1, bits]
+        current section and phase."""
+        key = (self._section, self._phase)
+        acc = self._sent.get(key)
+        if acc is None:
+            self._sent[key] = [1, bits]
         else:
-            tally[0] += 1
-            tally[1] += bits
-        if self._phase:
-            tally = self._phase_sent.get(self._phase)
-            if tally is None:
-                self._phase_sent[self._phase] = [1, bits]
-            else:
-                tally[0] += 1
-                tally[1] += bits
+            acc[0] += 1
+            acc[1] += bits
 
-    # -- handle side (called by the drive loops) -----------------------
+    # -- loop exit (called by the drive loop) --------------------------
 
-    def begin_start(self, node: int, time: float) -> None:
-        self.events += 1
-        self._section = ""
-
-    def begin_deliver(
-        self, seq: int, target: int, sender: int, time: float, depth: int
-    ) -> None:
-        self.events += 1
-        self.messages += 1
-        self.in_flight -= 1
+    def settle(self, events: int, messages: int, depth: int) -> None:
+        """Add one drive loop's handled *events* and delivered
+        *messages*; raise ``crit_len`` to the network's deepest *depth*."""
+        self.events += events
+        self.messages += messages
         if depth > self.crit_len:
             self.crit_len = depth
-        self._section = ""
+
+    @property
+    def in_flight(self) -> int:
+        """Messages sent but not delivered."""
+        return sum(acc[0] for acc in self._sent.values()) - self.messages
 
     # -- digest --------------------------------------------------------
 
@@ -196,18 +185,21 @@ class CausalTally:
         :class:`~repro.analysis.records.RunRecord` carries in its
         ``causal`` field — a pure function of the run).
         """
+        sections: dict[str, list[int]] = {}
+        phases: dict[str, list[int]] = {}
+        for (section, phase), (count, bits) in self._sent.items():
+            for table, name in ((sections, section or UNATTRIBUTED_SECTION), (phases, phase)):
+                if name:
+                    acc = table.setdefault(name, [0, 0])
+                    acc[0] += count
+                    acc[1] += bits
         return {
             "crit_len": self.crit_len,
             "events": self.events,
             "messages": self.messages,
             "in_flight": self.in_flight,
-            "sections": {
-                name: list(tally) for name, tally in sorted(self._sent.items())
-            },
-            "phases": {
-                name: list(tally)
-                for name, tally in sorted(self._phase_sent.items())
-            },
+            "sections": dict(sorted(sections.items())),
+            "phases": dict(sorted(phases.items())),
         }
 
 
@@ -243,8 +235,10 @@ class CausalCapture(CausalTally):
             self._phase,
         )
 
+    # -- handle side (called by the drive loop per handled event) ------
+
     def begin_start(self, node: int, time: float) -> None:
-        CausalTally.begin_start(self, node, time)
+        self._section = ""
         idx = len(self.rows)
         self.rows.append(
             CausalEvent(
@@ -258,7 +252,7 @@ class CausalCapture(CausalTally):
     def begin_deliver(
         self, seq: int, target: int, sender: int, time: float, depth: int
     ) -> None:
-        CausalTally.begin_deliver(self, seq, target, sender, time, depth)
+        self._section = ""
         parent, clock, msg, bits, section, phase = self._pending.pop(seq)
         idx = len(self.rows)
         self.rows.append(

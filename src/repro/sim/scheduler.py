@@ -29,9 +29,9 @@ exact same schedule.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import insort
+from bisect import bisect_left
 from collections.abc import Sequence
-from operator import itemgetter
+from functools import lru_cache
 from typing import Any
 
 from ..errors import SchedulingError
@@ -68,7 +68,9 @@ class SchedulerPolicy(ABC):
     ``bind(seed, n)`` is called once by the network at build time (the
     registry hands out reusable instances); ``choose`` is called once per
     simulator step with the admissible heads in ascending send order and
-    returns the index of the event to fire.
+    returns the index (exactly an ``int``) of the event to fire. The
+    heads are the queue's live list: read them, never mutate or keep
+    them.
     """
 
     @abstractmethod
@@ -171,8 +173,8 @@ class ReplayScheduler(SchedulerPolicy):
             )
         if _is_replay_name(fallback):
             raise ValueError("replay fallback cannot itself be a replay policy")
-        self.prefix = tuple(int(c) for c in prefix)
-        if any(c < 0 for c in self.prefix):
+        self.prefix = tuple(map(int, prefix))
+        if self.prefix and min(self.prefix) < 0:
             raise ValueError("replay prefix choices must be non-negative")
         if len(self.prefix) > REPLAY_PREFIX_MAX:
             raise ValueError(
@@ -226,20 +228,18 @@ class PolicyQueue(EventQueue):
     when drained). Without *n* (or for huge/sparse id spaces) the same
     rings are dict-keyed by ``(sender, target)``.
 
-    The eligible-head list is maintained *incrementally* (the perf
-    suite's ``policy_queue_ops`` micro-kernel guards this): the global
-    ``seq`` counter only grows, so a newly-eligible head (a START push or
-    the first message on an idle link) always appends at the tail of the
-    seq-sorted list, and only a link's *successor* head — exposed when
-    its predecessor is delivered — needs a ``bisect`` insert. The
-    pre-optimization shape (rebuild + sort every pop) was O(L log L) per
-    step for L concurrent links.
+    The eligible heads are maintained *incrementally* (the perf suite's
+    ``policy_queue_ops`` micro-kernel guards this), together with the
+    ``(seq, target, sender)`` views the policy sees, in a second list at
+    the same indices: the global ``seq`` counter only grows, so a
+    newly-eligible head (a START push or the first message on an idle
+    link) always appends at the tail of both seq-sorted lists, and only
+    a link's *successor* head — exposed when its predecessor is
+    delivered — needs a ``bisect`` insert. The policy gets the view list
+    itself (it must not mutate it); nothing is rebuilt per pop.
     """
 
-    __slots__ = ("policy", "_n", "_rings", "_links", "_heads", "_size")
-
-    #: sort key of a head entry: the global send sequence number
-    _HEAD_SEQ = staticmethod(itemgetter(1))
+    __slots__ = ("policy", "_n", "_rings", "_links", "_heads", "_views", "_size")
 
     def __init__(self, policy: SchedulerPolicy, n: int | None = None) -> None:
         super().__init__()
@@ -255,6 +255,8 @@ class PolicyQueue(EventQueue):
         self._links: dict[tuple[int, int], list] = {}
         #: eligible heads (one per link + pending STARTs), ascending seq
         self._heads: list[tuple] = []
+        #: the policy's view of ``_heads``, index for index
+        self._views: list[Head] = []
         self._size = 0
 
     def __len__(self) -> int:
@@ -274,27 +276,23 @@ class PolicyQueue(EventQueue):
     ) -> int:
         seq = self._seq
         self._seq = seq + 1
+        self._size += 1
         entry = (time, seq, kind, target, sender, payload, depth)
-        if kind is EventKind.START:
-            self._heads.append(entry)
-        else:
+        if kind:  # DELIVER: the tail of its link's ring
             rings = self._rings
             if rings is not None:
-                lid = sender * self._n + target
-                ring = rings[lid]
-                if ring is None:
-                    rings[lid] = [[entry], 0]
-                    self._heads.append(entry)
-                else:
-                    ring[0].append(entry)
+                link = sender * self._n + target
+                ring = rings[link]
             else:
-                ring = self._links.get((sender, target))
-                if ring is None:
-                    self._links[(sender, target)] = [[entry], 0]
-                    self._heads.append(entry)
-                else:
-                    ring[0].append(entry)
-        self._size += 1
+                link = (sender, target)
+                ring = self._links.get(link)
+            if ring is not None:
+                ring[0].append(entry)
+                return seq
+            (rings if rings is not None else self._links)[link] = [[entry], 0]
+        # a START, or the first message on an idle link: a new head
+        self._heads.append(entry)
+        self._views.append((seq, target, sender))
         return seq
 
     def push(self, time, kind, target, sender=-1, payload=None, depth=0) -> Event:
@@ -308,46 +306,45 @@ class PolicyQueue(EventQueue):
         if not self._size:
             raise SchedulingError("pop from empty event queue")
         heads = self._heads
-        views = tuple((e[1], e[3], e[4]) for e in heads)
+        views = self._views
         index = self.policy.choose(views)
-        if not isinstance(index, int) or not 0 <= index < len(heads):
+        # exactly int: a bool (or a numpy int) is not a head index
+        if type(index) is not int or not 0 <= index < len(heads):
             raise SchedulingError(
                 f"scheduler {self.policy.name} chose {index!r} "
                 f"out of {len(heads)} deliverable events"
             )
         entry = heads.pop(index)
-        if entry[2] is not EventKind.START:
+        del views[index]
+        if entry[2]:  # DELIVER: expose the link's successor, if any
             rings = self._rings
             if rings is not None:
-                lid = entry[4] * self._n + entry[3]
-                ring = rings[lid]
-                events, head = ring
-                head += 1
-                if head < len(events):
-                    if head >= 512:
-                        # compact the delivered prefix of a long-busy link
-                        del events[:head]
-                        head = 0
-                    ring[1] = head
-                    # the successor head's seq is larger than the popped
-                    # entry's but otherwise arbitrary among the remaining
-                    # heads — the one place an ordered insert is needed
-                    insort(heads, events[head], key=self._HEAD_SEQ)
-                else:
-                    rings[lid] = None
+                link = entry[4] * self._n + entry[3]
+                ring = rings[link]
             else:
                 link = (entry[4], entry[3])
                 ring = self._links[link]
-                events, head = ring
-                head += 1
-                if head < len(events):
-                    if head >= 512:
-                        del events[:head]
-                        head = 0
-                    ring[1] = head
-                    insort(heads, events[head], key=self._HEAD_SEQ)
-                else:
-                    del self._links[link]
+            events, head = ring
+            head += 1
+            if head < len(events):
+                if head >= 512:
+                    # compact the delivered prefix of a long-busy link
+                    del events[:head]
+                    head = 0
+                ring[1] = head
+                # the successor's seq is larger than the popped entry's
+                # but otherwise arbitrary among the remaining heads: the
+                # one place an ordered insert is needed (seqs are unique,
+                # so the views compare on seq alone)
+                succ = events[head]
+                view = (succ[1], succ[3], succ[4])
+                at = bisect_left(views, view)
+                views.insert(at, view)
+                heads.insert(at, succ)
+            elif rings is not None:
+                rings[link] = None
+            else:
+                del self._links[link]
         self._size -= 1
         self._now += 1.0
         # virtual step time replaces the scheduled label time
@@ -374,6 +371,10 @@ NO_SCHEDULER = "none"
 #: through RunSpec fields, cache keys and corpus artifacts) bounded.
 REPLAY_PREFIX_MAX = 4096
 
+#: Parsed replay specs the per-process memo keeps (least recently used
+#: evicted first).
+REPLAY_PARSE_MEMO = 1 << 12
+
 #: A raw replay choice lives in [0, REPLAY_CHOICE_SPACE); ``choose``
 #: reduces it modulo the head count, so the bound only shapes mutation
 #: entropy, never admissibility.
@@ -398,18 +399,21 @@ def replay_spec(prefix: Sequence[int], fallback: str = "random") -> str:
     rejects every non-canonical spelling — so the spec string can serve
     as the schedule's identity in cache keys and corpus artifacts.
     """
-    prefix = tuple(int(c) for c in prefix)
+    prefix = tuple(map(int, prefix))
     if not prefix and fallback == "random":
         return "replay"
     if not prefix:
         return f"replay:{fallback}"
-    return f"replay:{fallback}:" + ".".join(str(c) for c in prefix)
+    return f"replay:{fallback}:" + ".".join(map(str, prefix))
 
 
+@lru_cache(maxsize=REPLAY_PARSE_MEMO)
 def parse_replay_spec(name: str) -> tuple[tuple[int, ...], str]:
     """Inverse of :func:`replay_spec`; raises ValueError on any
     non-canonical spelling (leading zeros, signs, spaces, empty chunks),
-    so distinct spec strings always denote distinct schedules."""
+    so distinct spec strings always denote distinct schedules. Memoized
+    per process: a fuzz campaign parses each schedule several times
+    (axis check, template, mutation, coverage signature)."""
     if name == "replay":
         return (), "random"
     parts = name.split(":")
@@ -434,6 +438,8 @@ def parse_replay_spec(name: str) -> tuple[tuple[int, ...], str]:
         if not tok.isdigit() or (tok != "0" and tok[0] == "0"):
             raise ValueError(f"bad replay choice {tok!r} in {name!r}")
         choices.append(int(tok))
+    if replay_spec(choices, fallback) != name:  # e.g. non-ASCII digits
+        raise ValueError(f"non-canonical replay spec {name!r}")
     return tuple(choices), fallback
 
 
@@ -455,10 +461,7 @@ def scheduler_from_name(name: str) -> SchedulerPolicy | None:
     if name == NO_SCHEDULER:
         return None
     if _is_replay_name(name) and name != "replay":
-        prefix, fallback = parse_replay_spec(name)
-        if replay_spec(prefix, fallback) != name:
-            raise ValueError(f"non-canonical replay spec {name!r}")
-        return ReplayScheduler(prefix, fallback)
+        return ReplayScheduler(*parse_replay_spec(name))
     try:
         factory = _SCHEDULER_FACTORIES[name]
     except KeyError:

@@ -37,15 +37,18 @@ class Judgement:
     fr_improvable: bool
 
 
-def judge(graph: Graph, tree: RootedTree) -> Judgement:
+def judge(graph: Graph, tree: RootedTree, *, graph_bound: int | None = None) -> Judgement:
     """Run one F-R phase on *tree* and bound Δ* from below; raise
     :class:`VerificationError` if a witness's set bound is below k − 1,
-    which Theorem 1 rules out for a valid witness."""
+    which Theorem 1 rules out for a valid witness. *graph_bound* is
+    ``min_degree_lower_bound(graph)`` when the caller already has it
+    (it depends on the graph alone)."""
     phase = fr_phase(graph, tree)
     k = tree.max_degree()
     witness = phase.marked if isinstance(phase, Witness) else None
+    edges = graph.edges()
     bounds = {
-        s: set_bound(graph, s)
+        s: set_bound(graph, s, edges=edges)
         for s in {
             witness or frozenset(),
             frozenset(v for v in tree.nodes() if tree.degree(v) >= k - 1),
@@ -54,7 +57,9 @@ def judge(graph: Graph, tree: RootedTree) -> Judgement:
     }
     if witness is not None and bounds[witness] < k - 1:
         raise VerificationError(f"F-R witness proves only Δ* ≥ {bounds[witness]} < k − 1")
-    return Judgement(max(min_degree_lower_bound(graph), *bounds.values()), witness is None)
+    if graph_bound is None:
+        graph_bound = min_degree_lower_bound(graph)
+    return Judgement(max(graph_bound, *bounds.values()), witness is None)
 
 
 def certify_run(result: MDSTResult, exact_limit: int = 16) -> str:

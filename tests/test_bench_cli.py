@@ -19,8 +19,8 @@ BENCH_LIST_GOLDEN = """\
 bench suites:
 
   smoke   9 benches  seconds-scale regression gate (runs on every CI push)
-  core   20 benches  the paper's t1-t9 experiment workloads + engine benches
-  full   21 benches  every registered bench
+  core   21 benches  the paper's t1-t9 experiment workloads + engine benches
+  full   22 benches  every registered bench
 
 benches (suites in brackets):
 
@@ -36,6 +36,7 @@ benches (suites in brackets):
   group_fanout       micro  [core]  group wire codec + worker-side batched execution (8 seeds)
   message_codec      micro  [smoke,core]  message encode/decode round-trip + compiled field count
   policy_queue_ops   micro  [smoke,core]  PolicyQueue eligible-head selection under a random policy
+  probe_path         micro  [core]  fuzz-shaped probes: replay x churn, captured, n 6-8
   smoke_sweep        sweep  [smoke]  both algorithms across small sparse/geometric instances
   t1_degree_quality  micro  [core]  T1: final degree vs ground truth (claim C1)
   t2_messages        sweep  [core]  T2: message complexity vs O((k-k*)·m) (claim C2)

@@ -4,6 +4,7 @@ exporter, and the determinism contract — captured digests byte-identical
 serial vs parallel vs cold/warm cache, and fast paths untouched when
 capture is off."""
 
+import contextlib
 import json
 
 import pytest
@@ -36,6 +37,7 @@ from repro.sim import CausalCapture, CausalTally, Network, stamp
 from repro.sim.messages import Message
 from repro.sim.node import Process
 from repro.sim.provenance import UNATTRIBUTED_SECTION
+from repro.sim.scheduler import scheduler_names
 
 
 # -- a micro-protocol that exercises section stamping ------------------------
@@ -266,7 +268,86 @@ def drive_both(spec):
     return out
 
 
+def recount(cap: CausalCapture) -> dict:
+    """*cap*'s digest recounted from its rows and its still-pending sends."""
+    delivered = [row for row in cap.rows if row.kind == "deliver"]
+    sends = [(row.section, row.phase, row.bits) for row in delivered] + [
+        (section, phase, bits) for _, _, _, bits, section, phase in cap._pending.values()
+    ]
+    sections: dict = {}
+    phases: dict = {}
+    for section, phase, bits in sends:
+        for table, name in ((sections, section), (phases, phase)):
+            if name:
+                acc = table.setdefault(name, [0, 0])
+                acc[0] += 1
+                acc[1] += bits
+    return {
+        "crit_len": max((row.depth for row in delivered), default=0),
+        "events": len(cap.rows),
+        "messages": len(delivered),
+        "in_flight": len(cap._pending),
+        "sections": dict(sorted(sections.items())),
+        "phases": dict(sorted(phases.items())),
+    }
+
+
+def drive_captured(spec):
+    """Drive *spec* once with a full capture; return the capture and
+    whatever the attempt raised."""
+    cap = CausalCapture()
+    try:
+        CellTemplate(spec).attempt(spec.seed, cap)
+        raised = None
+    except ProtocolError as exc:
+        raised = exc
+    return cap, raised
+
+
 class TestTallyEqualsCapture:
+    @pytest.mark.parametrize("algorithm", ["blin_butelle", "fr_local"])
+    @pytest.mark.parametrize("churn", ["none", "restart_one", "restart_wave"])
+    @pytest.mark.parametrize(
+        "scheduler", [*scheduler_names(), "replay:lifo:3.1.4.1.5"]
+    )
+    def test_summary_equals_a_recount_of_the_rows(self, algorithm, churn, scheduler):
+        """The tally's counters are derived at loop exit and its sections
+        charged inline by the send frames; both must equal a recount of
+        the same run's capture rows."""
+        spec = RunSpec(
+            family="gnp_sparse", n=8, seed=3, initial_method="random",
+            algorithm=algorithm, scheduler=scheduler, churn=churn,
+        )
+        (tally, _), (capture, _) = drive_both(spec)
+        cap, _ = drive_captured(spec)
+        assert tally == capture == recount(cap)
+
+    @pytest.mark.parametrize(
+        "spec,switch",
+        [
+            (
+                RunSpec(family="gnp_sparse", n=6, seed=2, initial_method="random",
+                        churn="restart_one", scheduler="replay"),
+                "drop_churn_rejoin",
+            ),
+            (
+                RunSpec(family="gnp_sparse", n=8, seed=1, initial_method="random",
+                        churn="churn_storm"),
+                None,
+            ),
+        ],
+        ids=["handler_raises", "stalled"],
+    )
+    def test_partial_runs_equal_a_recount(self, spec, switch):
+        with mutated(switch) if switch else contextlib.nullcontext():
+            (tally, _), _ = drive_both(spec)
+            cap, raised = drive_captured(spec)
+        assert tally == recount(cap)
+        if switch:  # stopped mid-schedule, with messages still in flight
+            assert raised is not None and tally["in_flight"] > 0
+        else:
+            assert raised is None
+
     @pytest.mark.parametrize("algorithm,family,n,seed", GOLDEN_WORKLOADS)
     def test_golden_workloads(self, algorithm, family, n, seed):
         spec = RunSpec(

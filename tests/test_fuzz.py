@@ -2,6 +2,8 @@
 coverage map, mutation engine, campaign determinism, the planted-bug
 self-test, the replay corpus, and the ``repro fuzz`` CLI."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,46 @@ class TestCampaignDeterminism:
         b = run_fuzz(dataclasses.replace(TINY, seed=7))
         assert a.probed == b.probed
         assert a.corpus_digest != b.corpus_digest
+
+
+class _ProbeLog:
+    """Serial probe backend that keeps every record it serves."""
+
+    def __init__(self):
+        self.inner = SerialExecutor(probe_cell)
+        self.records = []
+
+    def run(self, cells):
+        records = self.inner.run(cells)
+        self.records.extend(records)
+        return records
+
+
+class TestProbeRecordPin:
+    """The probe records of one small policy + churn campaign, pinned
+    byte for byte: replay schedules with random and lifo fallbacks, all
+    three churn plans, completed and stalled probes. The determinism
+    tests above only compare runs with each other, so an engine change
+    that moved every probe record alike would pass them."""
+
+    def test_campaign_probe_records_are_pinned(self):
+        log = _ProbeLog()
+        report = run_fuzz(
+            FuzzSpec(seed=11, seeds=(0, 1), budget=48), executor=log, max_shrink=0
+        )
+        payload = json.dumps([r.to_json_dict() for r in log.records], sort_keys=True)
+        assert len(log.records) == 96
+        assert sum(r.outcome == "stalled" for r in log.records) == 22
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "47e829dc6b9cc4c6778fed6b7b242918a5e2281d12da3a791166c8bc7e087626"
+        )
+        assert report.coverage == 33
+        assert report.coverage_digest == (
+            "6aa35ffe331aa258fb3818da6c29ec701e3736832371fe300eafbb513fca0fa0"
+        )
+        assert report.corpus_digest == (
+            "b548a6226ed40be687c9441010c47531119a14f2d5a5d0238a0011243fa80e6e"
+        )
 
 
 class TestPlantedBugSelfTest:

@@ -90,7 +90,9 @@ class TestMetricsDetails:
     def test_report_from_stats(self):
         stats = MessageStats(n=4)
         stats.mark(1.0, "phase", {"k": 3})
-        stats.record_delivery(depth=5, time=2.5)
+        stats.deliveries = 1  # what a drive loop settles at exit
+        stats.max_causal_depth = 5
+        stats.max_sim_time = 2.5
         report = SimulationReport.from_stats(stats, events_processed=10, quiescent=True)
         assert report.causal_time == 5
         assert report.sim_time == 2.5

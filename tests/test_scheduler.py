@@ -1,6 +1,7 @@
 """Scheduler-policy subsystem: policies, the policy queue, and the
 network integration (the exploration PR's tentpole axis)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
@@ -302,6 +303,24 @@ class TestPolicyQueue:
 
         q = self._queue(Bogus())
         q.push_raw(0.0, EventKind.START, 0)
+        with pytest.raises(SchedulingError, match="chose"):
+            q.pop_raw()
+
+    @pytest.mark.parametrize("choice", [True, False, np.int64(0), 0.0])
+    def test_a_choice_that_is_not_exactly_int_raises(self, choice):
+        """``isinstance(True, int)`` holds, so a bool would silently pick
+        head 1 (or 0); numpy ints and floats are refused the same way."""
+
+        class Sloppy(SchedulerPolicy):
+            def bind(self, seed, n):
+                return None
+
+            def choose(self, heads):
+                return choice
+
+        q = self._queue(Sloppy())
+        q.push_raw(0.0, EventKind.START, 0)
+        q.push_raw(0.0, EventKind.START, 1)
         with pytest.raises(SchedulingError, match="chose"):
             q.pop_raw()
 

@@ -1,10 +1,12 @@
 """The fast bucket loop and the general loop are one semantics.
 
 ``Network.run`` drives unit-delay runs without trace, capture or
-monitors through ``_drive_fast_bucket``, which derives its delivery
-counters once at loop exit; any monitor routes the same run through
-``_drive_general``, which keeps them per delivery. Every report field
-must agree between the two, also when a handler raises mid-run.
+monitors through ``_drive_fast_bucket``; any monitor, capture or
+scheduler policy routes a run through ``_drive_general``. Both derive
+their delivery counters once at loop exit. Every report field must agree
+between the two, also when a handler raises mid-run, and the general
+loop's derived counters must equal a recount from a capture's rows under
+every scheduler policy and churn plan.
 """
 
 from __future__ import annotations
@@ -13,11 +15,16 @@ import dataclasses
 
 import pytest
 
+from repro._mutation import mutated
 from repro.algorithms.fr_local import make_fr_factory
+from repro.analysis.batch import CellTemplate
+from repro.analysis.executor import RunSpec
+from repro.errors import ProtocolError
 from repro.graphs.generators import make_family, path_graph
 from repro.mdst.config import MDSTConfig
 from repro.mdst.node import make_mdst_factory
-from repro.sim import Message, Network, Process, SimulationReport
+from repro.sim import CausalCapture, Message, Network, Process, SimulationReport
+from repro.sim.scheduler import scheduler_names
 from repro.spanning import build_spanning_tree
 
 FACTORIES = {
@@ -140,3 +147,73 @@ def test_a_raising_handler_leaves_both_loops_consistent(loops_used):
         assert net.in_flight == pending > 0
         assert report.causal_time == max(net._clocks)
     assert fast_net._clocks == general_net._clocks
+
+
+def _captured_network(spec: RunSpec):
+    """Build *spec*'s protocol network with a capture attached and drive
+    it; return the network, its report and what the run raised. A run
+    that raises still gets the report its counters settle into."""
+    template = CellTemplate(spec)
+    graph, startup, _, plan = template.setup(spec.seed)
+    cap = CausalCapture()
+    net, _finalize = template.algorithm.build(
+        graph,
+        startup.tree,
+        mode=spec.mode,
+        max_rounds=spec.max_rounds,
+        seed=spec.seed,
+        delay=template.delay,
+        faults=plan or None,
+        scheduler=template.scheduler,
+        causal=cap,
+    )
+    try:
+        return net, cap, net.run(), None
+    except ProtocolError as exc:
+        report = SimulationReport.from_stats(net.stats, net.processed, quiescent=False)
+        return net, cap, report, exc
+
+
+def _assert_counters_equal_a_recount(net, cap, report) -> None:
+    delivered = [row for row in cap.rows if row.kind == "deliver"]
+    assert delivered, "the run delivered nothing"
+    assert report.events_processed == net.processed == len(cap.rows)
+    assert net.stats.deliveries == len(delivered)
+    assert report.causal_time == max(row.depth for row in delivered)
+    assert report.sim_time == max(row.time for row in delivered)
+    assert net.in_flight == len(cap._pending)
+
+
+@pytest.mark.parametrize("algorithm", sorted(FACTORIES))
+@pytest.mark.parametrize("churn", ["none", "restart_one", "restart_wave"])
+@pytest.mark.parametrize("scheduler", [*scheduler_names(), "replay:lifo:3.1.4.1.5"])
+def test_general_loop_counters_equal_a_recount(algorithm, churn, scheduler):
+    spec = RunSpec(
+        family="gnp_sparse", n=8, seed=3, initial_method="random",
+        algorithm=algorithm, scheduler=scheduler, churn=churn,
+    )
+    net, cap, report, raised = _captured_network(spec)
+    assert raised is None
+    _assert_counters_equal_a_recount(net, cap, report)
+
+
+def test_counters_equal_a_recount_when_a_handler_raises():
+    spec = RunSpec(
+        family="gnp_sparse", n=6, seed=2, initial_method="random",
+        churn="restart_one", scheduler="replay",
+    )
+    with mutated("drop_churn_rejoin"):
+        net, cap, report, raised = _captured_network(spec)
+    assert raised is not None
+    _assert_counters_equal_a_recount(net, cap, report)
+
+
+def test_counters_equal_a_recount_in_a_stalled_run():
+    spec = RunSpec(
+        family="gnp_sparse", n=8, seed=1, initial_method="random",
+        churn="churn_storm",
+    )
+    assert CellTemplate(spec).run(spec.seed).outcome == "stalled"
+    net, cap, report, raised = _captured_network(spec)
+    assert raised is None
+    _assert_counters_equal_a_recount(net, cap, report)
