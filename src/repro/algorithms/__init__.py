@@ -8,15 +8,18 @@ Importing this package registers the built-in algorithms:
   fixed coordinator and full-fragment candidate search.
 
 Both subclass :class:`repro.protocol.rounds.ImprovementProcess`, the
-shared improvement round, and override only its policy hooks. Add an
-algorithm the same way, then call :func:`register_algorithm` with a
-runner matching the contract documented in
-:mod:`repro.algorithms.registry`;
-it immediately becomes available to ``run_sweep`` (``algorithms`` axis),
-``python -m repro sweep --algorithm`` and ``repro compare``.
+shared improvement round, and override only its policy hooks. An
+algorithm is declared once: subclass the round the same way, then make
+one :func:`register_algorithm` call with an :class:`Algorithm` whose
+``factory`` builds the per-node processes (the contract is documented
+in :mod:`repro.algorithms.registry`). The entry's
+:meth:`~Algorithm.build` and :meth:`~Algorithm.run` are shared, so it
+immediately becomes available to ``run_algorithm``, ``run_sweep``
+(``algorithms`` axis), ``python -m repro sweep --algorithm`` and
+``repro compare``.
 """
 
-from .fr_local import FRProcess, run_fr_local
+from .fr_local import FRProcess
 from .registry import (
     DEFAULT_ALGORITHM,
     Algorithm,
@@ -34,5 +37,4 @@ __all__ = [
     "register_algorithm",
     "run_algorithm",
     "FRProcess",
-    "run_fr_local",
 ]

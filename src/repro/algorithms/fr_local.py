@@ -42,11 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ProtocolError
-from ..graphs.graph import Graph
-from ..graphs.trees import RootedTree
-from ..mdst.algorithm import build_protocol, run_protocol
 from ..mdst.messages import BfsWave
-from ..mdst.result import MDSTResult
 from ..protocol import CountdownBarrier, PhaseSequencer
 from ..protocol.rounds import (
     PARENT_SIDE,
@@ -56,8 +52,9 @@ from ..protocol.rounds import (
 )
 from ..sim.messages import Message
 from ..sim.node import NodeContext
+from .registry import Algorithm, register_algorithm
 
-__all__ = ["PARENT_SIDE", "ImproveOrder", "FRProcess", "run_fr_local"]
+__all__ = ["PARENT_SIDE", "ImproveOrder", "FRProcess"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,17 +79,10 @@ class FRProcess(ImprovementProcess):
         ctx: NodeContext,
         parent: int | None,
         children: set[int],
-        target_degree: int = 2,
         max_rounds: int | None = None,
     ) -> None:
         super().__init__(
-            ctx,
-            parent,
-            children,
-            single=True,
-            polish=False,
-            target_degree=target_degree,
-            max_rounds=max_rounds,
+            ctx, parent, children, single=True, polish=False, max_rounds=max_rounds
         )
         self.is_coordinator = parent is None  # never migrates
         self.phase = PhaseSequencer(("search", "improve"))
@@ -172,73 +162,16 @@ FRProcess._DISPATCH = {
 }
 
 
-def make_fr_factory(
-    tree_parents: dict[int, int | None],
-    target_degree: int = 2,
-    max_rounds: int | None = None,
-):
-    """Factory closure binding the initial tree and knobs."""
-    return process_factory(
-        FRProcess, tree_parents, target_degree=target_degree, max_rounds=max_rounds
+def _fr_local(parents, *, mode: str, max_rounds: int | None):
+    del mode  # one schedule; accepted so sweep grids can cross the mode axis
+    return process_factory(FRProcess, parents, max_rounds=max_rounds)
+
+
+register_algorithm(
+    Algorithm(
+        "fr_local",
+        "Fürer–Raghavachari-style local improvement: fixed "
+        "coordinator, one full-fragment improvement step per round",
+        _fr_local,
     )
-
-
-def run_fr_local(
-    graph: Graph,
-    initial_tree: RootedTree | None = None,
-    *,
-    max_events: int = 5_000_000,
-    **options,
-) -> MDSTResult:
-    """Run the FR-style local-improvement protocol to termination.
-
-    Same contract as :func:`repro.mdst.algorithm.run_mdst`: returns a
-    certified :class:`~repro.mdst.result.MDSTResult` (spanning tree,
-    degree never worse than the initial tree's). The keyword *options*
-    are those of :func:`build_fr_local`.
-    """
-    return run_protocol(
-        build_fr_local, graph, initial_tree, max_events=max_events, **options
-    )
-
-
-def build_fr_local(
-    graph: Graph,
-    initial_tree: RootedTree | None = None,
-    *,
-    mode: str = "concurrent",
-    max_rounds: int | None = None,
-    **options,
-):
-    """Build half of :func:`run_fr_local` (same ``(net, finalize)``
-    contract as :func:`repro.mdst.algorithm.build_mdst`, whose keyword
-    options it takes). ``mode`` is accepted so sweep grids can cross
-    algorithms with the mode axis, but the protocol has a single
-    schedule."""
-    del mode
-    return build_protocol(
-        graph,
-        initial_tree,
-        lambda parents: make_fr_factory(parents, max_rounds=max_rounds),
-        name="fr_local",
-        **options,
-    )
-
-
-def _register() -> None:
-    from .registry import Algorithm, register_algorithm
-
-    register_algorithm(
-        Algorithm(
-            name="fr_local",
-            run=run_fr_local,
-            description=(
-                "Fürer–Raghavachari-style local improvement: fixed "
-                "coordinator, one full-fragment improvement step per round"
-            ),
-            build=build_fr_local,
-        )
-    )
-
-
-_register()
+)

@@ -2,21 +2,30 @@
 
 The reproduction started as a single-protocol codebase (`run_mdst`, the
 Blin–Butelle MDegST protocol). The registry turns it into a comparison
-platform: every algorithm is a named entry with a uniform runner
-signature, so the sweep harness, the CLI
+platform: every algorithm is a named entry whose only code is its
+per-node process factory, so the sweep harness, the CLI
 (``--algorithm``, ``repro compare``) and the property tests can treat
 "which algorithm" as just another experiment axis.
 
 Runner contract
 ---------------
+An entry is ``Algorithm(name, description, factory)``, where
+``factory(parents, *, mode, max_rounds)`` maps the initial tree's parent
+map to the per-node process factory (usually
+:func:`~repro.protocol.rounds.process_factory` over an
+:class:`~repro.protocol.rounds.ImprovementProcess` subclass). Everything
+else is shared: :meth:`Algorithm.build` wires the factory into
+:func:`~repro.mdst.algorithm.build_protocol` and :meth:`Algorithm.run`
+is build + ``net.run`` + finalize, with the keyword surface
+
 ``run(graph, initial_tree=None, *, initial_method="echo",
 mode="concurrent", max_rounds=None, seed=0, delay=None, trace=None,
 check_invariants=False, max_events=..., faults=None, scheduler=None,
 causal=None) -> MDSTResult``
 
-Algorithms are free to ignore knobs that do not apply to them (e.g. the
-FR-style protocol has no concurrent mode), but must accept them so a
-sweep grid can cross algorithms with the other axes. ``faults`` is a
+A factory is free to ignore ``mode`` (the FR-style protocol has no
+concurrent mode), but must accept it so a sweep grid can cross
+algorithms with the other axes. ``faults`` is a
 :data:`~repro.sim.faults.FaultPlan` wrapped around the process factory
 (named plans expand via :func:`repro.sim.faults.fault_plan_from_name`);
 a faulty run must either complete certified or raise — never return a
@@ -25,9 +34,9 @@ corrupt tree. ``scheduler`` is an optional
 ordering (named policies expand via
 :func:`repro.sim.scheduler.scheduler_from_name`); the same
 certified-or-raise contract must hold under any policy. ``causal`` is an
-optional :class:`~repro.sim.provenance.CausalTally` the runner must
-attach to its protocol network (not the startup construction), so run
-forensics cover every registered algorithm uniformly.
+optional :class:`~repro.sim.provenance.CausalTally` attached to the
+protocol network (not the startup construction), so run forensics cover
+every registered algorithm uniformly.
 
 Every registered algorithm claims the paper's quality target, Δ* + 1
 (:func:`repro.sequential.fr_quality_guarantee`); the property suite and
@@ -39,10 +48,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any
 
 from ..errors import ReproError
+from ..mdst.algorithm import Built, build_protocol
+from ..mdst.config import MDSTConfig
+from ..mdst.node import MDSTProcess
+from ..mdst.result import MDSTResult
+from ..protocol.rounds import process_factory
+from ..sim.node import NodeContext, Process
 
 __all__ = [
     "Algorithm",
@@ -58,17 +71,42 @@ DEFAULT_ALGORITHM = "blin_butelle"
 
 @dataclass(frozen=True)
 class Algorithm:
-    """One registered distributed MDST algorithm."""
+    """One registered distributed MDST algorithm: a name, a one-line
+    description and the per-node process factory (see the module
+    docstring's runner contract)."""
 
     name: str
-    run: Callable[..., Any] = field(repr=False)
     description: str
-    #: optional build half of ``run``: same keyword surface minus
-    #: ``max_events``, returning ``(net, finalize)`` so a caller can
-    #: drive ``net.run()`` itself and time the stages apart (the
-    #: ``perfbench`` layer ledger does). ``None`` means the algorithm
-    #: only supports the monolithic ``run`` path.
-    build: Callable[..., Any] | None = field(repr=False, default=None)
+    factory: Callable[..., Callable[[NodeContext], Process]] = field(repr=False)
+
+    def build(
+        self,
+        graph,
+        initial_tree=None,
+        *,
+        mode: str = "concurrent",
+        max_rounds: int | None = None,
+        **options,
+    ) -> Built:
+        """Build half of :meth:`run`: ``(net, finalize)``, so a caller can
+        drive ``net.run()`` itself and time the stages apart (the
+        ``perfbench`` layer ledger does). The keyword *options* are those
+        of :func:`~repro.mdst.algorithm.build_protocol`."""
+        return build_protocol(
+            graph,
+            initial_tree,
+            lambda parents: self.factory(parents, mode=mode, max_rounds=max_rounds),
+            name=self.name,
+            **options,
+        )
+
+    def run(
+        self, graph, initial_tree=None, *, max_events: int = 5_000_000, **options
+    ) -> MDSTResult:
+        """Build, run the network to quiescence (at most *max_events*)
+        and finalize: a certified :class:`~repro.mdst.result.MDSTResult`."""
+        net, finalize = self.build(graph, initial_tree, **options)
+        return finalize(None if net is None else net.run(max_events))
 
 
 _REGISTRY: dict[str, Algorithm] = {}
@@ -99,37 +137,22 @@ def get_algorithm(name: str) -> Algorithm:
         ) from None
 
 
-def run_algorithm(name: str, graph, initial_tree=None, **kwargs):
+def run_algorithm(name: str, graph, initial_tree=None, **kwargs) -> MDSTResult:
     """Dispatch one run to the named algorithm's runner."""
     return get_algorithm(name).run(graph, initial_tree, **kwargs)
 
 
-def _register_builtin_blin() -> None:
-    from ..mdst.algorithm import build_mdst, run_protocol
-    from ..mdst.config import MDSTConfig
-
-    def _build_blin(
-        graph,
-        initial_tree=None,
-        *,
-        mode: str = "concurrent",
-        max_rounds: int | None = None,
-        **options,
-    ):
-        config = MDSTConfig(mode=mode, max_rounds=max_rounds)
-        return build_mdst(graph, initial_tree, config=config, **options)
-
-    register_algorithm(
-        Algorithm(
-            name="blin_butelle",
-            run=partial(run_protocol, _build_blin),
-            description=(
-                "Blin & Butelle MDegST: migrating round root, concurrent "
-                "same-cutter exchanges with single-target polish"
-            ),
-            build=_build_blin,
-        )
+def _blin_butelle(parents, *, mode: str, max_rounds: int | None):
+    return process_factory(
+        MDSTProcess, parents, config=MDSTConfig(mode=mode, max_rounds=max_rounds)
     )
 
 
-_register_builtin_blin()
+register_algorithm(
+    Algorithm(
+        "blin_butelle",
+        "Blin & Butelle MDegST: migrating round root, concurrent "
+        "same-cutter exchanges with single-target polish",
+        _blin_butelle,
+    )
+)

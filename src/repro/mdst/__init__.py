@@ -1,6 +1,6 @@
 """The paper's contribution: the distributed MDegST protocol.
 
-``run_mdst``, ``MDSTProcess`` and ``make_mdst_factory`` resolve lazily
+``run_mdst`` and ``MDSTProcess`` resolve lazily
 (PEP 562): :mod:`repro.protocol.rounds` imports :mod:`repro.mdst.messages`,
 and :mod:`repro.mdst.node` subclasses that module's base, so importing
 this package must not import ``node`` eagerly.
@@ -24,7 +24,7 @@ from .messages import (
 )
 from .result import MDSTResult, RoundInfo
 
-_LAZY = {"run_mdst": "algorithm", "MDSTProcess": "node", "make_mdst_factory": "node"}
+_LAZY = {"run_mdst": "algorithm", "MDSTProcess": "node"}
 
 __all__ = [
     "run_mdst",
@@ -32,7 +32,6 @@ __all__ = [
     "MDSTResult",
     "RoundInfo",
     "MDSTProcess",
-    "make_mdst_factory",
     "Search",
     "DegreeReport",
     "MoveRoot",

@@ -1,18 +1,22 @@
 """Top-level runner: wire a graph + initial tree into the simulator, run
 the MDegST protocol to termination, extract and certify the result.
 
-:func:`build_protocol` and :func:`run_protocol` are that sequence for
-any registered algorithm; :func:`build_mdst` and :func:`run_mdst` bind it
-to the MDegST process."""
+:func:`build_protocol` is that sequence's build half for any per-node
+process factory (every registered algorithm's
+:meth:`~repro.algorithms.Algorithm.build` calls it); :func:`run_mdst`
+binds it to :class:`~repro.mdst.node.MDSTProcess` under a full
+:class:`~repro.mdst.config.MDSTConfig`."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
-from ..errors import NotConnectedError, ProtocolError, ReproError, StallError
+from ..errors import NotConnectedError, ProtocolError, ReproError
 from ..graphs.graph import Graph
 from ..graphs.traversal import is_connected
 from ..graphs.trees import RootedTree
+from ..protocol.rounds import process_factory
 from ..sim.delays import DelayModel
 from ..sim.faults import FaultPlan, wrap_factory
 from ..sim.metrics import SimulationReport
@@ -21,19 +25,17 @@ from ..sim.network import Network
 from ..sim.provenance import CausalTally
 from ..sim.scheduler import SchedulerPolicy
 from ..sim.trace import TraceRecorder
+from ..spanning.base import extract_tree
 from ..spanning.provider import build_spanning_tree
 from .config import MDSTConfig
-from .node import make_mdst_factory
+from .node import MDSTProcess
 from .result import MDSTResult, RoundInfo
 
 __all__ = [
     "run_mdst",
-    "build_mdst",
-    "run_protocol",
     "build_protocol",
     "trivial_result",
     "finalize_protocol_run",
-    "extract_final_tree",
     "rounds_from_marks",
 ]
 
@@ -46,13 +48,17 @@ def run_mdst(
     graph: Graph,
     initial_tree: RootedTree | None = None,
     *,
+    config: MDSTConfig = MDSTConfig(),
     max_events: int = 5_000_000,
     **options,
 ) -> MDSTResult:
     """Run the distributed MDegST algorithm of Blin & Butelle on *graph*.
 
-    The keyword *options* are those of :func:`build_mdst`; *max_events*
-    bounds the simulation.
+    The one runner that takes a full :class:`MDSTConfig` (the registered
+    ``blin_butelle`` entry sets only its ``mode`` and ``max_rounds``);
+    the default is the faithful concurrent mode with single-target
+    polish. The keyword *options* are those of :func:`build_protocol`;
+    *max_events* bounds the simulation.
 
     Returns
     -------
@@ -61,47 +67,14 @@ def run_mdst(
         certified: the output is a spanning tree of *graph* whose degree
         never exceeds the initial tree's.
     """
-    return run_protocol(
-        build_mdst, graph, initial_tree, max_events=max_events, **options
-    )
-
-
-def build_mdst(
-    graph: Graph,
-    initial_tree: RootedTree | None = None,
-    *,
-    config: MDSTConfig | None = None,
-    **options,
-) -> Built:
-    """The build half of :func:`run_mdst` (see :func:`build_protocol`).
-
-    config:
-        Protocol options (:class:`MDSTConfig`); defaults to the faithful
-        concurrent mode with single-target polish.
-    """
-    cfg = config or MDSTConfig()
-    return build_protocol(
+    net, finalize = build_protocol(
         graph,
         initial_tree,
-        lambda parents: make_mdst_factory(parents, cfg),
+        partial(process_factory, MDSTProcess, config=config),
         name="MDegST",
         **options,
     )
-
-
-def run_protocol(
-    build: Callable[..., Built],
-    graph: Graph,
-    initial_tree: RootedTree | None = None,
-    *,
-    max_events: int = 5_000_000,
-    **options,
-) -> MDSTResult:
-    """Build with *build*, run the network to quiescence and finalize: the
-    one-call form of any ``(net, finalize)`` build function."""
-    net, finalize = build(graph, initial_tree, **options)
-    report = net.run(max_events=max_events) if net is not None else None
-    return finalize(report)
+    return finalize(None if net is None else net.run(max_events))
 
 
 def build_protocol(
@@ -125,7 +98,8 @@ def build_protocol(
     packages the protocol outcome. ``net`` is ``None`` for the trivial
     ``n <= 2`` case (nothing to simulate; ``finalize`` then ignores its
     argument). The split form lets a caller drive and time ``net.run()``
-    itself; :func:`run_protocol` is build + run + finalize.
+    itself; :meth:`repro.algorithms.Algorithm.run` and :func:`run_mdst`
+    are build + run + finalize.
 
     Parameters
     ----------
@@ -227,10 +201,10 @@ def finalize_protocol_run(
     initial_tree: RootedTree,
     report: SimulationReport,
 ) -> MDSTResult:
-    """Extract + certify the final tree off a quiescent network — the
-    shared epilogue of every registered algorithm (and of both the
-    per-cell and batched drive paths)."""
-    final_tree = extract_final_tree(net, graph)
+    """Extract (:func:`~repro.spanning.base.extract_tree`) and certify
+    the final tree off a quiescent network: the shared epilogue of every
+    protocol run."""
+    final_tree = extract_tree(net, graph)
     rounds = rounds_from_marks(report)
     if final_tree.max_degree() > initial_tree.max_degree():
         raise ProtocolError(
@@ -244,37 +218,6 @@ def finalize_protocol_run(
         rounds=rounds,
         report=report,
     )
-
-
-def extract_final_tree(net: Network, graph: Graph) -> RootedTree:
-    """Read the final tree off any protocol whose processes expose
-    ``parent`` / ``children`` / ``terminated`` (shared by every algorithm
-    in :mod:`repro.algorithms`), with full post-hoc certification."""
-    parents: dict[int, int | None] = {}
-    roots = []
-    for u, proc in net.processes.items():
-        if not proc.terminated:
-            # a stall (quiescent but unfinished), not a corrupted tree —
-            # StallError lets fault/churn harnesses flatten it loudly
-            raise StallError(f"node {u} never terminated")
-        parents[u] = proc.parent
-        if proc.parent is None:
-            roots.append(u)
-        elif not graph.has_edge(u, proc.parent):
-            raise ProtocolError(f"node {u} has non-edge parent {proc.parent}")
-    if len(roots) != 1:
-        raise ProtocolError(f"expected one root, got {roots}")
-    tree = RootedTree(roots[0], parents)
-    if tree.n != graph.n:
-        raise ProtocolError("final tree does not span the graph")
-    # parent/children views must agree
-    for u, proc in net.processes.items():
-        if set(proc.children) != tree.children(u):
-            raise ProtocolError(
-                f"node {u}: children view {sorted(proc.children)} != "
-                f"{sorted(tree.children(u))}"
-            )
-    return tree
 
 
 def rounds_from_marks(report: SimulationReport) -> tuple[RoundInfo, ...]:

@@ -29,9 +29,6 @@ class MDSTConfig:
         continue with single-target rounds before terminating (recovers
         the cross-region exchanges the same-cutter restriction skips).
         Ignored in single mode.
-    target_degree:
-        Stop as soon as the tree degree reaches this floor (paper: 2,
-        "the tree is a chain").
     max_rounds:
         Optional hard cap on rounds (safety net for experiments); ``None``
         means unbounded — the simulator's event budget still applies.
@@ -39,13 +36,10 @@ class MDSTConfig:
 
     mode: str = "concurrent"
     polish: bool = True
-    target_degree: int = 2
     max_rounds: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.target_degree < 2:
-            raise ValueError("target_degree must be >= 2")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 when set")

@@ -31,14 +31,13 @@ from ..protocol.rounds import (
     DegreeAggregate,
     FragId,
     ImprovementProcess,
-    process_factory,
 )
 from ..protocol.token import RootMigration
 from ..sim.node import NodeContext
 from .config import MDSTConfig
 from .messages import MoveRoot, MoveRootAck
 
-__all__ = ["Agg", "DegreeAggregate", "FragId", "MDSTProcess", "make_mdst_factory"]
+__all__ = ["Agg", "DegreeAggregate", "FragId", "MDSTProcess"]
 
 
 class MDSTProcess(ImprovementProcess):
@@ -57,7 +56,6 @@ class MDSTProcess(ImprovementProcess):
             children,
             single=config.mode == "single",
             polish=config.polish,
-            target_degree=config.target_degree,
             max_rounds=config.max_rounds,
         )
         # -- MoveRoot handoff state (cleared by the ack, not by round reset) --
@@ -141,8 +139,3 @@ MDSTProcess._DISPATCH = {
     MoveRoot: MDSTProcess._on_move_root,
     MoveRootAck: lambda self, sender, msg: self._on_move_root_ack(sender),
 }
-
-
-def make_mdst_factory(tree_parents: dict[int, int | None], config: MDSTConfig):
-    """Factory closure binding the initial tree and configuration."""
-    return process_factory(MDSTProcess, tree_parents, config=config)

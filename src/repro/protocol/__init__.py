@@ -11,7 +11,7 @@ library — is assembled from a handful of classic building blocks:
   (:class:`TokenWalk`, :class:`RootMigration`);
 * the **edge-exchange commit** handshake and its messages
   (:class:`ExchangeMixin`);
-* **phase sequencing** with per-phase completion callbacks
+* **phase sequencing** and the round's completion barrier
   (:class:`PhaseSequencer`, :class:`CountdownBarrier`).
 
 :mod:`repro.protocol.rounds` assembles them into the one improvement

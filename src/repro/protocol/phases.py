@@ -5,14 +5,14 @@ knows how many participants owe a report and releases the round
 transition exactly when the last one arrives (an extra arrival is a
 protocol violation, not a silent double-fire).
 
-:class:`PhaseSequencer` names the ordered phases of a round and runs a
-per-phase completion callback on entry; ``require`` turns "this message
-belongs to phase X" into an explicit, loud protocol check.
+:class:`PhaseSequencer` names the ordered phases of a round and stamps
+each phase it enters onto the causal capture; ``require`` turns "this
+message belongs to phase X" into an explicit, loud protocol check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 from ..errors import ProtocolError
 from ..sim import provenance
@@ -45,45 +45,37 @@ class CountdownBarrier:
 
 
 class PhaseSequencer:
-    """Ordered phase names with optional per-phase entry callbacks.
+    """Ordered phase names of a round.
 
     ``advance()`` moves to the next phase (wrapping to the first, i.e. a
-    new round) and runs its callback; ``require(phase)`` raises
+    new round); ``require(phase)`` raises
     :class:`~repro.errors.ProtocolError` when a message arrives outside
     the phase it belongs to.
     """
 
-    __slots__ = ("phases", "index", "_callbacks")
+    __slots__ = ("phases", "index")
 
-    def __init__(
-        self,
-        phases: tuple[str, ...],
-        callbacks: Mapping[str, Callable[[], None]] | None = None,
-    ) -> None:
+    def __init__(self, phases: tuple[str, ...]) -> None:
         if not phases:
             raise ProtocolError("sequencer needs at least one phase")
         self.phases = phases
         self.index = 0
-        self._callbacks = dict(callbacks or {})
 
     @property
     def current(self) -> str:
         return self.phases[self.index]
 
     def advance(self) -> str:
-        """Enter the next phase (wrapping) and run its entry callback."""
+        """Enter the next phase (wrapping)."""
         self.index = (self.index + 1) % len(self.phases)
         phase = self.phases[self.index]
         if provenance.ACTIVE is not None:
             provenance.stamp("sequencer")
             provenance.stamp_phase(phase)
-        callback = self._callbacks.get(phase)
-        if callback is not None:
-            callback()
         return phase
 
     def reset(self) -> None:
-        """Jump back to the first phase without firing its callback."""
+        """Jump back to the first phase."""
         self.index = 0
         if provenance.ACTIVE is not None:
             provenance.stamp("sequencer")

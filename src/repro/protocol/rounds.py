@@ -82,6 +82,7 @@ from .wave import WaveEchoTracker
 
 __all__ = [
     "PARENT_SIDE",
+    "TARGET_DEGREE",
     "Agg",
     "DegreeAggregate",
     "FragId",
@@ -93,6 +94,10 @@ __all__ = [
 FragId = tuple[int, int]
 #: aggregate = (degree, node-id); "better" = higher degree, then lower id
 Agg = tuple[int, int]
+
+#: the protocol stops once the tree degree reaches this floor: the
+#: paper's chain (a spanning tree of maximum degree 2 is a path)
+TARGET_DEGREE = 2
 
 #: sentinel cut-child identity of a parent-side fragment. Node identities
 #: are non-negative, so it never collides with a real cut child.
@@ -168,7 +173,6 @@ class ImprovementProcess(ExchangeMixin, Process):
         *,
         single: bool,
         polish: bool,
-        target_degree: int,
         max_rounds: int | None,
     ) -> None:
         super().__init__(ctx)
@@ -180,7 +184,6 @@ class ImprovementProcess(ExchangeMixin, Process):
         # -- round-end rule --
         self.single = single
         self.polish = polish
-        self.target_degree = target_degree
         self.max_rounds = max_rounds
         # -- cross-round flags --
         self.stuck = False
@@ -189,7 +192,11 @@ class ImprovementProcess(ExchangeMixin, Process):
         self.is_coordinator = False
         self.barrier: CountdownBarrier | None = None
         self.improved_count = 0
-        # -- per-round state --
+        # -- per-round state -- built here as well as when each round
+        # starts: a node can take a cross BfsWave before its first Search
+        # (a churn rejoin) or a stray ChildAck, and those handlers must
+        # read it to raise their ProtocolError texts (fuzz coverage keys
+        # on them), not an AttributeError
         self._reset_round_state()
 
     def _reset_round_state(self) -> None:
@@ -335,7 +342,7 @@ class ImprovementProcess(ExchangeMixin, Process):
     def _finish_search(self, agg: DegreeAggregate) -> None:
         """Coordinator: aggregation done — route the round or terminate."""
         k = agg.max[0]
-        if k <= self.target_degree or (
+        if k <= TARGET_DEGREE or (
             # every maximum-degree node is known stuck: local optimum
             self.single and (agg.elig is None or agg.elig[0] < k)
         ):

@@ -4,14 +4,15 @@ Every algorithm in this package satisfies the contract the paper needs
 from its startup process (§3.2): upon termination *by process* every node
 knows its parent and children in a rooted spanning tree, and knows that
 construction has finished. The tree is extracted from node state after the
-network quiesces.
+network quiesces, by :func:`extract_tree` — the same read-back that
+finalizes every improvement-protocol run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, StallError
 from ..graphs.graph import Graph
 from ..graphs.trees import RootedTree
 from ..sim.metrics import SimulationReport
@@ -43,33 +44,37 @@ class SpanningTreeOutcome:
 
 
 def extract_tree(net: Network, graph: Graph) -> RootedTree:
-    """Read ``parent`` pointers off the node processes and validate.
+    """Read the tree off a quiescent network's processes and certify it:
+    the one read-back of every distributed construction, startup and
+    improvement protocol alike.
 
-    Raises :class:`ProtocolError` if any node lacks a decided state, if
-    parents are not graph edges, or if the result is not a spanning tree —
-    i.e. post-hoc certification of the construction.
+    Every process must have halted (a node that never did is a stall,
+    :class:`StallError`, which fault and churn harnesses flatten loudly)
+    and expose ``parent``; where a process keeps a ``children`` view it
+    must mirror the parent pointers. Raises :class:`ProtocolError` if a
+    parent is not a graph edge or the pointers do not form one spanning
+    tree.
     """
     parents: dict[int, int | None] = {}
     roots = []
     for u, proc in net.processes.items():
         if not proc.terminated:
-            raise ProtocolError(f"node {u} did not terminate")
-        par = getattr(proc, "parent", None)
-        parents[u] = par
+            raise StallError(f"node {u} never terminated")
+        parents[u] = par = proc.parent
         if par is None:
             roots.append(u)
         elif not graph.has_edge(u, par):
-            raise ProtocolError(f"node {u} claims non-edge parent {par}")
+            raise ProtocolError(f"node {u} has non-edge parent {par}")
     if len(roots) != 1:
-        raise ProtocolError(f"expected exactly one root, got {roots}")
+        raise ProtocolError(f"expected one root, got {roots}")
     tree = RootedTree(roots[0], parents)
     if tree.n != graph.n:
-        raise ProtocolError("tree does not span the graph")
-    # children views must mirror parent views where the protocol keeps them
+        raise ProtocolError("final tree does not span the graph")
     for u, proc in net.processes.items():
         kids = getattr(proc, "children", None)
         if kids is not None and set(kids) != tree.children(u):
             raise ProtocolError(
-                f"node {u} children view {sorted(kids)} != tree {sorted(tree.children(u))}"
+                f"node {u}: children view {sorted(kids)} != "
+                f"{sorted(tree.children(u))}"
             )
     return tree

@@ -2,30 +2,36 @@
 end-to-end runs, quality vs the sequential baselines, executor/cache
 round-trips with the algorithm axis, and CLI integration."""
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms import (
     Algorithm,
+    FRProcess,
     algorithm_names,
     get_algorithm,
     register_algorithm,
     run_algorithm,
-    run_fr_local,
 )
 from repro.algorithms.registry import _REGISTRY
 from repro.analysis import (
     CachingExecutor,
     ParallelExecutor,
     ResultCache,
+    RunSpec,
     SerialExecutor,
     SweepSpec,
     run_single,
     run_sweep,
 )
+from repro.analysis.batch import CellTemplate
 from repro.cli import main
 from repro.errors import ProtocolError, ReproError
 from repro.graphs import complete, gnp_connected, lollipop, ring, star, torus
-from repro.mdst import run_mdst
+from repro.mdst import MDSTConfig, MDSTProcess, run_mdst
+from repro.mdst.algorithm import build_protocol
+from repro.protocol.rounds import process_factory
 from repro.sequential import (
     fr_quality_guarantee,
     fuerer_raghavachari,
@@ -37,6 +43,8 @@ from repro.spanning import (
     greedy_hub_tree,
     random_spanning_tree,
 )
+
+FR_LOCAL = get_algorithm("fr_local")
 
 
 class TestRegistry:
@@ -59,8 +67,8 @@ class TestRegistry:
             register_algorithm(
                 Algorithm(
                     name="no spaces!",
-                    run=lambda *a, **k: None,
                     description="x",
+                    factory=lambda parents, **_: None,
                 )
             )
 
@@ -71,13 +79,87 @@ class TestRegistry:
         finally:
             _REGISTRY["fr_local"] = original
 
-    def test_blin_dispatch_matches_run_mdst(self):
+    @pytest.mark.parametrize(
+        "name, direct",
+        [
+            ("blin_butelle", lambda g, t: run_mdst(g, t, seed=1)),
+            (
+                "fr_local",
+                lambda g, t: _run_by_hand(partial(process_factory, FRProcess), g, t),
+            ),
+        ],
+        ids=["blin_butelle", "fr_local"],
+    )
+    def test_dispatch_matches_direct_run(self, name, direct):
         g = gnp_connected(14, 0.3, seed=3)
         t = greedy_hub_tree(g)
-        via_registry = run_algorithm("blin_butelle", g, t, seed=1)
-        direct = run_mdst(g, t, seed=1)
-        assert via_registry.final_tree.edges() == direct.final_tree.edges()
-        assert via_registry.report.by_type == direct.report.by_type
+        via_registry = run_algorithm(name, g, t, seed=1)
+        expected = direct(g, t)
+        assert via_registry.final_tree.edges() == expected.final_tree.edges()
+        assert via_registry.report == expected.report
+
+
+def _run_by_hand(factory, graph, tree, seed=1):
+    """Build, drive and finalize a run of *factory* without the registry."""
+    net, finalize = build_protocol(graph, tree, factory, name="by_hand", seed=seed)
+    return finalize(net.run())
+
+
+def _blin_single(parents, *, mode, max_rounds):
+    del mode  # forced
+    return process_factory(
+        MDSTProcess, parents, config=MDSTConfig(mode="single", max_rounds=max_rounds)
+    )
+
+
+@pytest.fixture
+def blin_single():
+    """A test-only entry: the paper's process with single mode forced."""
+    algo = register_algorithm(
+        Algorithm("test_blin_single", "MDegST, single mode forced", _blin_single)
+    )
+    yield algo
+    del _REGISTRY[algo.name]
+
+
+class TestRegistrationIsTheRecipe:
+    """One process class plus one ``register_algorithm`` call is a whole
+    algorithm: every driver of the entry runs exactly that process."""
+
+    def test_every_driver_agrees_with_run_mdst(self, blin_single):
+        spec = RunSpec(family="gnp_sparse", n=14, seed=2, algorithm=blin_single.name)
+        template = CellTemplate(spec)
+        graph, startup, _, _ = template.setup(spec.seed)
+        tree = startup.tree
+        expected = run_mdst(graph, tree, config=MDSTConfig(mode="single"), seed=2)
+        assert expected.num_rounds > 0
+        assert all(r.mode == "single" for r in expected.rounds)
+
+        net, finalize = blin_single.build(graph, tree, seed=2)
+        for result in (
+            run_algorithm(blin_single.name, graph, tree, seed=2),
+            finalize(net.run()),
+        ):
+            assert result.final_tree.edges() == expected.final_tree.edges()
+            assert result.rounds == expected.rounds
+            assert result.report == expected.report
+
+        record = template.run(spec.seed)
+        assert record.algorithm == blin_single.name
+        assert record.outcome == "ok"
+        assert (
+            record.k_final,
+            record.rounds,
+            record.messages,
+            record.causal_time,
+            record.events,
+        ) == (
+            expected.final_degree,
+            expected.num_rounds,
+            expected.messages,
+            expected.causal_time,
+            expected.report.events_processed,
+        )
 
 
 class TestFRLocalEndToEnd:
@@ -95,19 +177,19 @@ class TestFRLocalEndToEnd:
     )
     def test_structured_topologies(self, g):
         t0 = greedy_hub_tree(g)
-        res = run_fr_local(g, t0, check_invariants=True)
+        res = FR_LOCAL.run(g, t0, check_invariants=True)
         assert res.final_tree.is_spanning_tree_of(g)
         assert res.final_degree <= t0.max_degree()
         assert res.report.quiescent
 
     def test_message_size_claim_holds(self):
         g = gnp_connected(18, 0.3, seed=2)
-        res = run_fr_local(g, greedy_hub_tree(g))
+        res = FR_LOCAL.run(g, greedy_hub_tree(g))
         assert res.report.max_id_fields <= 4
 
     def test_round_marks_are_fr_mode(self):
         g = complete(8)
-        res = run_fr_local(g, greedy_hub_tree(g))
+        res = FR_LOCAL.run(g, greedy_hub_tree(g))
         assert res.num_rounds > 0
         assert all(r.mode == "fr" for r in res.rounds)
         assert all(r.cutters == 1 for r in res.rounds)
@@ -116,7 +198,7 @@ class TestFRLocalEndToEnd:
         g = gnp_connected(16, 0.3, seed=1)
         t0 = greedy_hub_tree(g)
         runs = [
-            run_fr_local(g, t0, delay=UniformDelay(), seed=3) for _ in range(2)
+            FR_LOCAL.run(g, t0, delay=UniformDelay(), seed=3) for _ in range(2)
         ]
         assert runs[0].final_tree.edges() == runs[1].final_tree.edges()
         assert runs[0].report == runs[1].report
@@ -126,7 +208,7 @@ class TestFRLocalEndToEnd:
         g = gnp_connected(12, 0.35, seed=4)
         t0 = random_spanning_tree(g, seed=2)
         for delay in (UniformDelay(), ExponentialDelay(), PerLinkDelay()):
-            res = run_fr_local(
+            res = FR_LOCAL.run(
                 g, t0, delay=delay, seed=sched_seed, check_invariants=True
             )
             assert res.final_tree.is_spanning_tree_of(g)
@@ -134,33 +216,33 @@ class TestFRLocalEndToEnd:
 
     def test_dense_graph_reaches_chain(self):
         g = complete(10)
-        res = run_fr_local(g, greedy_hub_tree(g))
+        res = FR_LOCAL.run(g, greedy_hub_tree(g))
         assert res.final_degree == 2
 
     def test_max_rounds_cap_marks(self):
         g = complete(10)
-        res = run_fr_local(g, greedy_hub_tree(g), max_rounds=1)
+        res = FR_LOCAL.run(g, greedy_hub_tree(g), max_rounds=1)
         labels = [label for _t, label, _v in res.report.marks]
         assert "capped" in labels
         assert res.num_rounds <= 1
 
     def test_trivial_graphs(self):
-        res = run_fr_local(ring(3))
+        res = FR_LOCAL.run(ring(3))
         assert res.final_tree.n == 3
         two = build_spanning_tree(ring(4), method="bfs").tree
-        assert run_fr_local(ring(4), two).final_degree == 2
+        assert FR_LOCAL.run(ring(4), two).final_degree == 2
 
     def test_arbitrary_nonnegative_ids(self):
         base = gnp_connected(12, 0.35, seed=6)
         g = base.relabeled({u: 17 * u + 2 for u in base.nodes()})
-        res = run_fr_local(g, check_invariants=True)
+        res = FR_LOCAL.run(g, check_invariants=True)
         assert res.final_tree.is_spanning_tree_of(g)
 
     def test_final_degree_never_exceeds_initial(self):
         """The certification in the runner is also enforced internally."""
         g = gnp_connected(15, 0.3, seed=9)
         t0 = random_spanning_tree(g, seed=5)
-        res = run_fr_local(g, t0)
+        res = FR_LOCAL.run(g, t0)
         assert res.final_degree <= t0.max_degree()
 
 
@@ -169,7 +251,7 @@ class TestFRQuality:
         for seed in range(6):
             g = gnp_connected(12, 0.35, seed=seed)
             t0 = random_spanning_tree(g, seed=seed)
-            res = run_fr_local(g, t0)
+            res = FR_LOCAL.run(g, t0)
             fr_tree, _ = fuerer_raghavachari(g, t0)
             assert abs(res.final_degree - fr_tree.max_degree()) <= 1
 
@@ -177,7 +259,7 @@ class TestFRQuality:
         for seed in range(6):
             g = gnp_connected(9, 0.4, seed=seed)
             opt = optimal_degree(g)
-            res = run_fr_local(g, random_spanning_tree(g, seed=seed))
+            res = FR_LOCAL.run(g, random_spanning_tree(g, seed=seed))
             assert res.final_degree <= fr_quality_guarantee(opt)
 
 

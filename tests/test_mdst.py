@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MDSTConfig(mode="warp")
 
-    def test_bad_target_degree(self):
-        with pytest.raises(ValueError):
-            MDSTConfig(target_degree=1)
-
     def test_bad_max_rounds(self):
         with pytest.raises(ValueError):
             MDSTConfig(max_rounds=0)

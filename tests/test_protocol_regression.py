@@ -11,7 +11,7 @@ protocol behaviour, not just its packaging.
 
 import hashlib
 
-from repro.algorithms.fr_local import run_fr_local
+from repro.algorithms import run_algorithm
 from repro.graphs import complete, gnp_connected
 from repro.mdst import MDSTConfig, run_mdst
 from repro.sim import ExponentialDelay, TraceRecorder
@@ -41,7 +41,7 @@ def mdst_digest(graph, tree, *, mode="concurrent", delay=None, seed=0) -> str:
 
 def fr_digest(graph, tree, *, delay=None, seed=0) -> str:
     tr = TraceRecorder(capacity=10**6)
-    run_fr_local(graph, tree, delay=delay, seed=seed, trace=tr)
+    run_algorithm("fr_local", graph, tree, delay=delay, seed=seed, trace=tr)
     return trace_digest(tr.records)
 
 

@@ -16,20 +16,20 @@ import dataclasses
 import pytest
 
 from repro._mutation import mutated
-from repro.algorithms.fr_local import make_fr_factory
+from repro.algorithms import get_algorithm
 from repro.analysis.batch import CellTemplate
 from repro.analysis.executor import RunSpec
 from repro.errors import ProtocolError
 from repro.graphs.generators import make_family, path_graph
-from repro.mdst.config import MDSTConfig
-from repro.mdst.node import make_mdst_factory
 from repro.sim import CausalCapture, Message, Network, Process, SimulationReport
 from repro.sim.scheduler import scheduler_names
 from repro.spanning import build_spanning_tree
 
 FACTORIES = {
-    "blin_butelle": lambda parents: make_mdst_factory(parents, MDSTConfig()),
-    "fr_local": lambda parents: make_fr_factory(parents),
+    name: lambda parents, name=name: get_algorithm(name).factory(
+        parents, mode="concurrent", max_rounds=None
+    )
+    for name in ("blin_butelle", "fr_local")
 }
 
 

@@ -187,9 +187,8 @@ class TestProvider:
 
     def test_startup_that_never_halts_is_a_stall(self, monkeypatch):
         """The startup protocol must terminate by process (§3.1): nodes
-        that go quiet without halting fail the check made after the
-        run with StallError (``extract_tree`` alone would raise a plain
-        ProtocolError)."""
+        that go quiet without halting fail the read-back after the run
+        with StallError, not a plain ProtocolError."""
         import repro.spanning.provider as provider
 
         class Mute(Process):
