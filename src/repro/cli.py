@@ -229,24 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--compare",
         default=None,
-        metavar="BASELINE",
+        metavar="BASELINE|REV",
         help=(
-            "baseline JSON to compare the fresh run against (default "
-            "with --gate: the newest BENCH_*.json in the cwd)"
+            "a BENCH_*.json file: compare the fresh run's work section "
+            "exactly (default with --gate: the newest BENCH_*.json in "
+            "the cwd); a git revision: time the suite at REV against "
+            "this checkout in ten alternating subprocess pairs and judge "
+            "each bench's speed (only --suite, --repeats, --warmup and "
+            "--gate apply)"
         ),
     )
     bench_p.add_argument(
         "--gate",
         action="store_true",
-        help="exit non-zero if the comparison has regression verdicts",
-    )
-    bench_p.add_argument(
-        "--gate-time",
-        choices=("auto", "on", "off"),
-        default="auto",
         help=(
-            "gate time metrics: auto = only when the machine "
-            "fingerprints match (work metrics are always gated exactly)"
+            "exit 1 if a work metric differs from the file, or if a "
+            "bench is judged slower than the revision"
         ),
     )
     bench_p.add_argument(
@@ -1055,6 +1053,7 @@ def _bench(args: argparse.Namespace) -> int:
         compare_baselines,
         latest_baseline_path,
         load_baseline,
+        resolve_revision,
         run_suite,
         save_baseline,
         suite_benches,
@@ -1084,7 +1083,7 @@ def _bench(args: argparse.Namespace) -> int:
         print()
         print(
             "run with: python -m repro bench --suite smoke "
-            "[--out PATH] [--compare BASELINE --gate]"
+            "[--out PATH] [--compare BASELINE|REV --gate]"
         )
         return 0
 
@@ -1106,6 +1105,16 @@ def _bench(args: argparse.Namespace) -> int:
             )
             return 2
         compare_path = str(latest)
+    elif compare_path is not None and not Path(compare_path).is_file():
+        rev = resolve_revision(compare_path)
+        if rev is None:
+            print(
+                f"bench: --compare {compare_path!r} is no such baseline "
+                "file and no git revision of the checkout holding the cwd",
+                file=sys.stderr,
+            )
+            return 2
+        return _bench_pairs(args, rev)
 
     try:
         fresh = run_suite(
@@ -1162,12 +1171,37 @@ def _bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    gate_time = {"auto": None, "on": True, "off": False}[args.gate_time]
-    comparison = compare_baselines(baseline, fresh, gate_time=gate_time)
+    comparison = compare_baselines(baseline, fresh)
     print()
     print(f"baseline: {compare_path} (rev {baseline.git_rev})")
     print(comparison.render())
     if args.gate and not comparison.ok:
+        return 1
+    return 0
+
+
+def _bench_pairs(args: argparse.Namespace, rev: str) -> int:
+    """``bench --compare REV``: the suite at *rev* (A) against this
+    checkout (B) in alternating subprocess pairs, one speed verdict per
+    bench."""
+    from .perf import PAIRS, compare_pairs, run_pairs
+
+    print(
+        f"bench: timing suite '{args.suite}' at {args.compare} "
+        f"({rev[:12]}, side A) against this checkout (side B) in {PAIRS} "
+        "alternating pairs",
+        file=sys.stderr,
+    )
+    try:
+        a_runs, b_runs = run_pairs(
+            rev, args.suite, repeats=args.repeats, warmup=args.warmup
+        )
+    except AnalysisError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
+    comparison = compare_pairs(a_runs, b_runs)
+    print(comparison.render())
+    if args.gate and comparison.slower:
         return 1
     return 0
 

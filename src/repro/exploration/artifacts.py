@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
 
 from ..errors import AnalysisError
 from .cells import ExplorationCell

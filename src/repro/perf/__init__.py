@@ -11,19 +11,22 @@ defended*:
   seeded-bootstrap confidence intervals;
 * ``BENCH_<nnnn>.json`` trajectory files at the repo root — one point
   per PR that touches performance, with machine fingerprint and git
-  revision;
-* a regression gate: **work metrics** (events, messages, rounds, bits)
-  are deterministic and gated exactly on any machine; **time metrics**
-  are gated with a noise tolerance, and only against a matching machine
-  fingerprint;
+  revision as history;
+* two verdicts: **work metrics** (events, messages, rounds, bits) are
+  deterministic and gated exactly against a ``BENCH_*.json`` file on
+  any machine; **speed** is judged only against a git revision, over
+  :data:`~repro.perf.runner.PAIRS` alternating subprocess pairs, by
+  :func:`~repro.perf.stats.paired_verdict`;
 * a mutation self-test: the ``slow_event_loop`` switch
-  (:mod:`repro._mutation`) slows every message delivery and must trip
-  the gate — the perf analogue of the exploration harness's
-  ``skip_cutter_gate``.
+  (:mod:`repro._mutation`) slows every message delivery, and paired
+  against the healthy revision it must be judged slower — the perf
+  analogue of the exploration harness's ``skip_cutter_gate``.
 
 Entry points: ``python -m repro bench`` (CLI),
 :func:`~repro.perf.runner.run_suite` /
-:func:`~repro.perf.compare.compare_baselines` (library).
+:func:`~repro.perf.compare.compare_baselines` /
+:func:`~repro.perf.runner.run_pairs` /
+:func:`~repro.perf.compare.compare_pairs` (library).
 """
 
 from . import library as _library  # registers the built-in benches
@@ -39,8 +42,14 @@ from .baseline import (
     save_baseline,
     work_bytes,
 )
-from .compare import TIME_TOLERANCE, Comparison, Verdict, compare_baselines
-from .runner import aggregate_work, run_suite
+from .compare import (
+    Comparison,
+    PairedComparison,
+    Verdict,
+    compare_baselines,
+    compare_pairs,
+)
+from .runner import PAIRS, aggregate_work, resolve_revision, run_pairs, run_suite
 from .spec import (
     SUITE_DESCRIPTIONS,
     SUITES,
@@ -51,7 +60,7 @@ from .spec import (
     suite_benches,
     suite_names,
 )
-from .stats import bootstrap_ci, iqr, median, quantile
+from .stats import PairedVerdict, bootstrap_ci, iqr, median, paired_verdict, quantile
 from .timing import TimingSample, time_callable
 
 BUILTIN_BENCHES = _library.BUILTIN_BENCHES
@@ -72,6 +81,8 @@ __all__ = [
     "iqr",
     "quantile",
     "bootstrap_ci",
+    "PairedVerdict",
+    "paired_verdict",
     "BASELINE_SCHEMA",
     "Baseline",
     "BenchResult",
@@ -82,10 +93,14 @@ __all__ = [
     "work_bytes",
     "baseline_paths",
     "latest_baseline_path",
-    "TIME_TOLERANCE",
     "Verdict",
     "Comparison",
     "compare_baselines",
+    "PairedComparison",
+    "compare_pairs",
     "run_suite",
     "aggregate_work",
+    "PAIRS",
+    "resolve_revision",
+    "run_pairs",
 ]

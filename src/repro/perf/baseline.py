@@ -9,9 +9,9 @@ for PR 5). A baseline carries:
   the specs: machine-independent, byte-identical across serial /
   parallel / cached runs, and gateable **exactly**;
 * the **timing section** — min-of-k seconds plus median/IQR/bootstrap-CI
-  spread. Time is machine-dependent, so it is only gated against a
-  baseline recorded on a matching machine fingerprint (or when the
-  caller forces it);
+  spread. Time is machine- and load-dependent, so it is history only:
+  speed is judged by pairing two revisions on one machine
+  (:func:`repro.perf.runner.run_pairs`), never against a file;
 * provenance — machine fingerprint, git revision, free-form notes.
 
 Timing and provenance never participate in the byte-identity contract;
@@ -63,15 +63,8 @@ def _cpu_model() -> str:
 
 
 def machine_fingerprint() -> dict[str, Any]:
-    """Stable identity of the measuring machine.
-
-    Two baselines with equal fingerprints were produced by comparable
-    hardware/interpreter stacks, so their *time* metrics may be gated
-    against each other; work metrics never need this. Equality is a
-    heuristic (same CPU model can still mean different load/thermals) —
-    cross-machine pipelines should pass ``--gate-time off`` and rely on
-    the exact work gate, the way the CI committed-baseline step does.
-    """
+    """Identity of the measuring machine, recorded with each baseline
+    so its timing section can be read as history. No verdict reads it."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

@@ -1,35 +1,37 @@
-"""Regression verdicts: compare a fresh run against a baseline.
+"""Two verdicts: exact work against a file, paired speed against a revision.
 
-Two metric classes, two gates:
-
-* **work metrics** (events, messages, rounds, bits, …) are pure
-  functions of the code — any difference is a real behavioural change
-  (or lost determinism), so they are gated **exactly**, in both
-  directions. An intended change (a protocol improvement that sends
+* **work** (:func:`compare_baselines`): events, messages, rounds, bits,
+  … are pure functions of the code — any difference is a real
+  behavioural change (or lost determinism), so a fresh run is gated
+  **exactly** against a ``BENCH_*.json`` file, in both directions, on
+  any machine. An intended change (a protocol improvement that sends
   fewer messages) fails the gate too: that is the point — refresh the
   committed baseline in the same PR, which makes the trajectory file
   record the improvement.
-* **time metrics** (min-of-k seconds) carry machine noise, so they are
-  gated with a relative tolerance — and only when both baselines carry
-  the same machine fingerprint (or the caller forces gating): comparing
-  wall-clock across different machines is meaningless, while work
-  metrics compare anywhere.
+* **speed** (:func:`compare_pairs`): wall-clock carries machine and load
+  noise, so a run against a recorded file says nothing about speed.
+  Speed is judged only between two revisions timed in alternating pairs
+  on one machine (:func:`repro.perf.runner.run_pairs`), bench by bench,
+  by :func:`repro.perf.stats.paired_verdict`. The timing sections of
+  ``BENCH_*.json`` files are history and are never gated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
-from .baseline import Baseline
+from ..analysis.tables import render_table
+from .baseline import Baseline, work_bytes
+from .stats import PairedVerdict, paired_verdict
 
-__all__ = ["TIME_TOLERANCE", "Verdict", "Comparison", "compare_baselines"]
-
-#: Relative tolerance of the time gate: a bench fails when its min-of-k
-#: time exceeds the baseline's by more than this fraction. The
-#: ``slow_event_loop`` mutation self-test regresses the loop-dominated
-#: benches by ~1.8x, so the gate keeps a wide margin on both sides.
-TIME_TOLERANCE = 0.20
+__all__ = [
+    "Verdict",
+    "Comparison",
+    "compare_baselines",
+    "PairedComparison",
+    "compare_pairs",
+]
 
 _OK = "ok"
 _FAIL = "fail"
@@ -41,8 +43,8 @@ class Verdict:
     """One metric's comparison outcome."""
 
     bench: str
-    metric: str  # "work.<name>", "time.best", or "presence"
-    kind: str  # "work" | "time" | "presence"
+    metric: str  # "work.<name>" or "presence"
+    kind: str  # "work" | "presence"
     status: str  # "ok" | "fail" | "skip"
     detail: str
     baseline: float | int | None = None
@@ -65,7 +67,6 @@ class Comparison:
     """All verdicts of one baseline-vs-run comparison."""
 
     verdicts: tuple[Verdict, ...]
-    time_gated: bool
 
     @property
     def ok(self) -> bool:
@@ -82,10 +83,7 @@ class Comparison:
         verdicts collapse to one line per bench (a core-suite run has
         ~150 of them and they all say "equal").
         """
-        lines = [
-            f"gate: work metrics exact; time within {TIME_TOLERANCE:.0%} "
-            f"({'gated' if self.time_gated else 'not gated — machine mismatch'})"
-        ]
+        lines = ["gate: work metrics exact (speed is judged against a revision)"]
         ok_work: dict[str, int] = {}
         rest = []
         for v in self.verdicts:
@@ -139,58 +137,13 @@ def _work_verdicts(name: str, base: dict[str, int], cur: dict[str, int]) -> list
     return out
 
 
-def _time_verdict(
-    name: str,
-    base: dict[str, Any],
-    cur: dict[str, Any],
-    *,
-    gated: bool,
-) -> Verdict:
-    b, c = base.get("best"), cur.get("best")
-    if not isinstance(b, (int, float)) or not isinstance(c, (int, float)) or b <= 0:
-        return Verdict(
-            name, "time.best", "time", _FAIL if gated else _SKIP,
-            f"unusable timing (baseline={b!r}, current={c!r})", b, c,
-        )
-    ratio = c / b
-    if not gated:
-        return Verdict(
-            name, "time.best", "time", _SKIP,
-            f"{b:.4g}s -> {c:.4g}s ({ratio - 1.0:+.0%} vs baseline, not gated)",
-            b, c,
-        )
-    if ratio > 1.0 + TIME_TOLERANCE:
-        return Verdict(
-            name, "time.best", "time", _FAIL,
-            f"{b:.4g}s -> {c:.4g}s ({ratio - 1.0:+.0%} exceeds the "
-            f"{TIME_TOLERANCE:.0%} tolerance)",
-            b, c,
-        )
-    note = "improved" if ratio < 1.0 else "within tolerance"
-    return Verdict(
-        name, "time.best", "time", _OK,
-        f"{b:.4g}s -> {c:.4g}s ({ratio - 1.0:+.0%}, {note})", b, c,
-    )
+def compare_baselines(baseline: Baseline, current: Baseline) -> Comparison:
+    """Compare *current*'s work section against *baseline*'s.
 
-
-def compare_baselines(
-    baseline: Baseline,
-    current: Baseline,
-    *,
-    gate_time: bool | None = None,
-) -> Comparison:
-    """Compare *current* against *baseline*.
-
-    ``gate_time=None`` (auto) gates time iff the machine fingerprints
-    match; ``True``/``False`` force it either way. Benches present only
-    in *current* are informational (the baseline predates them); benches
-    missing from *current* fail — a suite must never silently shrink.
+    Benches present only in *current* are informational (the baseline
+    predates them); benches missing from *current* fail — a suite must
+    never silently shrink.
     """
-    gated = (
-        gate_time
-        if gate_time is not None
-        else baseline.machine == current.machine
-    )
     verdicts: list[Verdict] = []
     for base_result in baseline.results:
         cur_result = current.result(base_result.name)
@@ -206,14 +159,6 @@ def compare_baselines(
         verdicts.extend(
             _work_verdicts(base_result.name, base_result.work, cur_result.work)
         )
-        verdicts.append(
-            _time_verdict(
-                base_result.name,
-                base_result.timing,
-                cur_result.timing,
-                gated=gated,
-            )
-        )
     known = set(baseline.bench_names())
     for cur_result in current.results:
         if cur_result.name not in known:
@@ -224,4 +169,66 @@ def compare_baselines(
                     "baseline to start tracking it",
                 )
             )
-    return Comparison(verdicts=tuple(verdicts), time_gated=gated)
+    return Comparison(verdicts=tuple(verdicts))
+
+
+@dataclass(frozen=True)
+class PairedComparison:
+    """Each bench's speed, side B judged against side A over paired runs."""
+
+    rows: tuple[tuple[str, PairedVerdict], ...]
+    #: benches that ran on one side only, so have no pairs
+    unpaired: tuple[str, ...]
+    #: every run of both sides recorded the same work section
+    work_equal: bool
+
+    @property
+    def slower(self) -> tuple[str, ...]:
+        return tuple(name for name, v in self.rows if v.verdict == "slower")
+
+    def render(self) -> str:
+        table = render_table(
+            ["bench", "A [ms]", "B [ms]", "B/A", "B won", "A IQR [ms]", "verdict"],
+            [
+                (
+                    name,
+                    f"{v.a_median * 1e3:.3f}",
+                    f"{v.b_median * 1e3:.3f}",
+                    f"{v.ratio:.3f}",
+                    f"{v.b_wins}/{v.pairs}",
+                    f"{v.spread * 1e3:.3f}",
+                    v.verdict,
+                )
+                for name, v in self.rows
+            ],
+            title="paired speed: median time.best per side",
+        )
+        lines = [table]
+        if self.unpaired:
+            lines.append(f"not paired (on one side only): {', '.join(self.unpaired)}")
+        lines.append(
+            f"work sections: {'equal' if self.work_equal else 'differ'} "
+            "across both sides"
+        )
+        return "\n".join(lines)
+
+
+def compare_pairs(
+    a_runs: Sequence[Baseline], b_runs: Sequence[Baseline]
+) -> PairedComparison:
+    """Judge each bench of *b_runs* against *a_runs*; run *i* of each
+    side is pair *i*."""
+    a_names, b_names = a_runs[0].bench_names(), b_runs[0].bench_names()
+
+    def best(runs: Sequence[Baseline], name: str) -> list[float]:
+        return [run.result(name).timing["best"] for run in runs]
+
+    return PairedComparison(
+        rows=tuple(
+            (name, paired_verdict(best(a_runs, name), best(b_runs, name)))
+            for name in a_names
+            if name in b_names
+        ),
+        unpaired=tuple(sorted(set(a_names) ^ set(b_names))),
+        work_equal=len({work_bytes(run) for run in (*a_runs, *b_runs)}) == 1,
+    )

@@ -14,13 +14,24 @@ A suite run has two phases:
    run their kernel closure. The timing pass re-derives each sweep
    bench's work metrics and the runner insists they equal the executor
    phase's — a free serial-vs-backend determinism check on every run.
+
+:func:`run_pairs` is the speed measurement: the suite at a git revision
+(side A, in a temporary worktree) and in this checkout (side B), each
+run a fresh ``python -m repro bench`` subprocess, :data:`PAIRS` times
+in alternating order.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
+from .._mutation import MUTATION_ENV
 from ..analysis.cache import ResultCache
 from ..analysis.executor import Executor, RunSpec, execute_cell, make_executor
 from ..analysis.records import RunRecord
@@ -32,13 +43,18 @@ from .baseline import (
     Baseline,
     BenchResult,
     git_revision,
+    load_baseline,
     machine_fingerprint,
 )
 from .spec import BenchSpec, suite_benches
 from .stats import bootstrap_ci
 from .timing import TimingSample, time_callable
 
-__all__ = ["run_suite", "aggregate_work"]
+__all__ = ["run_suite", "aggregate_work", "PAIRS", "resolve_revision", "run_pairs"]
+
+#: Alternating pairs per revision comparison: the speed rule needs at
+#: least ten, and a verdict needs nine of them won.
+PAIRS = 10
 
 
 def aggregate_work(records: Sequence[RunRecord]) -> dict[str, int]:
@@ -199,3 +215,98 @@ def run_suite(
         git_rev=git_revision(),
         notes=notes,
     )
+
+
+def _git(*args: str, cwd: str | Path = ".") -> str:
+    try:
+        out = subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = (getattr(exc, "stderr", None) or str(exc)).strip()
+        raise AnalysisError(f"git {args[0]} failed: {detail}") from None
+    return out.stdout.strip()
+
+
+def resolve_revision(rev: str, cwd: str | Path = ".") -> str | None:
+    """The commit *rev* names in the git checkout at *cwd*, or ``None``
+    (no such revision, or *cwd* is not in a checkout)."""
+    try:
+        return _git(
+            "rev-parse", "--verify", "--quiet", "--end-of-options",
+            f"{rev}^{{commit}}", cwd=cwd,
+        )
+    except AnalysisError:
+        return None
+
+
+def run_side(
+    root: Path,
+    out: Path,
+    *,
+    suite: str,
+    repeats: int | None,
+    warmup: int | None,
+    env: Mapping[str, str],
+) -> None:
+    """One ``repro bench --suite SUITE --out OUT`` of the checkout at
+    *root*, in a fresh interpreter importing only ``root/src``."""
+    cmd = [sys.executable, "-m", "repro", "bench", "--suite", suite, "--out", str(out)]
+    if repeats is not None:
+        cmd += ["--repeats", str(repeats)]
+    if warmup is not None:
+        cmd += ["--warmup", str(warmup)]
+    proc = subprocess.run(
+        cmd,
+        cwd=root,
+        env={**env, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+        raise AnalysisError(
+            f"bench run of {root} exited {proc.returncode}: {tail[0]}"
+        )
+
+
+def run_pairs(
+    rev: str,
+    suite: str,
+    *,
+    repeats: int | None = None,
+    warmup: int | None = None,
+) -> tuple[list[Baseline], list[Baseline]]:
+    """Time *suite* at commit *rev* (side A) against the checkout holding
+    the cwd (side B): :data:`PAIRS` pairs, the first side alternating.
+
+    Side A runs in a detached worktree, removed again even when a run
+    fails, and without ``REPRO_MUTATIONS`` in its environment; side B
+    inherits the caller's, so a planted slowdown runs against the
+    healthy code. Returns each side's runs in pair order.
+    """
+    here = Path(_git("rev-parse", "--show-toplevel"))
+    tmp = Path(tempfile.mkdtemp(prefix="repro-pairs-"))
+    tree = tmp / "a"
+    env_b = dict(os.environ)
+    env_a = {k: v for k, v in env_b.items() if k != MUTATION_ENV}
+    sides = {"a": (tree, env_a), "b": (here, env_b)}
+    runs: dict[str, list[Baseline]] = {"a": [], "b": []}
+    try:
+        _git("worktree", "add", "--detach", str(tree), rev, cwd=here)
+        for i in range(PAIRS):
+            for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
+                root, env = sides[side]
+                out = tmp / f"{side}{i}.json"
+                run_side(
+                    root, out, suite=suite, repeats=repeats, warmup=warmup, env=env
+                )
+                runs[side].append(load_baseline(out))
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(tree)],
+            cwd=here,
+            capture_output=True,
+        )
+        shutil.rmtree(tmp, ignore_errors=True)
+    return runs["a"], runs["b"]

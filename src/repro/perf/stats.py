@@ -7,16 +7,21 @@ interval for the median: resampling with a fixed
 :class:`random.Random` stream makes every CI bit-reproducible, which
 the determinism tests pin. No scipy; the quantile rule is the common
 linear-interpolation one (numpy's default).
+
+:func:`paired_verdict` is the one speed verdict: two sides timed in
+alternating pairs, judged by the win count and the median gap against
+the reference side's own quartile spread.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
 from ..errors import AnalysisError
 
-__all__ = ["median", "iqr", "quantile", "bootstrap_ci"]
+__all__ = ["median", "iqr", "quantile", "bootstrap_ci", "PairedVerdict", "paired_verdict"]
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -73,3 +78,53 @@ def bootstrap_ci(
         medians.append(median(sample))
     alpha = (1.0 - confidence) / 2.0
     return (quantile(medians, alpha), quantile(medians, 1.0 - alpha))
+
+
+@dataclass(frozen=True)
+class PairedVerdict:
+    """Side B's timings judged against side A's, pair by pair."""
+
+    a_median: float
+    b_median: float
+    #: pairs in which B (resp. A) was strictly faster; ties count for neither
+    b_wins: int
+    a_wins: int
+    pairs: int
+    #: A's quartile spread — the noise the median gap must exceed
+    spread: float
+
+    @property
+    def ratio(self) -> float:
+        """B's median over A's (below 1: B is faster)."""
+        return self.b_median / self.a_median
+
+    @property
+    def verdict(self) -> str:
+        """``"faster"`` / ``"slower"`` for B, or ``"unresolved"``.
+
+        B is faster when it wins at least nine tenths of the pairs and
+        its median is below A's by more than A's quartile spread; slower
+        is the mirror image. Anything else is not a measured difference.
+        """
+        gap = self.b_median - self.a_median
+        if 10 * self.b_wins >= 9 * self.pairs and -gap > self.spread:
+            return "faster"
+        if 10 * self.a_wins >= 9 * self.pairs and gap > self.spread:
+            return "slower"
+        return "unresolved"
+
+
+def paired_verdict(a: Sequence[float], b: Sequence[float]) -> PairedVerdict:
+    """Judge *b* against *a*, where ``a[i]`` and ``b[i]`` ran as pair *i*."""
+    if not a or len(a) != len(b):
+        raise AnalysisError(
+            f"paired timings need equal, non-empty sides, got {len(a)} and {len(b)}"
+        )
+    return PairedVerdict(
+        a_median=median(a),
+        b_median=median(b),
+        b_wins=sum(1 for x, y in zip(a, b) if y < x),
+        a_wins=sum(1 for x, y in zip(a, b) if x < y),
+        pairs=len(a),
+        spread=iqr(a),
+    )

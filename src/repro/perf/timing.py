@@ -38,7 +38,7 @@ class TimingSample:
 
     @property
     def best(self) -> float:
-        """Min-of-k: the noise-floor estimate every gate compares."""
+        """Min-of-k: the noise-floor estimate the paired speed verdict compares."""
         return min(self.seconds)
 
     @property

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
-    Graph,
     RootedTree,
     bfs_parents,
     canonical_edge,
@@ -15,7 +14,6 @@ from repro.graphs import (
     loads,
     dumps,
     random_tree,
-    tree_from_edges,
 )
 
 # -- strategies ---------------------------------------------------------------

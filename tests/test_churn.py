@@ -8,8 +8,6 @@ every certification — a plan may stall a run loudly
 (``outcome="stalled"``) but must never corrupt it silently.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.batch import CellTemplate, run_cells

@@ -1,10 +1,8 @@
 """Tests for the distributed MDegST protocol (the paper's contribution)."""
 
-import dataclasses
-
 import pytest
 
-from repro.errors import NotConnectedError, ProtocolError, ReproError
+from repro.errors import NotConnectedError, ReproError
 from repro.graphs import (
     Graph,
     caterpillar_graph,
@@ -21,7 +19,7 @@ from repro.graphs import (
 )
 from repro.mdst import MDSTConfig, run_mdst
 from repro.mdst import messages as M
-from repro.sim import ExponentialDelay, PerLinkDelay, TraceRecorder, UniformDelay
+from repro.sim import ExponentialDelay, PerLinkDelay, UniformDelay
 from repro.spanning import build_spanning_tree, greedy_hub_tree
 
 GRAPHS = {
