@@ -228,13 +228,12 @@ def _git(*args: str, cwd: str | Path = ".") -> str:
     return out.stdout.strip()
 
 
-def resolve_revision(rev: str, cwd: str | Path = ".") -> str | None:
-    """The commit *rev* names in the git checkout at *cwd*, or ``None``
-    (no such revision, or *cwd* is not in a checkout)."""
+def resolve_revision(rev: str) -> str | None:
+    """The commit *rev* names in the git checkout holding the cwd, or
+    ``None`` (no such revision, or the cwd is not in a checkout)."""
     try:
         return _git(
-            "rev-parse", "--verify", "--quiet", "--end-of-options",
-            f"{rev}^{{commit}}", cwd=cwd,
+            "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{commit}}"
         )
     except AnalysisError:
         return None

@@ -8,11 +8,11 @@ from repro.graphs import (
     bfs_parents,
     canonical_edge,
     connected_components,
+    dumps,
     gnp_connected,
     hamiltonian_padded,
     is_connected,
     loads,
-    dumps,
     random_tree,
 )
 
