@@ -470,6 +470,13 @@ class TestMutationSelfTest:
         assert compare_baselines(a, b).ok
         assert work_bytes(a) == work_bytes(b)
 
+    def test_mutated_run_records_the_healthy_work(self, loop_suite):
+        healthy = run_suite("smoke", repeats=1, warmup=0)
+        with mutated("slow_event_loop"):
+            slow = run_suite("smoke", repeats=1, warmup=0)
+        assert compare_baselines(healthy, slow).ok
+        assert work_bytes(healthy) == work_bytes(slow)
+
 
 class TestEdgeBranches:
     def test_git_revision_outside_a_checkout(self, tmp_path):
