@@ -1,6 +1,6 @@
 """Head-to-head of the registered distributed algorithms.
 
-The registry's first payoff: one sweep with an ``algorithms`` axis runs
+The algorithm table's first payoff: one sweep with an ``algorithms`` axis runs
 Blin–Butelle and the FR-style protocol on identical instances (same
 graph, same startup tree, same delay schedule) and tabulates quality and
 cost side by side. Honors ``--jobs`` / ``--cache`` like every
@@ -9,7 +9,7 @@ sweep-backed bench.
 
 from __future__ import annotations
 
-from repro.algorithms import algorithm_names
+from repro.algorithms import ALGORITHMS
 from repro.analysis import SweepSpec, Table, run_sweep, summarize
 
 
@@ -19,7 +19,7 @@ def test_algorithm_head_to_head(emit, sweep_jobs, sweep_cache, scale):
         sizes=tuple(n * scale for n in (16, 24)),
         seeds=(0, 1, 2, 3),
         delays=("uniform",),
-        algorithms=algorithm_names(),
+        algorithms=tuple(sorted(ALGORITHMS)),
     )
     records = run_sweep(spec, jobs=sweep_jobs, cache=sweep_cache)
 
@@ -30,7 +30,7 @@ def test_algorithm_head_to_head(emit, sweep_jobs, sweep_cache, scale):
         ],
         title="registered algorithms, identical instances",
     )
-    for algorithm in algorithm_names():
+    for algorithm in sorted(ALGORITHMS):
         for family in spec.families:
             for n in spec.sizes:
                 group = [

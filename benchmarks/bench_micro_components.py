@@ -22,26 +22,12 @@ from repro.perf.workloads import (
     gnp_generation_kernel,
     policy_queue_kernel,
 )
-from repro.sim import EventKind, EventQueue
 from repro.spanning import greedy_hub_tree
 
 
 def test_micro_event_queue(benchmark):
     """Raw-tuple path: what Network's inner loop actually executes."""
     benchmark(event_queue_kernel())
-
-
-def test_micro_event_queue_object_api(benchmark):
-    """Compat path that materializes an Event per push/pop."""
-
-    def churn():
-        q = EventQueue()
-        for i in range(2000):
-            q.push(float(i % 97), EventKind.START, target=i)
-        while q:
-            q.pop()
-
-    benchmark(churn)
 
 
 def test_micro_policy_queue(benchmark):

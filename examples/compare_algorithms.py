@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Head-to-head comparison of the registered distributed algorithms.
 
-The algorithm registry (``repro.algorithms``) makes "which algorithm" an
+The algorithm table (``repro.algorithms.ALGORITHMS``) makes "which algorithm" an
 experiment axis. This example compares the paper's Blin–Butelle MDegST
 protocol with the Fürer–Raghavachari-style local-improvement protocol on
 identical instances, three ways:
@@ -15,7 +15,7 @@ Run:  python examples/compare_algorithms.py
 CLI:  python -m repro compare --family geometric --n 24 --exact
 """
 
-from repro.algorithms import algorithm_names, get_algorithm
+from repro.algorithms import ALGORITHMS
 from repro.analysis import SweepSpec, Table, run_sweep
 from repro.graphs import random_geometric
 from repro.sequential import optimal_degree
@@ -30,8 +30,7 @@ print(
 )
 print(f"exact optimum (small n): Δ* = {optimal_degree(graph)}\n")
 
-for name in algorithm_names():
-    algo = get_algorithm(name)
+for name, algo in sorted(ALGORITHMS.items()):
     result = algo.run(graph, startup.tree, seed=11)
     print(f"{name}: {algo.description}")
     print(
@@ -45,7 +44,7 @@ spec = SweepSpec(
     families=("geometric",),
     sizes=(16, 24),
     seeds=(0, 1, 2),
-    algorithms=algorithm_names(),  # <- the new axis
+    algorithms=tuple(sorted(ALGORITHMS)),  # <- the new axis
 )
 records = run_sweep(spec)
 

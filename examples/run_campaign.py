@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 from repro.scenarios import (
+    SCENARIOS,
     CampaignSpec,
     ScenarioSpec,
     builtin_campaign,
@@ -20,13 +21,12 @@ from repro.scenarios import (
     load_campaign,
     render_markdown,
     run_campaign,
-    scenario_names,
     write_report,
 )
 
 
 def builtin_demo() -> None:
-    print(f"built-in scenarios: {', '.join(scenario_names())}\n")
+    print(f"built-in scenarios: {', '.join(sorted(SCENARIOS))}\n")
     campaign = builtin_campaign(["lossy_links"]).tiny()
     result = run_campaign(campaign)
     print(render_markdown(result))

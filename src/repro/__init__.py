@@ -10,7 +10,7 @@ subpackages for the full API:
 * :mod:`repro.spanning` — distributed spanning-tree construction (startup)
 * :mod:`repro.protocol` — reusable distributed-protocol primitives
 * :mod:`repro.mdst` — the paper's MDegST protocol
-* :mod:`repro.algorithms` — pluggable algorithm registry (Blin–Butelle,
+* :mod:`repro.algorithms` — pluggable algorithm table (Blin–Butelle,
   FR-style local improvement, ...)
 * :mod:`repro.sequential` — Fürer–Raghavachari / exact baselines
 * :mod:`repro.verify` — spanning-tree & local-optimality certification
@@ -30,8 +30,7 @@ _LAZY = {
     "MDSTResult": ("repro.mdst", "MDSTResult"),
     "build_spanning_tree": ("repro.spanning", "build_spanning_tree"),
     "run_algorithm": ("repro.algorithms", "run_algorithm"),
-    "algorithm_names": ("repro.algorithms", "algorithm_names"),
-    "register_algorithm": ("repro.algorithms", "register_algorithm"),
+    "ALGORITHMS": ("repro.algorithms", "ALGORITHMS"),
     "fuerer_raghavachari": ("repro.sequential", "fuerer_raghavachari"),
     "exact_minimum_degree_spanning_tree": (
         "repro.sequential",
@@ -40,7 +39,7 @@ _LAZY = {
     "kmz_lower_bound": ("repro.sequential", "kmz_lower_bound"),
     "ScenarioSpec": ("repro.scenarios", "ScenarioSpec"),
     "CampaignSpec": ("repro.scenarios", "CampaignSpec"),
-    "scenario_names": ("repro.scenarios", "scenario_names"),
+    "SCENARIOS": ("repro.scenarios", "SCENARIOS"),
     "run_campaign": ("repro.scenarios", "run_campaign"),
 }
 

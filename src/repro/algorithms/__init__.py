@@ -1,6 +1,6 @@
 """Pluggable distributed MDST algorithms.
 
-Importing this package registers the built-in algorithms:
+The :data:`ALGORITHMS` table names the built-in algorithms:
 
 * ``blin_butelle`` — the paper's MDegST protocol (migrating round root,
   concurrent same-cutter exchanges, single-target polish);
@@ -9,32 +9,23 @@ Importing this package registers the built-in algorithms:
 
 Both subclass :class:`repro.protocol.rounds.ImprovementProcess`, the
 shared improvement round, and override only its policy hooks. An
-algorithm is declared once: subclass the round the same way, then make
-one :func:`register_algorithm` call with an :class:`Algorithm` whose
-``factory`` builds the per-node processes (the contract is documented
-in :mod:`repro.algorithms.registry`). The entry's
-:meth:`~Algorithm.build` and :meth:`~Algorithm.run` are shared, so it
-immediately becomes available to ``run_algorithm``, ``run_sweep``
+algorithm is declared once: subclass the round the same way, then add
+one :data:`ALGORITHMS` entry, an :class:`Algorithm` whose ``factory``
+builds the per-node processes (the contract is documented in
+:mod:`repro.algorithms.registry`). The entry's :meth:`~Algorithm.build`
+and :meth:`~Algorithm.run` are shared, so it immediately becomes
+available to ``run_algorithm``, ``run_sweep``
 (``algorithms`` axis), ``python -m repro sweep --algorithm`` and
 ``repro compare``.
 """
 
 from .fr_local import FRProcess
-from .registry import (
-    DEFAULT_ALGORITHM,
-    Algorithm,
-    algorithm_names,
-    get_algorithm,
-    register_algorithm,
-    run_algorithm,
-)
+from .registry import ALGORITHMS, DEFAULT_ALGORITHM, Algorithm, run_algorithm
 
 __all__ = [
     "Algorithm",
+    "ALGORITHMS",
     "DEFAULT_ALGORITHM",
-    "algorithm_names",
-    "get_algorithm",
-    "register_algorithm",
     "run_algorithm",
     "FRProcess",
 ]

@@ -48,11 +48,9 @@ from ..protocol.rounds import (
     PARENT_SIDE,
     DegreeAggregate,
     ImprovementProcess,
-    process_factory,
 )
 from ..sim.messages import Message
 from ..sim.node import NodeContext
-from .registry import Algorithm, register_algorithm
 
 __all__ = ["PARENT_SIDE", "ImproveOrder", "FRProcess"]
 
@@ -160,18 +158,3 @@ FRProcess._DISPATCH = {
     **ImprovementProcess._DISPATCH,
     ImproveOrder: FRProcess._on_improve_order,
 }
-
-
-def _fr_local(parents, *, mode: str, max_rounds: int | None):
-    del mode  # one schedule; accepted so sweep grids can cross the mode axis
-    return process_factory(FRProcess, parents, max_rounds=max_rounds)
-
-
-register_algorithm(
-    Algorithm(
-        "fr_local",
-        "Fürer–Raghavachari-style local improvement: fixed "
-        "coordinator, one full-fragment improvement step per round",
-        _fr_local,
-    )
-)

@@ -1,9 +1,9 @@
-"""Pluggable distributed-MDST algorithm registry.
+"""Pluggable distributed-MDST algorithms: the :data:`ALGORITHMS` table.
 
 The reproduction started as a single-protocol codebase (`run_mdst`, the
-Blin–Butelle MDegST protocol). The registry turns it into a comparison
-platform: every algorithm is a named entry whose only code is its
-per-node process factory, so the sweep harness, the CLI
+Blin–Butelle MDegST protocol). The table turns it into a comparison
+platform: every algorithm is a named entry of :data:`ALGORITHMS` whose
+only code is its per-node process factory, so the sweep harness, the CLI
 (``--algorithm``, ``repro compare``) and the property tests can treat
 "which algorithm" as just another experiment axis.
 
@@ -38,7 +38,7 @@ optional :class:`~repro.sim.provenance.CausalTally` attached to the
 protocol network (not the startup construction), so run forensics cover
 every registered algorithm uniformly.
 
-Every registered algorithm claims the paper's quality target, Δ* + 1
+Every algorithm in the table claims the paper's quality target, Δ* + 1
 (:func:`repro.sequential.fr_quality_guarantee`); the property suite and
 the exploration oracle check each against it on exactly solved
 instances.
@@ -49,20 +49,19 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from ..errors import ReproError
+from ..errors import lookup
 from ..mdst.algorithm import Built, build_protocol
 from ..mdst.config import MDSTConfig
 from ..mdst.node import MDSTProcess
 from ..mdst.result import MDSTResult
 from ..protocol.rounds import process_factory
 from ..sim.node import NodeContext, Process
+from .fr_local import FRProcess
 
 __all__ = [
     "Algorithm",
+    "ALGORITHMS",
     "DEFAULT_ALGORITHM",
-    "algorithm_names",
-    "get_algorithm",
-    "register_algorithm",
     "run_algorithm",
 ]
 
@@ -71,7 +70,7 @@ DEFAULT_ALGORITHM = "blin_butelle"
 
 @dataclass(frozen=True)
 class Algorithm:
-    """One registered distributed MDST algorithm: a name, a one-line
+    """One distributed MDST algorithm: a name, a one-line
     description and the per-node process factory (see the module
     docstring's runner contract)."""
 
@@ -109,50 +108,37 @@ class Algorithm:
         return finalize(None if net is None else net.run(max_events))
 
 
-_REGISTRY: dict[str, Algorithm] = {}
-
-
-def register_algorithm(algo: Algorithm, *, replace: bool = False) -> Algorithm:
-    """Add *algo* to the registry (``replace=True`` to overwrite)."""
-    if not algo.name or not algo.name.replace("_", "").isalnum():
-        raise ReproError(f"bad algorithm name {algo.name!r}")
-    if algo.name in _REGISTRY and not replace:
-        raise ReproError(f"algorithm {algo.name!r} already registered")
-    _REGISTRY[algo.name] = algo
-    return algo
-
-
-def algorithm_names() -> tuple[str, ...]:
-    """Sorted names of every registered algorithm."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_algorithm(name: str) -> Algorithm:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown algorithm {name!r}; registered algorithms: "
-            f"{', '.join(algorithm_names()) or '(none)'}"
-        ) from None
-
-
-def run_algorithm(name: str, graph, initial_tree=None, **kwargs) -> MDSTResult:
-    """Dispatch one run to the named algorithm's runner."""
-    return get_algorithm(name).run(graph, initial_tree, **kwargs)
-
-
 def _blin_butelle(parents, *, mode: str, max_rounds: int | None):
     return process_factory(
         MDSTProcess, parents, config=MDSTConfig(mode=mode, max_rounds=max_rounds)
     )
 
 
-register_algorithm(
-    Algorithm(
-        "blin_butelle",
-        "Blin & Butelle MDegST: migrating round root, concurrent "
-        "same-cutter exchanges with single-target polish",
-        _blin_butelle,
+def _fr_local(parents, *, mode: str, max_rounds: int | None):
+    del mode  # one schedule; accepted so sweep grids can cross the mode axis
+    return process_factory(FRProcess, parents, max_rounds=max_rounds)
+
+
+#: Algorithm name -> entry.
+ALGORITHMS: dict[str, Algorithm] = {
+    algo.name: algo
+    for algo in (
+        Algorithm(
+            "blin_butelle",
+            "Blin & Butelle MDegST: migrating round root, concurrent "
+            "same-cutter exchanges with single-target polish",
+            _blin_butelle,
+        ),
+        Algorithm(
+            "fr_local",
+            "Fürer–Raghavachari-style local improvement: fixed "
+            "coordinator, one full-fragment improvement step per round",
+            _fr_local,
+        ),
     )
-)
+}
+
+
+def run_algorithm(name: str, graph, initial_tree=None, **kwargs) -> MDSTResult:
+    """Dispatch one run to the named algorithm's runner."""
+    return lookup(ALGORITHMS, name, "algorithm").run(graph, initial_tree, **kwargs)

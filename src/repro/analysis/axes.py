@@ -27,15 +27,15 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Any, Callable, Mapping, Sequence
 
-from ..algorithms import DEFAULT_ALGORITHM, algorithm_names
+from ..algorithms import ALGORITHMS, DEFAULT_ALGORITHM
 from ..errors import AnalysisError
 from ..graphs.generators import FAMILIES
 from ..mdst.config import MODES
-from ..sim.churn import NO_CHURN, churn_names
-from ..sim.delays import DELAY_NAMES
-from ..sim.faults import NO_FAULT, fault_names
-from ..sim.scheduler import NO_SCHEDULER, scheduler_from_name, scheduler_names
-from ..spanning.provider import CENTRALIZED_METHODS, DISTRIBUTED_METHODS
+from ..sim.churn import CHURN_PLANS, NO_CHURN
+from ..sim.delays import DELAYS
+from ..sim.faults import FAULT_PLANS, NO_FAULT
+from ..sim.scheduler import FALLBACKS, NO_SCHEDULER, SCHEDULERS, scheduler_from_name
+from ..spanning.provider import INITIAL_METHODS
 
 __all__ = [
     "Axis",
@@ -65,7 +65,8 @@ class Axis:
     help: str
     #: the value of a single run that names none
     default: Any
-    #: the registry listing (name axes); ``None`` marks an integer axis
+    #: the valid names, read from the axis's name table; ``None`` marks
+    #: an integer axis
     names: Callable[[], tuple[str, ...]] | None = None
     #: heading of the listing in ``repro families``
     title: str = ""
@@ -135,7 +136,7 @@ AXES: tuple[Axis, ...] = (
     Axis(
         "initial_method", "initial_methods", "initial", "initials",
         "initial method", "startup spanning-tree construction", "echo",
-        names=lambda: DISTRIBUTED_METHODS + CENTRALIZED_METHODS,
+        names=lambda: tuple(INITIAL_METHODS),
         title="initial methods",
     ),
     Axis(
@@ -146,30 +147,31 @@ AXES: tuple[Axis, ...] = (
     Axis(
         "delay", "delays", "delay", "delays", "delay model",
         "delay model (inert under a scheduler policy)", "unit",
-        names=lambda: DELAY_NAMES, title="delay models",
+        names=lambda: tuple(sorted(DELAYS)), title="delay models",
     ),
     Axis(
         "algorithm", "algorithms", "algorithm", "algorithms", "algorithm",
         "distributed algorithm", DEFAULT_ALGORITHM,
-        names=algorithm_names, title="algorithms",
+        names=lambda: tuple(sorted(ALGORITHMS)), title="algorithms",
     ),
     Axis(
         "fault", "faults", "fault", "faults", "fault plan",
         "named fault plan; a stalled run is reported, not certified",
-        NO_FAULT, names=fault_names, title="fault plans",
+        NO_FAULT, names=lambda: tuple(sorted(FAULT_PLANS)), title="fault plans",
     ),
     Axis(
         "scheduler", "schedulers", "scheduler", "schedulers",
         "scheduler policy",
         "adversarial scheduler policy ordering deliveries",
-        NO_SCHEDULER, names=scheduler_names, title="scheduler policies",
+        NO_SCHEDULER, names=lambda: tuple(sorted(SCHEDULERS)),
+        title="scheduler policies",
         accepts=_is_replay,
         hint=", or a canonical replay:<fallback>[:<prefix>] schedule",
     ),
     Axis(
         "churn", "churns", "churn", "churns", "churn plan",
         "named mid-run churn plan: crash-restart or link-flap", NO_CHURN,
-        names=churn_names, title="churn plans",
+        names=lambda: tuple(sorted(CHURN_PLANS)), title="churn plans",
     ),
 )
 
@@ -184,9 +186,7 @@ FALLBACK = Axis(
     "scheduler policy for a replay fallback",
     "fallback policies finishing a schedule past its replay prefix",
     "random",
-    names=lambda: tuple(
-        name for name in scheduler_names() if name not in (NO_SCHEDULER, "replay")
-    ),
+    names=lambda: tuple(sorted(FALLBACKS)),
 )
 
 

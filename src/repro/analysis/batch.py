@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from ..algorithms import get_algorithm
-from ..errors import AnalysisError, ProtocolError, StallError, TerminationError
+from ..algorithms import ALGORITHMS
+from ..errors import AnalysisError, ProtocolError, StallError, TerminationError, lookup
 from ..graphs.generators import make_family
 from ..graphs.graph import Graph
 from ..graphs.properties import min_degree_lower_bound
@@ -174,7 +174,7 @@ class CellTemplate:
 
     def __init__(self, spec: RunSpec, *, causal: bool = False) -> None:
         self.spec = spec
-        self.algorithm = get_algorithm(spec.algorithm)
+        self.algorithm = lookup(ALGORITHMS, spec.algorithm, "algorithm")
         self.causal = bool(causal)
         self.fields = axis_fields(spec)
         self.delay = delay_model_from_name(spec.delay)

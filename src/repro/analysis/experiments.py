@@ -21,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import AnalysisError
+from ..errors import lookup
 from ..graphs.generators import (
     caterpillar_graph,
     complete,
@@ -386,10 +386,4 @@ def run_experiment(
     name: str, jobs: int = 1, cache: ResultCache | str | Path | None = None
 ) -> tuple[str, Payload]:
     """Run paper table *name* (``t1`` … ``t9``): ``(text, payload)``."""
-    try:
-        experiment = EXPERIMENTS[name]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    return experiment.run(jobs, cache)
+    return lookup(EXPERIMENTS, name, "experiment").run(jobs, cache)

@@ -32,14 +32,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .algorithms import algorithm_names
+from .algorithms import ALGORITHMS
 from .analysis.axes import AXES, AXIS, FALLBACK, Axis
 from .analysis.batch import CellTemplate
 from .analysis.cache import ResultCache
 from .analysis.executor import RunSpec, check_jobs
 from .analysis.harness import SweepSpec, run_sweep
 from .analysis.tables import Table
-from .errors import AnalysisError
+from .errors import AnalysisError, UnknownNameError, lookup
 from .graphs.generators import make_family
 from .obs import (
     capture,
@@ -65,12 +65,12 @@ _SPELLINGS: dict[str, Axis] = {
     for spelling in (axis.flag, axis.flags)
 }
 
-#: the registries ``repro families`` lists after the run axes
+#: the other name tables ``repro families`` lists after the run axes
 _EXTRA_LISTINGS = ["scenarios", "bench suites"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the perf package registers its bench library at import; pulled in
+    # the perf package builds its bench table at import; pulled in
     # here (not at module top) so plain `repro run`-style invocations
     # never pay for it — the rest of the perf stack stays behind the
     # lazy import in _bench. The exploration specs are the explore/fuzz
@@ -776,7 +776,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         spec = RunSpec(**_target_kwargs(args, RunSpec))
         records = [
             CellTemplate(replace(spec, algorithm=name)).run(spec.seed)
-            for name in args.algorithms or algorithm_names()
+            for name in args.algorithms or sorted(ALGORITHMS)
         ]
         table = Table(
             ["algorithm", "k0", "k*", "rounds", "msgs", "bits", "time"],
@@ -900,16 +900,15 @@ def _campaign(args: argparse.Namespace) -> int:
         load_campaign,
         render_markdown,
         run_campaign,
-        scenario_names,
         write_report,
     )
     from .scenarios.library import SCENARIOS
 
     if args.list:
-        width = max(len(name) for name in scenario_names())
+        width = max(len(name) for name in SCENARIOS)
         print("built-in scenarios:")
         print()
-        for name in scenario_names():
+        for name in sorted(SCENARIOS):
             sc = SCENARIOS[name]
             print(f"  {name.ljust(width)}  {sc.num_cells:>3} cells  {sc.description}")
         print()
@@ -933,7 +932,7 @@ def _campaign(args: argparse.Namespace) -> int:
             if args.file
             else builtin_campaign(args.scenarios)
         )
-    except AnalysisError as exc:
+    except (AnalysisError, UnknownNameError) as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
     if args.tiny:
@@ -1002,11 +1001,11 @@ def _bench_profile(args: argparse.Namespace) -> int:
     import io
     import pstats
 
-    from .perf import get_bench
+    from .perf import BENCHES
 
     try:
-        bench = get_bench(args.profile)
-    except AnalysisError as exc:
+        bench = lookup(BENCHES, args.profile, "bench")
+    except UnknownNameError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     if bench.kind == "micro":
@@ -1048,7 +1047,6 @@ def _bench(args: argparse.Namespace) -> int:
     import hashlib
 
     from .perf import (
-        SUITE_DESCRIPTIONS,
         SUITES,
         compare_baselines,
         latest_baseline_path,
@@ -1069,13 +1067,13 @@ def _bench(args: argparse.Namespace) -> int:
             members = suite_benches(suite)
             print(
                 f"  {suite.ljust(5)}  {len(members):>2} benches  "
-                f"{SUITE_DESCRIPTIONS[suite]}"
+                f"{SUITES[suite]}"
             )
         print()
         print("benches (suites in brackets):")
         print()
         for bench in benches:
-            tags = ",".join(s for s in SUITES[:-1] if bench.in_suite(s)) or "full"
+            tags = ",".join(s for s in SUITES if s in bench.suites) or "full"
             print(
                 f"  {bench.name.ljust(width)}  {bench.kind:5}  "
                 f"[{tags}]  {bench.description}"

@@ -7,9 +7,34 @@ layout (graphs / simulator / protocols / analysis).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from typing import TypeVar
+
+_Entry = TypeVar("_Entry")
+
 
 class ReproError(Exception):
     """Base class of all library errors."""
+
+
+class UnknownNameError(ReproError, ValueError):
+    """A name that its table (graph families, delay models, algorithms,
+    fault plans, ...) does not hold. Also a :class:`ValueError`, the
+    builtin type for a bad argument value."""
+
+
+def lookup(table: Mapping[str, _Entry], name: str, what: str) -> _Entry:
+    """The entry of *table* named *name*, or :class:`UnknownNameError`
+    naming *what* a name denotes and every valid name.
+
+    Every named choice of the library is a plain dict from name to
+    entry, read through this one function."""
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownNameError(
+            f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
+        ) from None
 
 
 class GraphError(ReproError):

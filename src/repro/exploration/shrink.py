@@ -37,10 +37,10 @@ from ..errors import AnalysisError, GraphError
 from ..sim.churn import NO_CHURN
 from ..sim.scheduler import (
     NO_SCHEDULER,
+    SCHEDULERS,
     is_replay_spec,
     parse_replay_spec,
     replay_spec,
-    scheduler_names,
 )
 from .cells import ExplorationCell
 from .explorer import ExplorationResult, explore_one
@@ -142,7 +142,7 @@ def shrink(
                 changed = True
 
         # 4. simplest failing scheduler policy
-        ladder = sorted(scheduler_names(), key=_policy_rank)
+        ladder = sorted(SCHEDULERS, key=_policy_rank)
         for policy in ladder:
             if _policy_rank(policy) >= _policy_rank(current.cell.scheduler):
                 break

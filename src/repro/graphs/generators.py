@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from ..errors import GraphError
+from ..errors import GraphError, lookup
 from ..rng import substream
 from .graph import Graph, canonical_edge
 from .traversal import connected_components, is_connected
@@ -457,9 +457,9 @@ def random_tree(n: int, seed: int) -> Graph:
     return g
 
 
-# -- registry -----------------------------------------------------------------
+# -- name table ---------------------------------------------------------------
 
-#: Family registry used by the CLI and the sweep harness. Each entry maps a
+#: Family table used by the CLI and the sweep harness. Each entry maps a
 #: family name to a callable ``(n, seed) -> Graph`` with tuned default shape
 #: parameters.
 FAMILIES: dict[str, object] = {
@@ -481,11 +481,5 @@ FAMILIES: dict[str, object] = {
 
 
 def make_family(name: str, n: int, seed: int = 0) -> Graph:
-    """Instantiate a registered family by name."""
-    try:
-        factory = FAMILIES[name]
-    except KeyError:
-        raise GraphError(
-            f"unknown family {name!r}; choose from {sorted(FAMILIES)}"
-        ) from None
-    return factory(n, seed)  # type: ignore[operator]
+    """Instantiate a family of :data:`FAMILIES` by name."""
+    return lookup(FAMILIES, name, "family")(n, seed)  # type: ignore[operator]

@@ -4,11 +4,11 @@ The ROADMAP's north star is a system that runs "as fast as the hardware
 allows" — this package makes that claim *measurable, recorded and
 defended*:
 
-* a :class:`~repro.perf.spec.BenchSpec` registry of named workloads
-  (micro-kernels and executor-lowered sweeps) grouped into
-  ``smoke``/``core``/``full`` suites;
-* warm-up + min-of-k monotonic timing with median/IQR and
-  seeded-bootstrap confidence intervals;
+* :data:`~repro.perf.library.BENCHES`, a table of named
+  :class:`~repro.perf.spec.BenchSpec` workloads (micro-kernels and
+  executor-lowered sweeps) grouped into ``smoke``/``core``/``full``
+  suites;
+* warm-up + min-of-k monotonic timing with median/IQR;
 * ``BENCH_<nnnn>.json`` trajectory files at the repo root — one point
   per PR that touches performance, with machine fingerprint and git
   revision as history;
@@ -29,7 +29,6 @@ Entry points: ``python -m repro bench`` (CLI),
 :func:`~repro.perf.compare.compare_pairs` (library).
 """
 
-from . import library as _library  # registers the built-in benches
 from .baseline import (
     BASELINE_SCHEMA,
     Baseline,
@@ -49,38 +48,22 @@ from .compare import (
     compare_baselines,
     compare_pairs,
 )
+from .library import BENCHES, suite_benches
 from .runner import PAIRS, aggregate_work, resolve_revision, run_pairs, run_suite
-from .spec import (
-    SUITE_DESCRIPTIONS,
-    SUITES,
-    BenchSpec,
-    bench_names,
-    get_bench,
-    register_bench,
-    suite_benches,
-    suite_names,
-)
-from .stats import PairedVerdict, bootstrap_ci, iqr, median, paired_verdict, quantile
+from .spec import SUITES, BenchSpec
+from .stats import PairedVerdict, iqr, median, paired_verdict, quantile
 from .timing import TimingSample, time_callable
-
-BUILTIN_BENCHES = _library.BUILTIN_BENCHES
 
 __all__ = [
     "SUITES",
-    "SUITE_DESCRIPTIONS",
     "BenchSpec",
-    "register_bench",
-    "bench_names",
-    "get_bench",
+    "BENCHES",
     "suite_benches",
-    "suite_names",
-    "BUILTIN_BENCHES",
     "TimingSample",
     "time_callable",
     "median",
     "iqr",
     "quantile",
-    "bootstrap_ci",
     "PairedVerdict",
     "paired_verdict",
     "BASELINE_SCHEMA",

@@ -8,7 +8,7 @@ for PR 5). A baseline carries:
   messages, rounds, bits, …). Work is a pure function of the code and
   the specs: machine-independent, byte-identical across serial /
   parallel / cached runs, and gateable **exactly**;
-* the **timing section** — min-of-k seconds plus median/IQR/bootstrap-CI
+* the **timing section** — min-of-k seconds plus median/IQR
   spread. Time is machine- and load-dependent, so it is history only:
   speed is judged by pairing two revisions on one machine
   (:func:`repro.perf.runner.run_pairs`), never against a file;
@@ -112,8 +112,9 @@ class BenchResult:
     name: str
     kind: str
     work: dict[str, int]
-    #: ``{"warmup", "repeats", "seconds", "best", "median", "iqr",
-    #: "ci90": [lo, hi]}`` — seconds as measured, summaries derived
+    #: ``{"warmup", "repeats", "seconds", "best", "median", "iqr"}`` —
+    #: seconds as measured, summaries derived (older files also carry an
+    #: unread ``"ci90": [lo, hi]``)
     timing: dict[str, Any]
     #: throughputs derived from work/best (events_per_sec, ...)
     derived: dict[str, float] = field(default_factory=dict)

@@ -1,29 +1,29 @@
-"""Built-in benchmark registry entries.
+"""The built-in benches: the :data:`BENCHES` table.
 
-Importing this module registers every built-in bench (the package
-``__init__`` does it, mirroring how :mod:`repro.scenarios.library`
-registers scenarios). Suites:
+One plain dict from bench name to :class:`~repro.perf.spec.BenchSpec`,
+the form :data:`repro.scenarios.library.SCENARIOS` has too. Suites:
 
 * ``smoke`` — seconds-scale, runs on every CI push as the regression
   gate: the queue micro-kernels, the loop-dominated echo wave, the
   full-protocol reference workload, a two-algorithm sweep, and the
   tiny campaign (faults + adversarial schedules included, so the gate's
-  work section covers every axis registry);
+  work section covers every axis table);
 * ``core`` — the paper's tables T1–T9, one bench per
   :data:`~repro.analysis.experiments.EXPERIMENTS` entry with its own
   runs (the same runs ``repro experiment`` and ``pytest benchmarks/``
   render; T3 renders T2's sweep, so ``t2_messages`` times both), plus
   the engine benches;
-* ``full`` — implicitly everything registered.
+* ``full`` — implicitly every bench.
 """
 
 from __future__ import annotations
 
 from ..analysis.experiments import EXPERIMENTS
+from ..errors import lookup
 from . import workloads as w
-from .spec import BenchSpec, register_bench
+from .spec import SUITES, BenchSpec
 
-__all__ = ["BUILTIN_BENCHES"]
+__all__ = ["BENCHES", "suite_benches"]
 
 
 def _t1_work(payload):
@@ -204,6 +204,13 @@ def _build() -> tuple[BenchSpec, ...]:
     )
 
 
-BUILTIN_BENCHES: tuple[BenchSpec, ...] = tuple(
-    register_bench(spec) for spec in _build()
-)
+#: Bench name -> spec.
+BENCHES: dict[str, BenchSpec] = {spec.name: spec for spec in _build()}
+
+
+def suite_benches(suite: str) -> tuple[BenchSpec, ...]:
+    """Members of *suite*, sorted by name (``full`` = every bench)."""
+    lookup(SUITES, suite, "suite")  # an unknown suite raises
+    return tuple(
+        BENCHES[name] for name in sorted(BENCHES) if BENCHES[name].in_suite(suite)
+    )

@@ -38,7 +38,6 @@ from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 from ..obs import current as obs
 from ..obs import suspended
-from ..rng import derive_seed
 from .baseline import (
     Baseline,
     BenchResult,
@@ -46,8 +45,8 @@ from .baseline import (
     load_baseline,
     machine_fingerprint,
 )
-from .spec import BenchSpec, suite_benches
-from .stats import bootstrap_ci
+from .library import suite_benches
+from .spec import BenchSpec
 from .timing import TimingSample, time_callable
 
 __all__ = ["run_suite", "aggregate_work", "PAIRS", "resolve_revision", "run_pairs"]
@@ -71,8 +70,7 @@ def aggregate_work(records: Sequence[RunRecord]) -> dict[str, int]:
     }
 
 
-def _timing_payload(sample: TimingSample, *, ci_seed: int) -> dict[str, Any]:
-    lo, hi = bootstrap_ci(sample.seconds, seed=ci_seed)
+def _timing_payload(sample: TimingSample) -> dict[str, Any]:
     return {
         "warmup": sample.warmup,
         "repeats": sample.repeats,
@@ -80,7 +78,6 @@ def _timing_payload(sample: TimingSample, *, ci_seed: int) -> dict[str, Any]:
         "best": sample.best,
         "median": sample.median,
         "iqr": sample.iqr,
-        "ci90": [lo, hi],
     }
 
 
@@ -116,8 +113,7 @@ def _measure(
                 f"bench {bench.name!r} is not work-deterministic: "
                 f"{first!r} != {other!r} across repeats"
             )
-    ci_seed = derive_seed(0, f"perf:{bench.name}")
-    return _timing_payload(sample, ci_seed=ci_seed), works
+    return _timing_payload(sample), works
 
 
 def run_suite(

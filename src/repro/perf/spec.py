@@ -1,4 +1,4 @@
-"""Benchmark specs and the named bench registry.
+"""Benchmark specs and the suites that group them.
 
 A :class:`BenchSpec` names one performance workload and how to measure
 it. Two kinds exist:
@@ -17,10 +17,10 @@ it. Two kinds exist:
 
 Benches are grouped into **suites**: ``smoke`` (seconds — the CI gate),
 ``core`` (the paper's t1–t9 experiment workloads plus the engine
-benches), and ``full`` (implicitly every registered bench). Registration
-mirrors the other six axis registries (families, delays, algorithms,
-faults, schedulers, scenarios): ``register_bench`` at import time, and
-the CLI / ``repro families`` pick the names up automatically.
+benches), and ``full`` (implicitly every bench). The named benches are
+one plain dict, :data:`repro.perf.library.BENCHES`, like every other
+name table (families, delays, algorithms, faults, schedulers,
+scenarios), and :data:`SUITES` is the suites' table.
 """
 
 from __future__ import annotations
@@ -32,24 +32,12 @@ from ..analysis.executor import RunSpec
 from ..analysis.harness import SweepSpec
 from ..errors import AnalysisError
 
-__all__ = [
-    "SUITES",
-    "SUITE_DESCRIPTIONS",
-    "BenchSpec",
-    "MicroFn",
-    "register_bench",
-    "bench_names",
-    "get_bench",
-    "suite_benches",
-    "suite_names",
-]
+__all__ = ["SUITES", "BenchSpec", "MicroFn"]
 
-#: Suite names, in gate-cost order. ``full`` is implicit — every
-#: registered bench belongs to it; specs declare the *explicit* tiers.
-SUITES: tuple[str, ...] = ("smoke", "core", "full")
-
-#: One-line suite blurbs for ``repro bench --list`` / docs.
-SUITE_DESCRIPTIONS: dict[str, str] = {
+#: Suite name -> one-line blurb, in gate-cost order. ``full`` is
+#: implicit — every bench belongs to it; specs declare the *explicit*
+#: tiers.
+SUITES: dict[str, str] = {
     "smoke": "seconds-scale regression gate (runs on every CI push)",
     "core": "the paper's t1-t9 experiment workloads + engine benches",
     "full": "every registered bench",
@@ -70,7 +58,7 @@ CellsFactory = Callable[[], tuple[RunSpec, ...]]
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One named, registered benchmark workload.
+    """One named benchmark workload.
 
     Exactly one of *sweep*, *cells_fn* or *micro* must be set. *repeats*
     and *warmup* parametrize the min-of-k timing pass
@@ -129,43 +117,3 @@ class BenchSpec:
     def in_suite(self, suite: str) -> bool:
         return suite == "full" or suite in self.suites
 
-
-_BENCHES: dict[str, BenchSpec] = {}
-
-
-def register_bench(spec: BenchSpec, *, replace: bool = False) -> BenchSpec:
-    """Add *spec* to the registry (``replace=True`` to overwrite)."""
-    if spec.name in _BENCHES and not replace:
-        raise AnalysisError(f"bench {spec.name!r} already registered")
-    _BENCHES[spec.name] = spec
-    return spec
-
-
-def bench_names() -> tuple[str, ...]:
-    """Sorted names of every registered bench."""
-    return tuple(sorted(_BENCHES))
-
-
-def get_bench(name: str) -> BenchSpec:
-    try:
-        return _BENCHES[name]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown bench {name!r}; registered: {', '.join(bench_names())}"
-        ) from None
-
-
-def suite_names() -> tuple[str, ...]:
-    """The suite axis as the other registries expose theirs."""
-    return SUITES
-
-
-def suite_benches(suite: str) -> tuple[BenchSpec, ...]:
-    """Members of *suite*, sorted by name (``full`` = every bench)."""
-    if suite not in SUITES:
-        raise AnalysisError(
-            f"unknown suite {suite!r}; valid: {list(SUITES)}"
-        )
-    return tuple(
-        _BENCHES[name] for name in bench_names() if _BENCHES[name].in_suite(suite)
-    )

@@ -2,11 +2,8 @@
 
 Timing distributions are small-sample and right-skewed (interference
 adds one-sided noise), so the summaries here are order statistics —
-median and interquartile range — plus a **seeded** bootstrap confidence
-interval for the median: resampling with a fixed
-:class:`random.Random` stream makes every CI bit-reproducible, which
-the determinism tests pin. No scipy; the quantile rule is the common
-linear-interpolation one (numpy's default).
+median and interquartile range. No scipy; the quantile rule is the
+common linear-interpolation one (numpy's default).
 
 :func:`paired_verdict` is the one speed verdict: two sides timed in
 alternating pairs, judged by the win count and the median gap against
@@ -16,12 +13,11 @@ the reference side's own quartile spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 from ..errors import AnalysisError
 
-__all__ = ["median", "iqr", "quantile", "bootstrap_ci", "PairedVerdict", "paired_verdict"]
+__all__ = ["median", "iqr", "quantile", "PairedVerdict", "paired_verdict"]
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -47,37 +43,6 @@ def median(values: Sequence[float]) -> float:
 def iqr(values: Sequence[float]) -> float:
     """Interquartile range — the spread summary next to the median."""
     return quantile(values, 0.75) - quantile(values, 0.25)
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    *,
-    seed: int = 0,
-    resamples: int = 200,
-    confidence: float = 0.90,
-) -> tuple[float, float]:
-    """Percentile-bootstrap CI for the median of *values*.
-
-    Deterministic in ``(values, seed, resamples, confidence)`` — the
-    resampling stream is a fresh ``Random(seed)``. With a single
-    observation the interval degenerates to that point.
-    """
-    if not values:
-        raise AnalysisError("bootstrap of an empty sequence")
-    if resamples < 1:
-        raise AnalysisError(f"resamples must be >= 1, got {resamples}")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    if len(values) == 1:
-        return (float(values[0]), float(values[0]))
-    rng = Random(seed)
-    n = len(values)
-    medians = []
-    for _ in range(resamples):
-        sample = [values[rng.randrange(n)] for _ in range(n)]
-        medians.append(median(sample))
-    alpha = (1.0 - confidence) / 2.0
-    return (quantile(medians, alpha), quantile(medians, 1.0 - alpha))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ pyperf's docs and the hpc guides) is to discard warm-up iterations —
 allocator pools, branch predictors and interpreter caches settle — and
 report the **minimum** over k measured repeats, which estimates the
 noise-free cost. The full sample is kept so :mod:`repro.perf.stats` can
-attach spread (median/IQR) and a seeded-bootstrap confidence interval.
+attach its spread (median/IQR).
 """
 
 from __future__ import annotations

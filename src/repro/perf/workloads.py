@@ -1,11 +1,11 @@
 """Engine benchmark workloads: the smoke, executor and campaign sweep
 specs and the micro-kernels.
 
-:mod:`repro.perf.library` registers them as
+:mod:`repro.perf.library` enters them in its bench table as
 :class:`~repro.perf.spec.BenchSpec` entries, and the engine benches
 under ``benchmarks/`` import the same definitions. The paper's tables
 T1–T9 live in :mod:`repro.analysis.experiments`. Kernels build their
-inputs when called, so importing the registry never pays for graph
+inputs when called, so importing the table never pays for graph
 generation.
 """
 

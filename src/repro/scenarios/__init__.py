@@ -17,7 +17,7 @@ CLI: ``python -m repro campaign`` (``--list``, run by name, ``--file``,
 ``--jobs``, ``--cache``, ``--out``).
 """
 
-from .library import SCENARIOS, builtin_campaign, get_scenario, scenario_names
+from .library import SCENARIOS, builtin_campaign
 from .loader import (
     campaign_from_dict,
     dump_campaign,
@@ -38,8 +38,6 @@ __all__ = [
     "ScenarioSpec",
     "CampaignSpec",
     "SCENARIOS",
-    "scenario_names",
-    "get_scenario",
     "builtin_campaign",
     "load_campaign",
     "load_scenario",

@@ -25,21 +25,16 @@ its axes) and from tests (every entry has an end-to-end smoke test).
 * ``schedule_storm`` — adversarial scheduler policies (newest-first,
   seeded random walk, one-node starvation) vs. the time-based baseline:
   the schedule-freedom claim as a first-class regime;
-* ``head_to_head`` — every registered algorithm on identical instances.
+* ``head_to_head`` — every algorithm on identical instances.
 """
 
 from __future__ import annotations
 
-from ..algorithms import algorithm_names
-from ..errors import AnalysisError
+from ..algorithms import ALGORITHMS
+from ..errors import AnalysisError, lookup
 from .spec import CampaignSpec, ScenarioSpec
 
-__all__ = [
-    "SCENARIOS",
-    "scenario_names",
-    "get_scenario",
-    "builtin_campaign",
-]
+__all__ = ["SCENARIOS", "builtin_campaign"]
 
 
 def _build() -> dict[str, ScenarioSpec]:
@@ -134,7 +129,7 @@ def _build() -> dict[str, ScenarioSpec]:
             sizes=(16,),
             seeds=(0, 1, 2),
             schedulers=("none", "lifo", "random", "starve"),
-            algorithms=algorithm_names(),
+            algorithms=tuple(sorted(ALGORITHMS)),
         ),
         ScenarioSpec(
             name="head_to_head",
@@ -145,7 +140,7 @@ def _build() -> dict[str, ScenarioSpec]:
             families=("gnp_sparse", "geometric", "complete"),
             sizes=(16, 24),
             seeds=(0, 1),
-            algorithms=algorithm_names(),
+            algorithms=tuple(sorted(ALGORITHMS)),
         ),
     )
     return {sc.name: sc for sc in entries}
@@ -155,28 +150,13 @@ def _build() -> dict[str, ScenarioSpec]:
 SCENARIOS: dict[str, ScenarioSpec] = _build()
 
 
-def scenario_names() -> tuple[str, ...]:
-    """Sorted names of the built-in scenarios."""
-    return tuple(sorted(SCENARIOS))
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown scenario {name!r}; built-in scenarios: "
-            f"{', '.join(scenario_names())}"
-        ) from None
-
-
 def builtin_campaign(names: tuple[str, ...] | list[str]) -> CampaignSpec:
     """Bundle built-in scenarios (by name, order preserved) into a
     campaign named after them."""
     if not names:
         raise AnalysisError(
-            f"no scenarios given; built-in scenarios: {', '.join(scenario_names())}"
+            f"no scenarios given; built-in scenarios: {', '.join(sorted(SCENARIOS))}"
         )
-    scenarios = tuple(get_scenario(name) for name in names)
+    scenarios = tuple(lookup(SCENARIOS, name, "scenario") for name in names)
     name = scenarios[0].name if len(scenarios) == 1 else "campaign"
     return CampaignSpec(name=name, scenarios=scenarios)

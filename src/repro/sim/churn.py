@@ -14,8 +14,8 @@ goes quiescent with non-terminated processes and surfaces as a loud
 the fault axis exposes, never a silently wrong tree.
 
 Wrappers are applied at the process layer exactly like faults (any
-protocol, no modification), and the registry mirrors
-:func:`repro.sim.faults.fault_plan_from_name`: a plan name plus
+protocol, no modification), and the table :data:`CHURN_PLANS` works
+like :data:`repro.sim.faults.FAULT_PLANS`: a plan name plus
 ``(n, seed)`` deterministically expands to per-node wrappers, so sweeps,
 scenario files, fuzz cells and cache keys carry "which churn" as a plain
 string axis (``RunSpec.churn``).
@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 
 from .._mutation import mutation_active
+from ..errors import lookup
 from ..rng import substream
 from .faults import Fault, FaultPlan
 from .messages import Message
@@ -50,9 +51,8 @@ __all__ = [
     "flap_link",
     "merge_plans",
     "NO_CHURN",
-    "churn_names",
+    "CHURN_PLANS",
     "churn_plan_from_name",
-    "register_churn_plan",
 ]
 
 #: A churn wrapper has the same shape as a fault: applied to a fresh
@@ -196,7 +196,7 @@ def merge_plans(*plans: Mapping[int, Churn]) -> ChurnPlan:
     return merged
 
 
-# -- named churn-plan registry -------------------------------------------------
+# -- named churn plans ---------------------------------------------------------
 
 #: A named plan expands to a concrete ChurnPlan given the network size
 #: and the run seed, mirroring :data:`repro.sim.faults.FaultPlanFactory`.
@@ -260,7 +260,8 @@ def _plan_churn_storm(n: int, seed: int) -> ChurnPlan:
     )
 
 
-_CHURN_FACTORIES: dict[str, ChurnPlanFactory] = {
+#: Churn-plan name -> plan factory (``none`` included).
+CHURN_PLANS: dict[str, ChurnPlanFactory] = {
     NO_CHURN: _plan_none,
     "restart_one": _plan_restart_one,
     "restart_wave": _plan_restart_wave,
@@ -269,28 +270,6 @@ _CHURN_FACTORIES: dict[str, ChurnPlanFactory] = {
 }
 
 
-def churn_names() -> tuple[str, ...]:
-    """Sorted names of every registered churn plan (``none`` included)."""
-    return tuple(sorted(_CHURN_FACTORIES))
-
-
-def register_churn_plan(
-    name: str, factory: ChurnPlanFactory, *, replace: bool = False
-) -> None:
-    """Add a named plan to the registry (``replace=True`` to overwrite)."""
-    if not name or not name.replace("_", "").isalnum():
-        raise ValueError(f"bad churn-plan name {name!r}")
-    if name in _CHURN_FACTORIES and not replace:
-        raise ValueError(f"churn plan {name!r} already registered")
-    _CHURN_FACTORIES[name] = factory
-
-
 def churn_plan_from_name(name: str, n: int, seed: int = 0) -> ChurnPlan:
-    """Expand a registered plan name for an *n*-node network."""
-    try:
-        factory = _CHURN_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown churn plan {name!r}; choose from {sorted(_CHURN_FACTORIES)}"
-        ) from None
-    return factory(n, seed)
+    """Expand a named plan for an *n*-node network."""
+    return lookup(CHURN_PLANS, name, "churn plan")(n, seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from ..errors import lookup
 from ..rng import substream
 
 __all__ = [
@@ -26,7 +27,7 @@ __all__ = [
     "UniformDelay",
     "ExponentialDelay",
     "PerLinkDelay",
-    "DELAY_NAMES",
+    "DELAYS",
     "delay_model_from_name",
 ]
 
@@ -127,23 +128,15 @@ class PerLinkDelay(DelayModel):
         return self._cache[key]
 
 
-_DELAY_FACTORIES: dict[str, type[DelayModel]] = {
+#: Delay-model name -> model class, for CLI choices and sweep specs.
+DELAYS: dict[str, type[DelayModel]] = {
     "unit": UnitDelay,
     "uniform": UniformDelay,
     "exponential": ExponentialDelay,
     "perlink": PerLinkDelay,
 }
 
-#: Valid delay-model names for CLI choices and sweep-spec validation.
-DELAY_NAMES: tuple[str, ...] = tuple(sorted(_DELAY_FACTORIES))
-
 
 def delay_model_from_name(name: str) -> DelayModel:
     """Factory used by the CLI / sweep specs."""
-    try:
-        factory = _DELAY_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown delay model {name!r}; choose from {sorted(_DELAY_FACTORIES)}"
-        ) from None
-    return factory()
+    return lookup(DELAYS, name, "delay model")()

@@ -17,11 +17,12 @@ Two queue implementations share one API:
 
 Hot-path layout: both queues store raw tuples
 ``(time, seq, kind, target, sender, payload, depth)`` — no per-event
-object is allocated on the simulator's inner loop. The :class:`Event`
-dataclass remains the stable inspection API: ``push``/``pop``
-materialize one on demand, while the network engine uses the raw
-``push_raw``/``pop_raw`` fast path. ``seq`` is unique, so heap
-comparisons never reach the non-comparable payload slot.
+object is allocated on the simulator's inner loop; ``push_raw`` takes
+the fields and ``pop_raw`` returns the tuple. ``seq`` is unique, so
+heap comparisons never reach the non-comparable payload slot. ``depth``
+is the causal depth of a message: 1 + the causal clock of the sender
+at send time. The maximum depth over a run is the paper's *time
+complexity* (longest causal dependency chain).
 
 :class:`EventKind` is an :class:`~enum.IntEnum` (``START == 0``,
 ``DELIVER == 1``) so the engine's dispatch is an int branch, not a
@@ -30,14 +31,13 @@ string or class check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Any
 
 from ..errors import SchedulingError
 
-__all__ = ["EventKind", "Event", "EventQueue", "BucketQueue"]
+__all__ = ["EventKind", "EventQueue", "BucketQueue"]
 
 
 class EventKind(IntEnum):
@@ -46,42 +46,6 @@ class EventKind(IntEnum):
 
     START = 0  # wake a node's on_start handler
     DELIVER = 1  # deliver a message to a node
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled simulator occurrence.
-
-    Attributes
-    ----------
-    time:
-        Simulated timestamp at which the event fires.
-    seq:
-        Global tie-breaking sequence number (assigned by the queue).
-    kind:
-        START or DELIVER.
-    target:
-        Node identity that handles the event.
-    sender:
-        Originating node for DELIVER events (``-1`` for START).
-    payload:
-        The message object for DELIVER events (``None`` for START).
-    depth:
-        Causal depth of the message: 1 + the causal clock of the sender at
-        send time. The maximum depth over a run is the paper's *time
-        complexity* (longest causal dependency chain).
-    """
-
-    time: float
-    seq: int
-    kind: EventKind
-    target: int
-    sender: int = -1
-    payload: Any = None
-    depth: int = 0
-
-    def sort_key(self) -> tuple[float, int]:
-        return (self.time, self.seq)
 
 
 class EventQueue:
@@ -118,7 +82,7 @@ class EventQueue:
         payload: Any = None,
         depth: int = 0,
     ) -> int:
-        """Schedule an event without materializing an :class:`Event`.
+        """Schedule an event at absolute *time* (must not be in the past).
 
         Returns the sequence number assigned to the entry. ``seq`` is
         unique per queue and is the correlation key the provenance layer
@@ -134,19 +98,6 @@ class EventQueue:
         heappush(self._heap, (time, seq, kind, target, sender, payload, depth))
         return seq
 
-    def push(
-        self,
-        time: float,
-        kind: EventKind,
-        target: int,
-        sender: int = -1,
-        payload: Any = None,
-        depth: int = 0,
-    ) -> Event:
-        """Schedule an event at absolute *time* (must not be in the past)."""
-        seq = self.push_raw(time, kind, target, sender, payload, depth)
-        return Event(time, seq, kind, target, sender, payload, depth)
-
     def pop_raw(self) -> tuple[float, int, EventKind, int, int, Any, int]:
         """Pop the earliest raw entry and advance the clock to it."""
         if not self._heap:
@@ -155,15 +106,6 @@ class EventQueue:
         self._now = item[0]
         return item
 
-    def pop(self) -> Event:
-        """Pop the earliest event and advance the clock to it."""
-        return Event(*self.pop_raw())
-
-    def peek_time(self) -> float:
-        """Time of the next event without popping."""
-        if not self._heap:
-            raise SchedulingError("peek on empty event queue")
-        return self._heap[0][0]
 
 
 class BucketQueue:
@@ -234,18 +176,6 @@ class BucketQueue:
             bucket.append((time, seq, kind, target, sender, payload, depth))
         return seq
 
-    def push(
-        self,
-        time: float,
-        kind: EventKind,
-        target: int,
-        sender: int = -1,
-        payload: Any = None,
-        depth: int = 0,
-    ) -> Event:
-        seq = self.push_raw(time, kind, target, sender, payload, depth)
-        return Event(time, seq, kind, target, sender, payload, depth)
-
     def pop_raw(self) -> tuple[float, int, EventKind, int, int, Any, int]:
         idx = self._cur_idx
         if idx >= len(self._cur):
@@ -259,13 +189,3 @@ class BucketQueue:
         self._cur_idx = idx + 1
         self._now = item[0]
         return item
-
-    def pop(self) -> Event:
-        return Event(*self.pop_raw())
-
-    def peek_time(self) -> float:
-        if self._cur_idx < len(self._cur):
-            return self._cur[self._cur_idx][0]
-        if not self._times:
-            raise SchedulingError("peek on empty event queue")
-        return self._times[0]

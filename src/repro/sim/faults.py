@@ -17,8 +17,8 @@ wrapped without modification.
 
 Named fault plans
 -----------------
-Mirroring :func:`repro.sim.delays.delay_model_from_name`, the registry
-below makes whole fault plans spec-addressable: a name plus ``(n, seed)``
+Like the delay models (:data:`repro.sim.delays.DELAYS`), the table
+:data:`FAULT_PLANS` makes whole fault plans spec-addressable: a name plus ``(n, seed)``
 deterministically expands to a :data:`FaultPlan`, so sweeps, scenario
 files and cache keys can carry "which faults" as a plain string axis
 (``RunSpec.fault``). Every plan is deterministic in ``(name, n, seed)``.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 
+from ..errors import lookup
 from ..rng import substream
 from .messages import Message
 from .node import NodeContext, Process
@@ -38,9 +39,8 @@ __all__ = [
     "crash_after",
     "drop_messages",
     "NO_FAULT",
-    "fault_names",
+    "FAULT_PLANS",
     "fault_plan_from_name",
-    "register_fault_plan",
 ]
 
 #: A fault is a wrapper applied to a freshly built process.
@@ -108,7 +108,7 @@ def drop_messages(probability: float, seed: int = 0) -> Fault:
     return fault
 
 
-# -- named fault-plan registry -------------------------------------------------
+# -- named fault plans ---------------------------------------------------------
 
 #: A named plan expands to a concrete FaultPlan given the network size
 #: and the run seed (node identities are assumed to be 0..n-1, which
@@ -155,7 +155,8 @@ def _plan_lossy_heavy(n: int, seed: int) -> FaultPlan:
     return {u: drop_messages(0.25, seed=seed) for u in range(n)}
 
 
-_FAULT_FACTORIES: dict[str, FaultPlanFactory] = {
+#: Fault-plan name -> plan factory (``none`` included).
+FAULT_PLANS: dict[str, FaultPlanFactory] = {
     NO_FAULT: _plan_none,
     "crash_one": _plan_crash_one,
     "crash_storm": _plan_crash_storm,
@@ -164,28 +165,6 @@ _FAULT_FACTORIES: dict[str, FaultPlanFactory] = {
 }
 
 
-def fault_names() -> tuple[str, ...]:
-    """Sorted names of every registered fault plan (``none`` included)."""
-    return tuple(sorted(_FAULT_FACTORIES))
-
-
-def register_fault_plan(
-    name: str, factory: FaultPlanFactory, *, replace: bool = False
-) -> None:
-    """Add a named plan to the registry (``replace=True`` to overwrite)."""
-    if not name or not name.replace("_", "").isalnum():
-        raise ValueError(f"bad fault-plan name {name!r}")
-    if name in _FAULT_FACTORIES and not replace:
-        raise ValueError(f"fault plan {name!r} already registered")
-    _FAULT_FACTORIES[name] = factory
-
-
 def fault_plan_from_name(name: str, n: int, seed: int = 0) -> FaultPlan:
-    """Expand a registered plan name for an *n*-node network."""
-    try:
-        factory = _FAULT_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault plan {name!r}; choose from {sorted(_FAULT_FACTORIES)}"
-        ) from None
-    return factory(n, seed)
+    """Expand a named plan for an *n*-node network."""
+    return lookup(FAULT_PLANS, name, "fault plan")(n, seed)

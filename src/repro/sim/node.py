@@ -9,13 +9,10 @@ limited to the node's own identity and its neighbors' identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..errors import ChannelError
 from .messages import Message
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .network import Network
 
 __all__ = ["NodeContext", "Process"]
 

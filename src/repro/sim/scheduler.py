@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from typing import Any
 
-from ..errors import SchedulingError
+from ..errors import SchedulingError, lookup
 from ..rng import derive_seed, substream
-from .events import Event, EventKind, EventQueue
+from .events import EventKind, EventQueue
 
 __all__ = [
     "SchedulerPolicy",
@@ -47,10 +47,10 @@ __all__ = [
     "ReplayScheduler",
     "PolicyQueue",
     "NO_SCHEDULER",
+    "SCHEDULERS",
+    "FALLBACKS",
     "REPLAY_PREFIX_MAX",
-    "scheduler_names",
     "scheduler_from_name",
-    "register_scheduler",
     "replay_spec",
     "parse_replay_spec",
     "is_replay_spec",
@@ -65,8 +65,8 @@ Head = tuple[int, int, int]
 class SchedulerPolicy(ABC):
     """Strategy that picks the next deliverable event.
 
-    ``bind(seed, n)`` is called once by the network at build time (the
-    registry hands out reusable instances); ``choose`` is called once per
+    ``bind(seed, n)`` is called once by the network at build time (so
+    one instance is reusable across runs); ``choose`` is called once per
     simulator step with the admissible heads in ascending send order and
     returns the index (exactly an ``int``) of the event to fire. The
     heads are the queue's live list: read them, never mutate or keep
@@ -166,13 +166,7 @@ class ReplayScheduler(SchedulerPolicy):
     def __init__(
         self, prefix: Sequence[int] = (), fallback: str = "random"
     ) -> None:
-        if fallback == NO_SCHEDULER or fallback not in _SCHEDULER_FACTORIES:
-            raise ValueError(
-                f"unknown replay fallback {fallback!r}; choose from "
-                f"{sorted(_SCHEDULER_FACTORIES)}"
-            )
-        if _is_replay_name(fallback):
-            raise ValueError("replay fallback cannot itself be a replay policy")
+        tail = lookup(FALLBACKS, fallback, "replay fallback")
         self.prefix = tuple(map(int, prefix))
         if self.prefix and min(self.prefix) < 0:
             raise ValueError("replay prefix choices must be non-negative")
@@ -181,7 +175,7 @@ class ReplayScheduler(SchedulerPolicy):
                 f"replay prefix longer than {REPLAY_PREFIX_MAX} choices"
             )
         self.fallback = fallback
-        self._tail: SchedulerPolicy = _SCHEDULER_FACTORIES[fallback]()
+        self._tail: SchedulerPolicy = tail()
         self._step = 0
 
     def bind(self, seed: int, n: int) -> None:
@@ -295,13 +289,6 @@ class PolicyQueue(EventQueue):
         self._views.append((seq, target, sender))
         return seq
 
-    def push(self, time, kind, target, sender=-1, payload=None, depth=0) -> Event:
-        seq = self.push_raw(time, kind, target, sender, payload, depth)
-        return Event(time, seq, kind, target, sender, payload, depth)
-
-    def pop(self) -> Event:
-        return Event(*self.pop_raw())
-
     def pop_raw(self) -> tuple[float, int, EventKind, int, int, Any, int]:
         if not self._size:
             raise SchedulingError("pop from empty event queue")
@@ -350,13 +337,15 @@ class PolicyQueue(EventQueue):
         # virtual step time replaces the scheduled label time
         return (self._now, entry[1], entry[2], entry[3], entry[4], entry[5], entry[6])
 
-    def peek_time(self) -> float:
-        if not self._size:
-            raise SchedulingError("peek on empty event queue")
-        return self._now + 1.0
 
+#: The distinguished "no policy" name: normal time-based scheduling.
+NO_SCHEDULER = "none"
 
-_SCHEDULER_FACTORIES: dict[str, type[SchedulerPolicy]] = {
+#: Scheduler-policy name -> zero-argument factory. Policies must be
+#: deterministic in ``(n, seed)``; the exploration property suite checks
+#: every entry.
+SCHEDULERS: dict[str, Callable[[], SchedulerPolicy | None]] = {
+    NO_SCHEDULER: lambda: None,
     "fifo": FifoScheduler,
     "lifo": LifoScheduler,
     "random": RandomScheduler,
@@ -364,8 +353,12 @@ _SCHEDULER_FACTORIES: dict[str, type[SchedulerPolicy]] = {
     "replay": ReplayScheduler,  # zero-arg: empty prefix, random fallback
 }
 
-#: The distinguished "no policy" name: normal time-based scheduling.
-NO_SCHEDULER = "none"
+#: The policies a replay schedule can hand over to past its prefix.
+FALLBACKS: dict[str, Callable[[], SchedulerPolicy]] = {
+    name: factory
+    for name, factory in SCHEDULERS.items()
+    if name not in (NO_SCHEDULER, "replay")
+}
 
 #: Upper bound on a replay prefix: keeps spec strings (which travel
 #: through RunSpec fields, cache keys and corpus artifacts) bounded.
@@ -381,13 +374,9 @@ REPLAY_PARSE_MEMO = 1 << 12
 REPLAY_CHOICE_SPACE = 64
 
 
-def _is_replay_name(name: str) -> bool:
-    return name == "replay" or name.startswith("replay:")
-
-
 def is_replay_spec(name: str) -> bool:
     """True for the bare ``replay`` policy name or a ``replay:...`` spec."""
-    return _is_replay_name(name)
+    return name == "replay" or name.startswith("replay:")
 
 
 def replay_spec(prefix: Sequence[int], fallback: str = "random") -> str:
@@ -420,7 +409,7 @@ def parse_replay_spec(name: str) -> tuple[tuple[int, ...], str]:
     if not 2 <= len(parts) <= 3 or parts[0] != "replay":
         raise ValueError(f"not a replay scheduler spec: {name!r}")
     fallback = parts[1]
-    if fallback == NO_SCHEDULER or _is_replay_name(fallback):
+    if fallback == NO_SCHEDULER or is_replay_spec(fallback):
         raise ValueError(f"bad replay fallback {fallback!r} in {name!r}")
     if len(parts) == 2:
         if fallback == "random":
@@ -443,47 +432,15 @@ def parse_replay_spec(name: str) -> tuple[tuple[int, ...], str]:
     return tuple(choices), fallback
 
 
-def scheduler_names() -> tuple[str, ...]:
-    """Sorted names of every registered policy (``none`` included,
-    mirroring :func:`repro.sim.faults.fault_names`)."""
-    return tuple(sorted((NO_SCHEDULER, *_SCHEDULER_FACTORIES)))
-
-
 def scheduler_from_name(name: str) -> SchedulerPolicy | None:
     """Factory used by the CLI / sweep specs (``"none"`` → ``None``).
 
-    Accepts every registered policy name plus canonical
+    Accepts every name in :data:`SCHEDULERS` plus canonical
     ``replay:<fallback>[:<prefix>]`` spec strings (see
     :func:`replay_spec`); non-canonical replay spellings are rejected so
     two distinct spec strings can never alias one schedule (the result
     cache hashes the spec string verbatim).
     """
-    if name == NO_SCHEDULER:
-        return None
-    if _is_replay_name(name) and name != "replay":
+    if name.startswith("replay:"):
         return ReplayScheduler(*parse_replay_spec(name))
-    try:
-        factory = _SCHEDULER_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler policy {name!r}; choose from "
-            f"{sorted((NO_SCHEDULER, *_SCHEDULER_FACTORIES))}"
-        ) from None
-    return factory()
-
-
-def register_scheduler(
-    name: str, factory: type[SchedulerPolicy], *, replace: bool = False
-) -> None:
-    """Add a named policy to the registry (``replace=True`` to overwrite).
-
-    Policies must be deterministic in ``(n, seed)`` — the exploration
-    property suite enforces this for every registered name.
-    """
-    if not name or not name.replace("_", "").isalnum():
-        raise ValueError(f"bad scheduler name {name!r}")
-    if name == NO_SCHEDULER:
-        raise ValueError(f"{NO_SCHEDULER!r} is reserved for time-based scheduling")
-    if name in _SCHEDULER_FACTORIES and not replace:
-        raise ValueError(f"scheduler {name!r} already registered")
-    _SCHEDULER_FACTORIES[name] = factory
+    return lookup(SCHEDULERS, name, "scheduler policy")()

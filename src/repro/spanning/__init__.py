@@ -12,14 +12,13 @@ from .preconstructed import (
     kruskal_mst,
     random_spanning_tree,
 )
-from .provider import CENTRALIZED_METHODS, DISTRIBUTED_METHODS, build_spanning_tree
+from .provider import INITIAL_METHODS, build_spanning_tree
 
 __all__ = [
     "SpanningTreeOutcome",
     "extract_tree",
     "build_spanning_tree",
-    "DISTRIBUTED_METHODS",
-    "CENTRALIZED_METHODS",
+    "INITIAL_METHODS",
     "EchoTreeProcess",
     "make_echo_factory",
     "ExtinctionProcess",

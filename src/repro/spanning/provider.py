@@ -1,16 +1,19 @@
 """Unified entry point for initial spanning-tree construction.
 
 ``build_spanning_tree(graph, method=...)`` runs either a *distributed*
-construction on the simulator (``"echo"``, ``"dfs"``, ``"ghs"``) or a
-*centralized* reference/adversarial one (``"bfs"``, ``"cdfs"``,
-``"greedy_hub"``, ``"random"``, ``"mst"``), returning a
-:class:`~repro.spanning.base.SpanningTreeOutcome` either way. This is the
+construction on the simulator (``"echo"``, ``"dfs"``, ``"ghs"``,
+``"election"``) or a *centralized* reference/adversarial one
+(``"bfs"``, ``"cdfs"``, ``"greedy_hub"``, ``"random"``, ``"mst"``),
+returning a :class:`~repro.spanning.base.SpanningTreeOutcome` either
+way. The names are the keys of :data:`INITIAL_METHODS`. This is the
 startup process of the paper's §3.1 packaged as one API.
 """
 
 from __future__ import annotations
 
-from ..errors import NotConnectedError, ReproError
+from typing import Callable
+
+from ..errors import NotConnectedError, ReproError, lookup
 from ..graphs.graph import Graph
 from ..graphs.traversal import is_connected
 from ..graphs.trees import RootedTree
@@ -30,10 +33,29 @@ from .preconstructed import (
     random_spanning_tree,
 )
 
-__all__ = ["build_spanning_tree", "DISTRIBUTED_METHODS", "CENTRALIZED_METHODS"]
+__all__ = ["build_spanning_tree", "INITIAL_METHODS"]
 
-DISTRIBUTED_METHODS = ("echo", "dfs", "ghs", "election")
-CENTRALIZED_METHODS = ("bfs", "cdfs", "greedy_hub", "random", "mst")
+
+def _initiator(graph: Graph, root: int | None) -> int:
+    return min(graph.nodes()) if root is None else root
+
+
+#: Startup construction name -> ``build(graph, root, seed)``, the
+#: distributed protocols first (the order ``repro families`` lists). A
+#: distributed build returns the per-node process factory the simulator
+#: runs; a centralized one returns the tree itself.
+INITIAL_METHODS: dict[str, Callable[[Graph, int | None, int], object]] = {
+    "echo": lambda graph, root, seed: make_echo_factory(_initiator(graph, root)),
+    "dfs": lambda graph, root, seed: make_dfs_factory(_initiator(graph, root)),
+    "ghs": lambda graph, root, seed: make_ghs_factory(graph),
+    # no designated initiator: leader election by extinction
+    "election": lambda graph, root, seed: ExtinctionProcess,
+    "bfs": lambda graph, root, seed: bfs_tree(graph, root),
+    "cdfs": lambda graph, root, seed: dfs_tree(graph, root),
+    "greedy_hub": lambda graph, root, seed: greedy_hub_tree(graph, root),
+    "random": lambda graph, root, seed: random_spanning_tree(graph, seed, root),
+    "mst": lambda graph, root, seed: kruskal_mst(graph, root),
+}
 
 
 def build_spanning_tree(
@@ -50,17 +72,18 @@ def build_spanning_tree(
     Parameters
     ----------
     method:
-        One of :data:`DISTRIBUTED_METHODS` (simulated protocols, metrics
-        reported) or :data:`CENTRALIZED_METHODS` (direct constructions,
-        ``report=None``).
+        A name in :data:`INITIAL_METHODS`: a simulated protocol (metrics
+        reported) or a direct construction (``report=None``).
     root:
         Initiator / root for rooted methods; defaults to the minimum
-        identity. GHS ignores it (its root emerges from the protocol).
+        identity (``greedy_hub``: a maximum-degree vertex). GHS ignores
+        it (its root emerges from the protocol).
     seed:
         Seed for the delay model and randomized constructions.
     delay:
         Link delay model for distributed methods (default unit delays).
     """
+    build = lookup(INITIAL_METHODS, method, "initial method")
     if graph.n == 0:
         raise ReproError("cannot build a spanning tree of an empty graph")
     if not is_connected(graph):
@@ -69,35 +92,10 @@ def build_spanning_tree(
         only = graph.nodes()[0]
         return SpanningTreeOutcome(tree=RootedTree(only, {}), report=None)
 
-    if method in CENTRALIZED_METHODS:
-        if method == "bfs":
-            tree = bfs_tree(graph, root)
-        elif method == "cdfs":
-            tree = dfs_tree(graph, root)
-        elif method == "greedy_hub":
-            tree = greedy_hub_tree(graph, root)
-        elif method == "random":
-            tree = random_spanning_tree(graph, seed, root)
-        else:
-            tree = kruskal_mst(graph, root)
-        return SpanningTreeOutcome(tree=tree, report=None)
-
-    if method not in DISTRIBUTED_METHODS:
-        raise ReproError(
-            f"unknown method {method!r}; choose from "
-            f"{DISTRIBUTED_METHODS + CENTRALIZED_METHODS}"
-        )
-    initiator = min(graph.nodes()) if root is None else root
-    if method == "echo":
-        factory = make_echo_factory(initiator)
-    elif method == "dfs":
-        factory = make_dfs_factory(initiator)
-    elif method == "election":
-        # no designated initiator: leader election by extinction
-        factory = ExtinctionProcess
-    else:
-        factory = make_ghs_factory(graph)
-    net = Network(graph, factory, delay=delay, seed=seed, trace=trace)
+    built = build(graph, root, seed)
+    if isinstance(built, RootedTree):
+        return SpanningTreeOutcome(tree=built, report=None)
+    net = Network(graph, built, delay=delay, seed=seed, trace=trace)
     report = net.run()
     # the startup protocol must terminate by process (§3.1): the read-back
     # raises StallError for a node that never halted, so the run itself

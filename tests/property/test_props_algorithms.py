@@ -1,12 +1,12 @@
-"""Property tests over the algorithm registry: on random connected
-graphs small enough for the exact solver (n ≤ 9), every registered
+"""Property tests over the algorithm table: on random connected
+graphs small enough for the exact solver (n ≤ 9), every
 algorithm's final tree degree stays within its *claimed* bound of the
 exact optimum, from any random initial tree and under any schedule."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import algorithm_names, get_algorithm
+from repro.algorithms import ALGORITHMS
 from repro.graphs import gnp_connected
 from repro.sequential import fr_quality_guarantee, optimal_degree
 from repro.sim import ExponentialDelay, UniformDelay, UnitDelay
@@ -35,8 +35,7 @@ class TestClaimedBounds:
     ):
         graph, tree = inst
         opt = optimal_degree(graph)
-        for name in algorithm_names():
-            algo = get_algorithm(name)
+        for name, algo in sorted(ALGORITHMS.items()):
             res = algo.run(
                 graph,
                 tree,
@@ -60,7 +59,7 @@ class TestClaimedBounds:
         within one degree level of each other."""
         graph, tree = inst
         degrees = {
-            name: get_algorithm(name).run(graph, tree).final_degree
-            for name in algorithm_names()
+            name: algo.run(graph, tree).final_degree
+            for name, algo in sorted(ALGORITHMS.items())
         }
         assert max(degrees.values()) - min(degrees.values()) <= 1, degrees

@@ -1,4 +1,4 @@
-"""Determinism properties of the exploration substrate: every registered
+"""Determinism properties of the exploration substrate: every named
 fault plan and scheduler policy must be a pure function of ``(n, seed)``
 — same inputs, identical plan / identical schedule. The shrinker and the
 regression corpus replay depend on it."""
@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import gnp_connected
 from repro.sim import (
+    FAULT_PLANS,
+    SCHEDULERS,
     EventKind,
     Network,
     PolicyQueue,
-    fault_names,
     fault_plan_from_name,
     scheduler_from_name,
-    scheduler_names,
 )
 from repro.sim.messages import Message
 from repro.sim.node import Process
@@ -45,12 +45,12 @@ class Chatter(Process):
             self.send(sender, Tick())
 
 
-POLICIES = [n for n in scheduler_names() if n != "none"]
+POLICIES = [n for n in sorted(SCHEDULERS) if n != "none"]
 
 
 class TestFaultPlanDeterminism:
     @given(
-        name=st.sampled_from(fault_names()),
+        name=st.sampled_from(sorted(FAULT_PLANS)),
         n=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**31),
     )

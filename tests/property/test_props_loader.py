@@ -7,7 +7,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import algorithm_names
+from repro.algorithms import ALGORITHMS
 from repro.graphs.generators import FAMILIES
 from repro.mdst.config import MODES
 from repro.scenarios import (
@@ -18,9 +18,8 @@ from repro.scenarios import (
     load_campaign,
     load_scenario,
 )
-from repro.sim import fault_names, scheduler_names
-from repro.sim.delays import DELAY_NAMES
-from repro.spanning.provider import CENTRALIZED_METHODS, DISTRIBUTED_METHODS
+from repro.sim import DELAYS, FAULT_PLANS, SCHEDULERS
+from repro.spanning.provider import INITIAL_METHODS
 
 _COUNTER = itertools.count()
 
@@ -49,12 +48,12 @@ _scenarios = st.builds(
     families=_axis(FAMILIES),
     sizes=_axis(range(3, 20), max_size=3),
     seeds=_axis(range(0, 50), max_size=4),
-    initial_methods=_axis(DISTRIBUTED_METHODS + CENTRALIZED_METHODS, max_size=2),
+    initial_methods=_axis(INITIAL_METHODS, max_size=2),
     modes=_axis(MODES),
-    delays=_axis(DELAY_NAMES),
-    faults=_axis(fault_names()),
-    schedulers=_axis(scheduler_names()),
-    algorithms=_axis(algorithm_names()),
+    delays=_axis(DELAYS),
+    faults=_axis(FAULT_PLANS),
+    schedulers=_axis(SCHEDULERS),
+    algorithms=_axis(ALGORITHMS),
     max_rounds=st.one_of(st.none(), st.integers(1, 99)),
 )
 

@@ -46,8 +46,8 @@ class TestEventQueueProperties:
     def test_pop_order_is_sorted(self, times):
         q = EventQueue()
         for t in times:
-            q.push(t, EventKind.START, target=0)
-        popped = [q.pop().time for _ in range(len(times))]
+            q.push_raw(t, EventKind.START, target=0)
+        popped = [q.pop_raw()[0] for _ in range(len(times))]
         assert popped == sorted(popped)
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=100))
@@ -55,8 +55,8 @@ class TestEventQueueProperties:
     def test_equal_times_fifo(self, targets):
         q = EventQueue()
         for tgt in targets:
-            q.push(1.0, EventKind.START, target=tgt)
-        assert [q.pop().target for _ in targets] == targets
+            q.push_raw(1.0, EventKind.START, target=tgt)
+        assert [q.pop_raw()[3] for _ in targets] == targets
 
 
 class TestNetworkProperties:

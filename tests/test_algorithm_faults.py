@@ -11,7 +11,7 @@ suite uses."""
 
 import pytest
 
-from repro.algorithms import algorithm_names, get_algorithm
+from repro.algorithms import ALGORITHMS
 from repro.errors import ProtocolError, TerminationError
 from repro.graphs import gnp_connected, ring
 from repro.sim import (
@@ -23,13 +23,11 @@ from repro.sim import (
 )
 from repro.spanning import extract_tree, greedy_hub_tree
 
-ALGORITHMS = sorted(algorithm_names())
-
 
 def _factory_for(algorithm: str, tree):
     """The bare process factory of a registered algorithm (so faults can
     be injected below the runner's certification layer)."""
-    return get_algorithm(algorithm).factory(
+    return ALGORITHMS[algorithm].factory(
         tree.parent_map(), mode="concurrent", max_rounds=None
     )
 
@@ -47,7 +45,7 @@ class TestFaultsStallLoudly:
     """A fault must surface as TerminationError (event budget) or
     ProtocolError (monitor / handshake check) — never a silent result."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_crashed_node_stalls(self, algorithm):
         g = gnp_connected(12, 0.3, seed=3)
         t = greedy_hub_tree(g)
@@ -55,7 +53,7 @@ class TestFaultsStallLoudly:
         with pytest.raises((ProtocolError, TerminationError)):
             _fault_run(algorithm, g, t, {victim: crash_after(0)})
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_crash_after_some_progress_stalls(self, algorithm):
         g = gnp_connected(12, 0.3, seed=3)
         t = greedy_hub_tree(g)
@@ -63,14 +61,14 @@ class TestFaultsStallLoudly:
         with pytest.raises((ProtocolError, TerminationError)):
             _fault_run(algorithm, g, t, {victim: crash_after(3)})
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_mute_root_stalls(self, algorithm):
         g = ring(8)
         t = greedy_hub_tree(g)
         with pytest.raises((ProtocolError, TerminationError)):
             _fault_run(algorithm, g, t, {t.root: drop_messages(1.0)})
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_lossy_link_never_certifies_corrupt_tree(self, algorithm):
         """Partial loss either stalls loudly or — if the drops happened to
         hit nothing critical — still yields a certified spanning tree."""
@@ -86,7 +84,7 @@ class TestFaultsStallLoudly:
             assert final.is_spanning_tree_of(g)
             assert final.max_degree() <= t.max_degree()
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_no_fault_no_effect(self, algorithm):
         g = gnp_connected(10, 0.35, seed=5)
         t = greedy_hub_tree(g)
@@ -97,5 +95,5 @@ class TestFaultsStallLoudly:
     def test_every_registered_algorithm_is_covered(self):
         """Every registered entry's factory yields the bare per-node
         factory the fault wrapper wraps, so ALGORITHMS covers them all."""
-        for name in algorithm_names():
+        for name in ALGORITHMS:
             assert callable(_factory_for(name, greedy_hub_tree(ring(4))))

@@ -1,4 +1,4 @@
-"""The algorithm registry and the fr_local protocol: registration,
+"""The algorithm table and the fr_local protocol: table entries,
 end-to-end runs, quality vs the sequential baselines, executor/cache
 round-trips with the algorithm axis, and CLI integration."""
 
@@ -6,15 +6,7 @@ from functools import partial
 
 import pytest
 
-from repro.algorithms import (
-    Algorithm,
-    FRProcess,
-    algorithm_names,
-    get_algorithm,
-    register_algorithm,
-    run_algorithm,
-)
-from repro.algorithms.registry import _REGISTRY
+from repro.algorithms import ALGORITHMS, Algorithm, FRProcess, run_algorithm
 from repro.analysis import (
     CachingExecutor,
     ParallelExecutor,
@@ -27,7 +19,7 @@ from repro.analysis import (
 )
 from repro.analysis.batch import CellTemplate
 from repro.cli import main
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, UnknownNameError
 from repro.graphs import complete, gnp_connected, lollipop, ring, star, torus
 from repro.mdst import MDSTConfig, MDSTProcess, run_mdst
 from repro.mdst.algorithm import build_protocol
@@ -44,40 +36,20 @@ from repro.spanning import (
     random_spanning_tree,
 )
 
-FR_LOCAL = get_algorithm("fr_local")
+FR_LOCAL = ALGORITHMS["fr_local"]
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert algorithm_names() == ("blin_butelle", "fr_local")
+        assert tuple(ALGORITHMS) == ("blin_butelle", "fr_local")
+        assert all(name == algo.name for name, algo in ALGORITHMS.items())
 
     def test_unknown_algorithm_error_lists_names(self):
-        with pytest.raises(ReproError) as exc:
-            get_algorithm("warp_drive")
+        with pytest.raises(UnknownNameError) as exc:
+            run_algorithm("warp_drive", ring(4))
+        assert isinstance(exc.value, ReproError)
         message = str(exc.value)
         assert "blin_butelle" in message and "fr_local" in message
-
-    def test_duplicate_registration_rejected(self):
-        algo = get_algorithm("fr_local")
-        with pytest.raises(ReproError, match="already registered"):
-            register_algorithm(algo)
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(ReproError, match="bad algorithm name"):
-            register_algorithm(
-                Algorithm(
-                    name="no spaces!",
-                    description="x",
-                    factory=lambda parents, **_: None,
-                )
-            )
-
-    def test_replace_allows_override(self):
-        original = get_algorithm("fr_local")
-        try:
-            register_algorithm(original, replace=True)
-        finally:
-            _REGISTRY["fr_local"] = original
 
     @pytest.mark.parametrize(
         "name, direct",
@@ -113,17 +85,15 @@ def _blin_single(parents, *, mode, max_rounds):
 
 
 @pytest.fixture
-def blin_single():
+def blin_single(monkeypatch):
     """A test-only entry: the paper's process with single mode forced."""
-    algo = register_algorithm(
-        Algorithm("test_blin_single", "MDegST, single mode forced", _blin_single)
-    )
-    yield algo
-    del _REGISTRY[algo.name]
+    algo = Algorithm("test_blin_single", "MDegST, single mode forced", _blin_single)
+    monkeypatch.setitem(ALGORITHMS, algo.name, algo)
+    return algo
 
 
 class TestRegistrationIsTheRecipe:
-    """One process class plus one ``register_algorithm`` call is a whole
+    """One process class plus one :data:`ALGORITHMS` entry is a whole
     algorithm: every driver of the entry runs exactly that process."""
 
     def test_every_driver_agrees_with_run_mdst(self, blin_single):

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.algorithms import algorithm_names
+from repro.algorithms import ALGORITHMS
 from repro.analysis.batch import (
     INSTANCE_MEMO_SIZE,
     CellTemplate,
@@ -22,7 +22,7 @@ from repro.analysis.executor import (
     execute_cell,
 )
 from repro.analysis.harness import SweepSpec, run_sweep
-from repro.errors import AnalysisError, GraphError, ReproError
+from repro.errors import AnalysisError, ReproError, UnknownNameError
 from repro.exploration import artifact_bytes, corpus_paths, explore, load_artifact
 from repro.exploration.probe import probe_cell, probe_cells
 from repro.graphs.generators import make_family
@@ -224,7 +224,7 @@ class TestInstanceMemo:
 
     FAMILY, N, SEED, METHOD = "gnp_sparse", 9, 4, "random"
 
-    @pytest.mark.parametrize("algorithm", algorithm_names())
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize(
         "axis", [{"fault": "lossy_light"}, {"churn": "restart_one"},
                  {"scheduler": "replay:lifo:3.1.4"}],
@@ -257,7 +257,7 @@ class TestInstanceMemo:
     def test_failing_build_is_not_cached(self):
         before = instance.cache_info().currsize
         for _ in range(2):
-            with pytest.raises(GraphError):
+            with pytest.raises(UnknownNameError):
                 instance("no_such_family", 8, 0)
         assert instance.cache_info().currsize == before
 

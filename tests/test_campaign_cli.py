@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import dump_campaign, dump_scenario, get_scenario
+from repro.scenarios import SCENARIOS, dump_campaign, dump_scenario
 
 #: golden output — update deliberately when the library changes
 CAMPAIGN_LIST_GOLDEN = """\
@@ -64,7 +64,7 @@ class TestCampaignCommand:
         assert warm == cold
 
     def test_file_mode_toml_and_json(self, capsys, tmp_path):
-        camp = get_scenario("adversarial_delay").tiny()
+        camp = SCENARIOS["adversarial_delay"].tiny()
         for suffix in (".toml", ".json"):
             path = tmp_path / f"doc{suffix}"
             dump_scenario(camp, path)
@@ -86,7 +86,7 @@ class TestCampaignCommand:
         assert main(["campaign"]) == 2
         assert "scenario name" in capsys.readouterr().err
         path = tmp_path / "c.toml"
-        dump_scenario(get_scenario("lossy_links"), path)
+        dump_scenario(SCENARIOS["lossy_links"], path)
         assert main(["campaign", "lossy_links", "--file", str(path)]) == 2
 
     def test_unknown_scenario_name_is_a_friendly_error(self, capsys):

@@ -37,7 +37,7 @@ from repro.sim import CausalCapture, CausalTally, Network, stamp
 from repro.sim.messages import Message
 from repro.sim.node import Process
 from repro.sim.provenance import UNATTRIBUTED_SECTION
-from repro.sim.scheduler import scheduler_names
+from repro.sim.scheduler import SCHEDULERS
 
 
 # -- a micro-protocol that exercises section stamping ------------------------
@@ -308,7 +308,7 @@ class TestTallyEqualsCapture:
     @pytest.mark.parametrize("algorithm", ["blin_butelle", "fr_local"])
     @pytest.mark.parametrize("churn", ["none", "restart_one", "restart_wave"])
     @pytest.mark.parametrize(
-        "scheduler", [*scheduler_names(), "replay:lifo:3.1.4.1.5"]
+        "scheduler", [*sorted(SCHEDULERS), "replay:lifo:3.1.4.1.5"]
     )
     def test_summary_equals_a_recount_of_the_rows(self, algorithm, churn, scheduler):
         """The tally's counters are derived at loop exit and its sections

@@ -1,4 +1,4 @@
-"""Mid-run churn (:mod:`repro.sim.churn`): registry surface, wrapper
+"""Mid-run churn (:mod:`repro.sim.churn`): the plan table, wrapper
 mechanics, stall-vs-corruption classification and the churn axis through
 the run/sweep/batch path.
 
@@ -10,30 +10,27 @@ every certification — a plan may stall a run loudly
 
 import pytest
 
+from repro.analysis.axes import AXIS
 from repro.analysis.batch import CellTemplate, run_cells
 from repro.analysis.executor import RunSpec, SerialExecutor
 from repro.analysis.harness import SweepSpec, run_single, run_sweep
 from repro.analysis.records import RunRecord
 from repro.errors import AnalysisError, ProtocolError, StallError
 from repro.sim.churn import (
+    CHURN_PLANS,
     NO_CHURN,
-    churn_names,
     churn_plan_from_name,
     crash_restart,
     flap_link,
     merge_plans,
-    register_churn_plan,
 )
 
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = churn_names()
-        assert names == tuple(sorted(names))
-        for expected in (
+        assert set(CHURN_PLANS) == {
             "none", "restart_one", "restart_wave", "flap_edge", "churn_storm",
-        ):
-            assert expected in names
+        }
 
     def test_none_is_empty(self):
         assert churn_plan_from_name(NO_CHURN, 16, seed=3) == {}
@@ -42,7 +39,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="restart_one"):
             churn_plan_from_name("nope", 16)
 
-    @pytest.mark.parametrize("name", churn_names())
+    @pytest.mark.parametrize("name", sorted(CHURN_PLANS))
     def test_victims_are_valid_node_ids(self, name):
         for n in (3, 8, 17):
             plan = churn_plan_from_name(name, n, seed=1)
@@ -64,22 +61,10 @@ class TestRegistry:
         assert churn_plan_from_name("restart_one", 2, seed=0) == {}
         assert churn_plan_from_name("flap_edge", 2, seed=0) == {}
 
-    def test_register_rejects_duplicates_and_bad_names(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_churn_plan("restart_one", lambda n, seed: {})
-        with pytest.raises(ValueError, match="bad churn-plan name"):
-            register_churn_plan("no spaces!", lambda n, seed: {})
-
-    def test_register_and_replace(self):
-        register_churn_plan("test_noop", lambda n, seed: {}, replace=True)
-        try:
-            assert "test_noop" in churn_names()
-            assert churn_plan_from_name("test_noop", 5) == {}
-            register_churn_plan("test_noop", lambda n, seed: {}, replace=True)
-        finally:
-            from repro.sim import churn as churn_mod
-
-            churn_mod._CHURN_FACTORIES.pop("test_noop", None)
+    def test_a_table_entry_is_a_plan_on_the_axis(self, monkeypatch):
+        monkeypatch.setitem(CHURN_PLANS, "test_noop", lambda n, seed: {})
+        assert churn_plan_from_name("test_noop", 5) == {}
+        assert AXIS["churn"].check("test_noop") == "test_noop"
 
 
 class TestWrappers:
@@ -188,7 +173,7 @@ class TestChurnRunPath:
         assert r.churn == "restart_one"
         assert r.outcome in ("ok", "stalled")
 
-    @pytest.mark.parametrize("churn", [c for c in churn_names() if c != "none"])
+    @pytest.mark.parametrize("churn", [c for c in sorted(CHURN_PLANS) if c != "none"])
     def test_healthy_protocol_certifies_or_stalls(self, churn):
         """The dichotomy across every built-in plan: a churned run either
         completes certified or stalls loudly — corruption would raise

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import EXPERIMENTS, run_experiment
 from repro.cli import main
-from repro.errors import AnalysisError, GraphError
+from repro.errors import GraphError, UnknownNameError
 from repro.graphs import (
     barbell,
     circulant,
@@ -100,7 +100,7 @@ class TestExperimentPresets:
         assert set(EXPERIMENTS) == {f"t{i}" for i in range(1, 10)}
 
     def test_unknown_raises(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(UnknownNameError, match="unknown experiment 't99'"):
             run_experiment("t99")
 
     def test_t1_preset(self):

@@ -1,33 +1,26 @@
-"""Named fault-plan registry + the fault axis through the run path.
+"""Named fault plans + the fault axis through the run path.
 
-The registry (:mod:`repro.sim.faults`) makes fault plans
-spec-addressable strings, mirroring ``delay_model_from_name``; the
+The plan table (:data:`repro.sim.faults.FAULT_PLANS`) makes fault plans
+spec-addressable strings, like the delay models; the
 harness flattens a faulty run that stalls loudly into an
 ``outcome="stalled"`` record instead of raising, so fault scenarios can
-tabulate stall rates. These tests pin the registry surface, plan
+tabulate stall rates. These tests pin the plan table, plan
 determinism, and the stall-record contract.
 """
 
 import pytest
 
+from repro.analysis.axes import AXIS
 from repro.analysis.harness import SweepSpec, run_single
 from repro.errors import AnalysisError
-from repro.sim.faults import (
-    NO_FAULT,
-    fault_names,
-    fault_plan_from_name,
-    register_fault_plan,
-)
+from repro.sim.faults import FAULT_PLANS, NO_FAULT, fault_plan_from_name
 
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = fault_names()
-        assert names == tuple(sorted(names))
-        for expected in (
+        assert set(FAULT_PLANS) == {
             "none", "crash_one", "crash_storm", "lossy_light", "lossy_heavy",
-        ):
-            assert expected in names
+        }
 
     def test_none_is_empty(self):
         assert fault_plan_from_name(NO_FAULT, 16, seed=3) == {}
@@ -36,7 +29,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="lossy_light"):
             fault_plan_from_name("nope", 16)
 
-    @pytest.mark.parametrize("name", fault_names())
+    @pytest.mark.parametrize("name", sorted(FAULT_PLANS))
     def test_victims_are_valid_node_ids(self, name):
         for n in (3, 8, 17):
             plan = fault_plan_from_name(name, n, seed=1)
@@ -56,22 +49,10 @@ class TestRegistry:
     def test_lossy_plans_cover_every_node(self):
         assert sorted(fault_plan_from_name("lossy_heavy", 9, seed=0)) == list(range(9))
 
-    def test_register_rejects_duplicates_and_bad_names(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault_plan("crash_one", lambda n, seed: {})
-        with pytest.raises(ValueError, match="bad fault-plan name"):
-            register_fault_plan("no spaces!", lambda n, seed: {})
-
-    def test_register_and_replace(self):
-        register_fault_plan("test_noop", lambda n, seed: {}, replace=True)
-        try:
-            assert "test_noop" in fault_names()
-            assert fault_plan_from_name("test_noop", 5) == {}
-            register_fault_plan("test_noop", lambda n, seed: {}, replace=True)
-        finally:
-            from repro.sim import faults as faults_mod
-
-            faults_mod._FAULT_FACTORIES.pop("test_noop", None)
+    def test_a_table_entry_is_a_plan_on_the_axis(self, monkeypatch):
+        monkeypatch.setitem(FAULT_PLANS, "test_noop", lambda n, seed: {})
+        assert fault_plan_from_name("test_noop", 5) == {}
+        assert AXIS["fault"].check("test_noop") == "test_noop"
 
 
 class TestFaultAxisRunPath:

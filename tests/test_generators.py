@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import GraphError, UnknownNameError
 from repro.graphs import (
     FAMILIES,
     caterpillar_graph,
@@ -181,5 +181,5 @@ class TestRegistry:
         assert g.n >= 8  # shape parameters may round n a little
 
     def test_unknown_family(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(UnknownNameError, match="unknown family 'nope'"):
             make_family("nope", 10)

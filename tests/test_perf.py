@@ -3,22 +3,21 @@ compare/gate verdicts, suite-runner determinism, and the
 ``slow_event_loop`` mutation self-test."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro._mutation import mutated
 from repro.analysis.harness import SweepSpec
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, UnknownNameError
 from repro.perf import (
     BASELINE_SCHEMA,
+    BENCHES,
     Baseline,
     BenchResult,
     BenchSpec,
-    bench_names,
-    bootstrap_ci,
     compare_baselines,
     compare_pairs,
-    get_bench,
     iqr,
     latest_baseline_path,
     load_baseline,
@@ -26,7 +25,6 @@ from repro.perf import (
     median,
     paired_verdict,
     quantile,
-    register_bench,
     run_suite,
     save_baseline,
     suite_benches,
@@ -54,27 +52,6 @@ class TestStats:
             quantile([], 0.5)
         with pytest.raises(AnalysisError):
             quantile([1.0], 1.5)
-
-    def test_bootstrap_ci_is_deterministic_in_the_seed(self):
-        values = [1.0, 1.2, 0.9, 1.4, 1.1, 1.05]
-        a = bootstrap_ci(values, seed=7)
-        b = bootstrap_ci(values, seed=7)
-        c = bootstrap_ci(values, seed=8)
-        assert a == b
-        assert a != c  # a different stream resamples differently
-        lo, hi = a
-        assert lo <= median(values) <= hi
-
-    def test_bootstrap_ci_single_value_degenerates(self):
-        assert bootstrap_ci([2.5], seed=0) == (2.5, 2.5)
-
-    def test_bootstrap_ci_validation(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([], seed=0)
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0, 2.0], resamples=0)
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0, 2.0], confidence=1.0)
 
 
 #: ten paired timings of a reference side: median 1.0, quartile spread 0.15
@@ -171,7 +148,6 @@ class TestBenchSpecRegistry:
             BenchSpec(name="bad name", description="d", micro=kernel)
 
     def test_builtin_registry_covers_the_migrated_benches(self):
-        names = bench_names()
         for expected in (
             "t1_degree_quality", "t2_messages", "t4_rounds",
             "t5_lower_bound", "t6_initial_tree", "t7_message_size",
@@ -179,31 +155,23 @@ class TestBenchSpecRegistry:
             "campaign_tiny", "event_queue_ops", "policy_queue_ops",
             "echo_wave", "full_protocol",
         ):
-            assert expected in names
-        assert get_bench("echo_wave").kind == "micro"
-        assert get_bench("t2_messages").kind == "sweep"
-        assert get_bench("t2_messages").cells()  # sweeps lower to cells
+            assert BENCHES[expected].name == expected
+        assert BENCHES["echo_wave"].kind == "micro"
+        assert BENCHES["t2_messages"].kind == "sweep"
+        assert BENCHES["t2_messages"].cells()  # sweeps lower to cells
+
+    def test_no_two_builtin_benches_share_a_name(self):
+        from repro.perf.library import _build
+
+        assert len(BENCHES) == len(_build())
 
     def test_suites_nest(self):
         smoke = {b.name for b in suite_benches("smoke")}
         full = {b.name for b in suite_benches("full")}
         assert smoke < full
-        assert full == set(bench_names())
-        with pytest.raises(AnalysisError):
+        assert full == set(BENCHES)
+        with pytest.raises(UnknownNameError, match="unknown suite 'nightly'"):
             suite_benches("nightly")
-
-    def test_register_rejects_duplicates(self, monkeypatch):
-        from repro.perf import spec as spec_mod
-
-        monkeypatch.setattr(spec_mod, "_BENCHES", dict(spec_mod._BENCHES))
-        spec = BenchSpec(name="zz_dup", description="d",
-                         micro=lambda: (lambda: {"ops": 1}))
-        register_bench(spec)
-        with pytest.raises(AnalysisError):
-            register_bench(spec)
-        register_bench(spec, replace=True)
-        with pytest.raises(AnalysisError):
-            get_bench("zz_missing")
 
 
 def _result(name="b1", work=None, best=1.0, kind="micro"):
@@ -214,7 +182,6 @@ def _result(name="b1", work=None, best=1.0, kind="micro"):
         timing={
             "warmup": 1, "repeats": 3, "seconds": [best, best * 1.1, best * 1.2],
             "best": best, "median": best * 1.1, "iqr": best * 0.1,
-            "ci90": [best, best * 1.2],
         },
         derived={"events_per_sec": 10 / best},
     )
@@ -282,6 +249,14 @@ class TestBaselineFiles:
     def test_duplicate_results_rejected(self):
         with pytest.raises(AnalysisError, match="duplicate"):
             _baseline([_result("b1"), _result("b1")])
+
+    def test_committed_file_with_a_ci90_field_loads_and_gates(self):
+        """``BENCH_0021.json`` predates the paired verdict: its timing
+        sections carry a ``ci90`` interval nothing reads any more."""
+        base = load_baseline(Path(__file__).resolve().parents[1] / "BENCH_0021.json")
+        assert base.suite == "smoke" and base.results
+        assert all("ci90" in result.timing for result in base.results)
+        assert compare_baselines(base, base).ok
 
     def test_latest_baseline_path(self, tmp_path):
         assert latest_baseline_path(tmp_path) is None
@@ -368,18 +343,20 @@ def _tiny_micro_bench(name="zz_micro", suites=("smoke",)):
 
 
 @pytest.fixture
-def private_registry(monkeypatch):
-    """A scratch bench registry (tests never pollute the real one)."""
-    from repro.perf import spec as spec_mod
+def add_bench(monkeypatch):
+    """A scratch, empty bench table (tests never touch the real one):
+    ``add_bench(spec, ...)`` enters specs into it."""
+    from repro.perf import library
 
-    monkeypatch.setattr(spec_mod, "_BENCHES", {})
-    return spec_mod
+    table: dict[str, BenchSpec] = {}
+    monkeypatch.setattr(library, "BENCHES", table)
+    return lambda *specs: table.update((spec.name, spec) for spec in specs)
 
 
 class TestSuiteRunner:
-    def test_tiny_suite_end_to_end(self, private_registry):
-        register_bench(_tiny_sweep_bench())
-        register_bench(_tiny_micro_bench())
+    def test_tiny_suite_end_to_end(self, add_bench):
+        add_bench(_tiny_sweep_bench())
+        add_bench(_tiny_micro_bench())
         base = run_suite("smoke")
         assert base.suite == "smoke"
         assert base.bench_names() == ("zz_micro", "zz_sweep")
@@ -391,14 +368,15 @@ class TestSuiteRunner:
         assert sweep.work["events"] > 0
         assert sweep.derived["events_per_sec"] > 0
         assert sweep.timing["repeats"] == 1
-        lo, hi = sweep.timing["ci90"]
-        assert lo <= hi
+        assert set(sweep.timing) == {
+            "warmup", "repeats", "seconds", "best", "median", "iqr"
+        }
 
     def test_work_section_identical_serial_parallel_cached(
-        self, private_registry, tmp_path
+        self, add_bench, tmp_path
     ):
-        register_bench(_tiny_sweep_bench())
-        register_bench(_tiny_micro_bench())
+        add_bench(_tiny_sweep_bench())
+        add_bench(_tiny_micro_bench())
         serial = run_suite("smoke")
         parallel = run_suite("smoke", jobs=2)
         cold = run_suite("smoke", cache=tmp_path / "cache")
@@ -408,25 +386,25 @@ class TestSuiteRunner:
         assert work_bytes(cold) == blob
         assert work_bytes(warm) == blob
 
-    def test_non_deterministic_micro_fails_loudly(self, private_registry):
+    def test_non_deterministic_micro_fails_loudly(self, add_bench):
         counter = iter(range(100))
 
         def kernel():
             return lambda: {"ops": next(counter)}
 
-        register_bench(
+        add_bench(
             BenchSpec(name="zz_flaky", description="d", suites=("smoke",),
                       micro=kernel, repeats=2, warmup=0)
         )
         with pytest.raises(AnalysisError, match="not work-deterministic"):
             run_suite("smoke")
 
-    def test_empty_suite_is_an_error(self, private_registry):
+    def test_empty_suite_is_an_error(self, add_bench):
         with pytest.raises(AnalysisError, match="no registered benches"):
             run_suite("smoke")
 
-    def test_repeats_and_warmup_overrides(self, private_registry):
-        register_bench(_tiny_micro_bench())
+    def test_repeats_and_warmup_overrides(self, add_bench):
+        add_bench(_tiny_micro_bench())
         base = run_suite("smoke", repeats=4, warmup=2)
         timing = base.result("zz_micro").timing
         assert timing["repeats"] == 4
@@ -450,16 +428,16 @@ class TestMutationSelfTest:
     judged by a paired ``bench --compare REV`` (the CI perf-smoke job)."""
 
     @pytest.fixture
-    def loop_suite(self, private_registry):
+    def loop_suite(self, add_bench):
         """Just the loop-dominated benches — the mutation's blast
         radius, kept small so the self-test stays fast."""
         from repro.perf.workloads import echo_wave_kernel, full_protocol_kernel
 
-        register_bench(
+        add_bench(
             BenchSpec(name="echo_wave", description="d", suites=("smoke",),
                       micro=echo_wave_kernel, repeats=3)
         )
-        register_bench(
+        add_bench(
             BenchSpec(name="full_protocol", description="d", suites=("smoke",),
                       micro=full_protocol_kernel, repeats=2)
         )
@@ -485,10 +463,10 @@ class TestEdgeBranches:
         assert git_revision(tmp_path) == "unknown"
         assert git_revision(".") != ""  # inside the repo: some revision
 
-    def test_suite_names_mirrors_the_other_registries(self):
-        from repro.perf import SUITES, suite_names
+    def test_suites_are_a_name_table(self):
+        from repro.perf import SUITES
 
-        assert suite_names() == SUITES == ("smoke", "core", "full")
+        assert tuple(SUITES) == ("smoke", "core", "full")
 
     def test_file_verdict_reads_no_timing(self):
         """Against a file only work is judged: a run whose timing section

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.analysis.cache import ResultCache
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, UnknownNameError
 from repro.scenarios import (
     SCENARIOS,
     CampaignSpec,
@@ -16,13 +16,11 @@ from repro.scenarios import (
     builtin_campaign,
     dump_campaign,
     dump_scenario,
-    get_scenario,
     load_campaign,
     load_scenario,
     render_markdown,
     report_json_dict,
     run_campaign,
-    scenario_names,
     write_report,
 )
 
@@ -64,9 +62,9 @@ class TestScenarioSpec:
         assert sc.num_cells == 2 * 2 * 2
 
     def test_tiny_keeps_regime_but_shrinks_grid(self):
-        sc = get_scenario("paper_baseline").tiny()
+        sc = SCENARIOS["paper_baseline"].tiny()
         assert sc.sizes == (10,) and sc.seeds == (0,)
-        assert sc.families == get_scenario("paper_baseline").families
+        assert sc.families == SCENARIOS["paper_baseline"].families
 
     def test_scaled(self):
         sc = ScenarioSpec(name="x", sizes=(8, 16)).scaled(2)
@@ -88,12 +86,12 @@ class TestCampaignSpec:
     def test_num_cells_sums(self):
         camp = builtin_campaign(["lossy_links", "crash_storm"])
         assert camp.num_cells == (
-            get_scenario("lossy_links").num_cells
-            + get_scenario("crash_storm").num_cells
+            SCENARIOS["lossy_links"].num_cells
+            + SCENARIOS["crash_storm"].num_cells
         )
 
     def test_unknown_builtin_errors_with_choices(self):
-        with pytest.raises(AnalysisError, match="paper_baseline"):
+        with pytest.raises(UnknownNameError, match="paper_baseline"):
             builtin_campaign(["nope"])
 
 
@@ -101,8 +99,7 @@ class TestLibrary:
     def test_at_least_eight_builtins(self):
         assert len(SCENARIOS) >= 8
 
-    def test_names_sorted_and_consistent(self):
-        assert scenario_names() == tuple(sorted(SCENARIOS))
+    def test_names_consistent(self):
         for name, sc in SCENARIOS.items():
             assert sc.name == name
             assert sc.description
@@ -111,15 +108,15 @@ class TestLibrary:
         """Fault scenarios keep a fault-free control group so stall
         rates are read against a baseline."""
         for name in ("lossy_links", "crash_storm"):
-            assert "none" in get_scenario(name).faults
+            assert "none" in SCENARIOS[name].faults
 
     def test_head_to_head_covers_every_algorithm(self):
-        from repro.algorithms import algorithm_names
+        from repro.algorithms import ALGORITHMS
 
-        assert get_scenario("head_to_head").algorithms == algorithm_names()
+        assert SCENARIOS["head_to_head"].algorithms == tuple(sorted(ALGORITHMS))
 
     def test_churn_storm_sweeps_the_churn_axis_with_a_baseline(self):
-        sc = get_scenario("churn_storm")
+        sc = SCENARIOS["churn_storm"]
         assert "none" in sc.churns  # control group, like fault scenarios
         assert {"restart_one", "churn_storm"} <= set(sc.churns)
         assert sc.num_cells == len(sc.cells())
@@ -134,12 +131,12 @@ class TestLoader:
 
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_scenario_roundtrip(self, tmp_path, suffix):
-        sc = get_scenario("adversarial_delay")
+        sc = SCENARIOS["adversarial_delay"]
         path = dump_scenario(sc, tmp_path / f"s{suffix}")
         assert load_scenario(path) == sc
 
     def test_bare_scenario_file_loads_as_campaign(self, tmp_path):
-        sc = get_scenario("lossy_links")
+        sc = SCENARIOS["lossy_links"]
         path = dump_scenario(sc, tmp_path / "s.toml")
         camp = load_campaign(path)
         assert camp.name == sc.name and camp.scenarios == (sc,)
@@ -199,7 +196,7 @@ class TestRunnerAndReport:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_builtin_scenario_smoke(self, name):
         """Every built-in scenario runs end-to-end (shrunk) and reports."""
-        sc = get_scenario(name).tiny()
+        sc = SCENARIOS[name].tiny()
         result = run_campaign(CampaignSpec(name=name, scenarios=(sc,)))
         (scenario_result,) = result.results
         assert len(scenario_result.records) == sc.num_cells

@@ -4,12 +4,14 @@ network integration (the exploration PR's tentpole axis)."""
 import numpy as np
 import pytest
 
+from repro.analysis.axes import AXIS
 from repro.errors import SchedulingError
 from repro.graphs.generators import gnp_connected, make_family
 from repro.mdst.algorithm import run_mdst
 from repro.mdst.config import MDSTConfig
 from repro.sim import (
     NO_SCHEDULER,
+    SCHEDULERS,
     EventKind,
     FifoScheduler,
     LifoScheduler,
@@ -19,19 +21,17 @@ from repro.sim import (
     ReplayScheduler,
     SchedulerPolicy,
     StarveNodeScheduler,
-    register_scheduler,
     scheduler_from_name,
-    scheduler_names,
 )
+from repro.sim.delays import ExponentialDelay, UniformDelay
+from repro.sim.messages import Message
+from repro.sim.node import Process
 from repro.sim.scheduler import (
     REPLAY_PREFIX_MAX,
     is_replay_spec,
     parse_replay_spec,
     replay_spec,
 )
-from repro.sim.delays import ExponentialDelay, UniformDelay
-from repro.sim.messages import Message
-from repro.sim.node import Process
 from repro.spanning.provider import build_spanning_tree
 
 
@@ -41,10 +41,8 @@ class Ping(Message):
 
 class TestRegistry:
     def test_names_include_none_and_builtins(self):
-        names = scheduler_names()
-        assert NO_SCHEDULER in names
-        assert {"fifo", "lifo", "random", "starve"} <= set(names)
-        assert names == tuple(sorted(names))
+        assert NO_SCHEDULER in SCHEDULERS
+        assert {"fifo", "lifo", "random", "starve"} <= set(SCHEDULERS)
 
     def test_none_maps_to_no_policy(self):
         assert scheduler_from_name(NO_SCHEDULER) is None
@@ -53,27 +51,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown scheduler"):
             scheduler_from_name("typo")
 
-    def test_register_rejects_bad_and_duplicate_names(self):
-        with pytest.raises(ValueError):
-            register_scheduler("", FifoScheduler)
-        with pytest.raises(ValueError):
-            register_scheduler(NO_SCHEDULER, FifoScheduler)
-        with pytest.raises(ValueError):
-            register_scheduler("fifo", FifoScheduler)
-
-    def test_register_and_replace(self):
+    def test_a_table_entry_is_a_policy_on_the_axis(self, monkeypatch):
         class Custom(FifoScheduler):
             pass
 
-        register_scheduler("custom_test", Custom)
-        try:
-            assert "custom_test" in scheduler_names()
-            assert isinstance(scheduler_from_name("custom_test"), Custom)
-            register_scheduler("custom_test", Custom, replace=True)
-        finally:
-            from repro.sim import scheduler as sched_mod
-
-            del sched_mod._SCHEDULER_FACTORIES["custom_test"]
+        monkeypatch.setitem(SCHEDULERS, "custom_test", Custom)
+        assert isinstance(scheduler_from_name("custom_test"), Custom)
+        assert AXIS["scheduler"].check("custom_test") == "custom_test"
 
 
 class TestPolicies:
@@ -233,7 +217,7 @@ class TestReplayScheduler:
             parse_replay_spec("fifo")
 
     def test_registry_exposes_the_bare_policy(self):
-        assert "replay" in scheduler_names()
+        assert "replay" in SCHEDULERS
         pol = scheduler_from_name("replay")
         assert isinstance(pol, ReplayScheduler)
         assert pol.prefix == () and pol.fallback == "random"
@@ -279,19 +263,6 @@ class TestPolicyQueue:
         q.pop_raw()
         with pytest.raises(SchedulingError):
             q.pop_raw()
-        with pytest.raises(SchedulingError):
-            q.peek_time()
-
-    def test_event_api_delegates_to_policy_order(self):
-        """The materializing push/pop API must see the policy's order,
-        not the inherited heap's."""
-        q = self._queue(LifoScheduler())
-        q.push(0.0, EventKind.DELIVER, 1, 0, "old", 1)
-        q.push(0.0, EventKind.DELIVER, 2, 0, "new", 1)
-        assert q.pop().payload == "new"
-        assert q.pop().payload == "old"
-        with pytest.raises(SchedulingError):
-            q.pop()
 
     def test_bogus_policy_choice_raises(self):
         class Bogus(SchedulerPolicy):
@@ -342,7 +313,7 @@ class _EchoProcess(Process):
 
 
 class TestNetworkIntegration:
-    @pytest.mark.parametrize("name", [n for n in scheduler_names() if n != "none"])
+    @pytest.mark.parametrize("name", [n for n in sorted(SCHEDULERS) if n != "none"])
     def test_every_message_is_delivered_under_every_policy(self, name):
         g = gnp_connected(8, 0.4, seed=1)
         net = Network(g, _EchoProcess, seed=0, scheduler=scheduler_from_name(name))
@@ -353,7 +324,7 @@ class TestNetworkIntegration:
         # virtual time: one step per processed event
         assert report.sim_time == report.events_processed
 
-    @pytest.mark.parametrize("name", [n for n in scheduler_names() if n != "none"])
+    @pytest.mark.parametrize("name", [n for n in sorted(SCHEDULERS) if n != "none"])
     def test_mdst_certifies_under_every_policy(self, name):
         g = make_family("gnp_sparse", 12, seed=2)
         tree = build_spanning_tree(g, method="random", seed=2).tree

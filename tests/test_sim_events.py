@@ -5,58 +5,55 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim import Event, EventKind, EventQueue, Message, message_bits
+from repro.sim import EventKind, EventQueue, Message, message_bits
 
 
 class TestEventQueue:
     def test_push_pop_order(self):
         q = EventQueue()
-        q.push(2.0, EventKind.START, target=1)
-        q.push(1.0, EventKind.START, target=2)
-        q.push(3.0, EventKind.START, target=3)
-        assert q.pop().target == 2
-        assert q.pop().target == 1
-        assert q.pop().target == 3
+        q.push_raw(2.0, EventKind.START, target=1)
+        q.push_raw(1.0, EventKind.START, target=2)
+        q.push_raw(3.0, EventKind.START, target=3)
+        assert q.pop_raw()[3] == 2
+        assert q.pop_raw()[3] == 1
+        assert q.pop_raw()[3] == 3
 
     def test_tie_break_by_enqueue_order(self):
         q = EventQueue()
         for target in (5, 3, 9):
-            q.push(1.0, EventKind.START, target=target)
-        assert [q.pop().target for _ in range(3)] == [5, 3, 9]
+            q.push_raw(1.0, EventKind.START, target=target)
+        assert [q.pop_raw()[3] for _ in range(3)] == [5, 3, 9]
 
     def test_now_advances(self):
         q = EventQueue()
-        q.push(4.5, EventKind.START, target=0)
+        q.push_raw(4.5, EventKind.START, target=0)
         assert q.now == 0.0
-        q.pop()
+        q.pop_raw()
         assert q.now == 4.5
 
     def test_cannot_schedule_in_past(self):
         q = EventQueue()
-        q.push(5.0, EventKind.START, target=0)
-        q.pop()
+        q.push_raw(5.0, EventKind.START, target=0)
+        q.pop_raw()
         with pytest.raises(SchedulingError):
-            q.push(4.0, EventKind.START, target=0)
+            q.push_raw(4.0, EventKind.START, target=0)
 
     def test_pop_empty_raises(self):
         with pytest.raises(SchedulingError):
-            EventQueue().pop()
+            EventQueue().pop_raw()
 
-    def test_peek(self):
+    def test_len_and_bool(self):
         q = EventQueue()
-        with pytest.raises(SchedulingError):
-            q.peek_time()
-        q.push(7.0, EventKind.START, target=0)
-        assert q.peek_time() == 7.0
+        assert len(q) == 0 and not q
+        q.push_raw(7.0, EventKind.START, target=0)
         assert len(q) == 1
         assert bool(q)
 
-    def test_event_fields(self):
+    def test_raw_entry_fields(self):
         q = EventQueue()
-        ev = q.push(1.0, EventKind.DELIVER, target=2, sender=1, payload="x", depth=3)
-        assert isinstance(ev, Event)
-        assert ev.sort_key() == (1.0, 0)
-        assert ev.depth == 3
+        seq = q.push_raw(1.0, EventKind.DELIVER, target=2, sender=1, payload="x", depth=3)
+        assert seq == 0
+        assert q.pop_raw() == (1.0, 0, EventKind.DELIVER, 2, 1, "x", 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,32 +173,27 @@ class TestBucketQueue:
         with pytest.raises(SchedulingError, match="before current time"):
             q.push_raw(1.0, EventKind.DELIVER, target=0)
 
-    def test_len_bool_peek_mid_drain(self):
+    def test_len_bool_mid_drain(self):
         from repro.sim.events import BucketQueue
 
         q = BucketQueue()
         assert len(q) == 0 and not q
-        with pytest.raises(SchedulingError, match="peek on empty"):
-            q.peek_time()
         self._fill(q)
         assert len(q) == 4 and q
         q.pop_raw()  # draining the t=0 bucket
         assert len(q) == 3
-        assert q.peek_time() == 1.0
-        q.pop_raw()
-        assert q.peek_time() == 1.0  # mid-bucket peek
-        q.pop_raw()
+        assert q.pop_raw()[0] == 1.0
+        assert len(q) == 2 and q  # mid-bucket
+        assert q.pop_raw()[0] == 1.0
         q.pop_raw()
         assert len(q) == 0 and not q
         with pytest.raises(SchedulingError, match="pop from empty"):
             q.pop_raw()
 
-    def test_pop_materializes_event_on_demand(self):
+    def test_pop_returns_the_raw_entry(self):
         from repro.sim.events import BucketQueue
 
         q = BucketQueue()
-        q.push(1.0, EventKind.DELIVER, target=7, sender=3, depth=2)
-        event = q.pop()
-        assert isinstance(event, Event)
-        assert (event.target, event.sender, event.depth) == (7, 3, 2)
+        q.push_raw(1.0, EventKind.DELIVER, target=7, sender=3, depth=2)
+        assert q.pop_raw() == (1.0, 0, EventKind.DELIVER, 7, 3, None, 2)
         assert q.now == 1.0

@@ -16,17 +16,17 @@ import dataclasses
 import pytest
 
 from repro._mutation import mutated
-from repro.algorithms import get_algorithm
+from repro.algorithms import ALGORITHMS
 from repro.analysis.batch import CellTemplate
 from repro.analysis.executor import RunSpec
 from repro.errors import ProtocolError
 from repro.graphs.generators import make_family, path_graph
 from repro.sim import CausalCapture, Message, Network, Process, SimulationReport
-from repro.sim.scheduler import scheduler_names
+from repro.sim.scheduler import SCHEDULERS
 from repro.spanning import build_spanning_tree
 
 FACTORIES = {
-    name: lambda parents, name=name: get_algorithm(name).factory(
+    name: lambda parents, name=name: ALGORITHMS[name].factory(
         parents, mode="concurrent", max_rounds=None
     )
     for name in ("blin_butelle", "fr_local")
@@ -186,7 +186,7 @@ def _assert_counters_equal_a_recount(net, cap, report) -> None:
 
 @pytest.mark.parametrize("algorithm", sorted(FACTORIES))
 @pytest.mark.parametrize("churn", ["none", "restart_one", "restart_wave"])
-@pytest.mark.parametrize("scheduler", [*scheduler_names(), "replay:lifo:3.1.4.1.5"])
+@pytest.mark.parametrize("scheduler", [*sorted(SCHEDULERS), "replay:lifo:3.1.4.1.5"])
 def test_general_loop_counters_equal_a_recount(algorithm, churn, scheduler):
     spec = RunSpec(
         family="gnp_sparse", n=8, seed=3, initial_method="random",
