@@ -7,7 +7,7 @@ guides: measure before optimizing; these guard the constants).
 * GHS end-to-end (the heaviest startup construction);
 * one full MDegST round on a mid-size network.
 
-The kernels are the registry's micro benches
+The kernels are the registry's in-process benches
 (:mod:`repro.perf.workloads` — ``repro bench --suite smoke`` gates
 them); the pytest-benchmark wrappers remain for ``pytest benchmarks/``
 timing tables.

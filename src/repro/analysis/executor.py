@@ -180,8 +180,7 @@ class SerialExecutor:
     runners do), seed-varying-only cell groups are routed through it
     (:mod:`repro.analysis.batch`) — same records, same order, one
     template resolution per group. ``batch=False`` forces the plain
-    per-cell loop (the perf suite's divergence checks use it as the
-    reference path).
+    per-cell loop, the reference path the batched one is tested against.
     """
 
     def __init__(self, runner: CellRunner = execute_cell, batch: bool = True) -> None:
@@ -211,8 +210,7 @@ class ParallelExecutor:
     through the worker-side group runner. ``pool.map`` yields
     group results in *submission* order, so the reassembled record list
     matches the cell order bit-for-bit no matter which worker finishes
-    first — determinism is positional, not temporal. ``batch=False``
-    ships singleton groups (the per-cell reference path).
+    first — determinism is positional, not temporal.
 
     By default a fresh pool is built per :meth:`run` call. Multi-phase
     drivers (exploration probe rounds, perf suites) can pass
@@ -228,12 +226,10 @@ class ParallelExecutor:
         jobs: int,
         runner: CellRunner = execute_cell,
         *,
-        batch: bool = True,
         persistent: bool = False,
     ) -> None:
         self.jobs = check_jobs(jobs)
         self.runner = runner
-        self.batch = batch
         self.persistent = persistent
         self._pool: ProcessPoolExecutor | None = None
 
@@ -241,13 +237,10 @@ class ParallelExecutor:
         if not cells:
             return []
         if self.jobs == 1 or len(cells) == 1:
-            return SerialExecutor(self.runner, batch=self.batch).run(cells)
-        if self.batch:
-            from .batch import group_cells
+            return SerialExecutor(self.runner).run(cells)
+        from .batch import group_cells
 
-            groups = group_cells(cells)
-        else:
-            groups = [[i] for i in range(len(cells))]
+        groups = group_cells(cells)
         payloads = [_encode_group([cells[i] for i in idxs]) for idxs in groups]
         chunksize = max(1, len(groups) // (self.jobs * 4))
         pool, transient = self._acquire_pool()

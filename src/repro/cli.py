@@ -206,21 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench suite to run (validated eagerly, like every axis)",
     )
     bench_p.add_argument(
-        "--jobs",
-        type=_JOBS,
-        default=1,
-        help=(
-            "worker processes for the sweep work pass (the work section "
-            "is identical for any value; timing is always in-process)"
-        ),
-    )
-    bench_p.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="result-cache directory for the sweep work pass",
-    )
-    bench_p.add_argument(
         "--out",
         default=None,
         metavar="PATH",
@@ -236,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the cwd); a git revision: time the suite at REV against "
             "this checkout in ten alternating subprocess pairs and judge "
             "each bench's speed (only --suite, --repeats, --warmup and "
-            "--gate apply)"
+            "--gate apply; --out and --note are rejected)"
         ),
     )
     bench_p.add_argument(
@@ -1008,20 +993,11 @@ def _bench_profile(args: argparse.Namespace) -> int:
     except UnknownNameError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    if bench.kind == "micro":
-        kernel = bench.micro()
-    else:
-        from .analysis.executor import SerialExecutor
-
-        cells = bench.cells()
-
-        def kernel():
-            return SerialExecutor().run(cells)
-
+    kernel = bench.kernel()  # the closure the suite times
     kernel()  # warm-up: codec/dispatch registration, bytecode warmup
     profiler = cProfile.Profile()
     with capture(command="bench --profile") as t:
-        with t.span("bench.profile", bench=bench.name, kind=bench.kind):
+        with t.span("bench.profile", bench=bench.name):
             profiler.enable()
             kernel()
             profiler.disable()
@@ -1029,7 +1005,7 @@ def _bench_profile(args: argparse.Namespace) -> int:
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative").print_stats(args.profile_lines)
     print(
-        f"profile: bench '{bench.name}' ({bench.kind}), "
+        f"profile: bench '{bench.name}', "
         "one profiled call after one warm-up call"
     )
     print(out.getvalue().rstrip())
@@ -1075,8 +1051,7 @@ def _bench(args: argparse.Namespace) -> int:
         for bench in benches:
             tags = ",".join(s for s in SUITES if s in bench.suites) or "full"
             print(
-                f"  {bench.name.ljust(width)}  {bench.kind:5}  "
-                f"[{tags}]  {bench.description}"
+                f"  {bench.name.ljust(width)}  [{tags}]  {bench.description}"
             )
         print()
         print(
@@ -1117,8 +1092,6 @@ def _bench(args: argparse.Namespace) -> int:
     try:
         fresh = run_suite(
             args.suite,
-            jobs=args.jobs,
-            cache=ResultCache(args.cache) if args.cache else None,
             repeats=args.repeats,
             warmup=args.warmup,
             notes=args.note,
@@ -1128,7 +1101,7 @@ def _bench(args: argparse.Namespace) -> int:
         return 2
 
     table = Table(
-        ["bench", "kind", "best [ms]", "median [ms]", "events/s", "work"],
+        ["bench", "best [ms]", "median [ms]", "events/s", "work"],
         title=f"bench suite '{args.suite}' — {len(fresh.results)} benches",
     )
     for r in fresh.results:
@@ -1140,7 +1113,6 @@ def _bench(args: argparse.Namespace) -> int:
         )
         table.add(
             r.name,
-            r.kind,
             round(r.timing["best"] * 1000, 2),
             round(r.timing["median"] * 1000, 2),
             f"{rate:,.0f}" if rate else "—",
@@ -1184,6 +1156,14 @@ def _bench_pairs(args: argparse.Namespace, rev: str) -> int:
     bench."""
     from .perf import PAIRS, compare_pairs, run_pairs
 
+    ignored = [flag for flag, value in (("--out", args.out), ("--note", args.note)) if value]
+    if ignored:
+        print(
+            f"bench: {' and '.join(ignored)} cannot be used with --compare REV: "
+            "the paired runs record no baseline",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"bench: timing suite '{args.suite}' at {args.compare} "
         f"({rev[:12]}, side A) against this checkout (side B) in {PAIRS} "

@@ -24,7 +24,7 @@ Instrumented library code never takes a telemetry parameter; it calls
 shared no-op :data:`NULL` sink (so un-traced runs pay one attribute
 call per instrumentation point, and nothing allocates).
 :func:`capture` activates an instance for a ``with`` block;
-:func:`suspended` masks it (the bench timing pass uses this so repeated
+:func:`suspended` masks it (the bench runner uses this so repeated
 timing iterations never leak into the work sections).
 
 Subscribers (the ``on_event`` hook) receive every observation live as
@@ -250,7 +250,7 @@ def capture(command: str = "") -> Iterator[Telemetry]:
 def suspended() -> Iterator[None]:
     """Mask any active capture for the ``with`` block.
 
-    The bench runner wraps its timing pass in this: min-of-k repetition
+    The bench runner wraps each bench's timing in this: min-of-k repetition
     would otherwise multiply every exec counter by the repeat count and
     make traces depend on ``--repeats``.
     """

@@ -5,10 +5,12 @@ allows" — this package makes that claim *measurable, recorded and
 defended*:
 
 * :data:`~repro.perf.library.BENCHES`, a table of named
-  :class:`~repro.perf.spec.BenchSpec` workloads (micro-kernels and
-  executor-lowered sweeps) grouped into ``smoke``/``core``/``full``
-  suites;
-* warm-up + min-of-k monotonic timing with median/IQR;
+  :class:`~repro.perf.spec.BenchSpec` workloads grouped into
+  ``smoke``/``core``/``full`` suites; every bench is a kernel factory
+  whose timed closure returns its work metrics (a sweep's cells become
+  one through :func:`~repro.perf.spec.cells_kernel`);
+* warm-up + min-of-k monotonic timing with median/IQR, one pass per
+  bench;
 * ``BENCH_<nnnn>.json`` trajectory files at the repo root — one point
   per PR that touches performance, with machine fingerprint and git
   revision as history;
@@ -49,14 +51,16 @@ from .compare import (
     compare_pairs,
 )
 from .library import BENCHES, suite_benches
-from .runner import PAIRS, aggregate_work, resolve_revision, run_pairs, run_suite
-from .spec import SUITES, BenchSpec
+from .runner import PAIRS, resolve_revision, run_pairs, run_suite
+from .spec import SUITES, BenchSpec, aggregate_work, cells_kernel
 from .stats import PairedVerdict, iqr, median, paired_verdict, quantile
 from .timing import TimingSample, time_callable
 
 __all__ = [
     "SUITES",
     "BenchSpec",
+    "aggregate_work",
+    "cells_kernel",
     "BENCHES",
     "suite_benches",
     "TimingSample",
@@ -82,7 +86,6 @@ __all__ = [
     "PairedComparison",
     "compare_pairs",
     "run_suite",
-    "aggregate_work",
     "PAIRS",
     "resolve_revision",
     "run_pairs",

@@ -6,8 +6,8 @@ for PR 5). A baseline carries:
 
 * the **work section** — per-bench integer work metrics (events,
   messages, rounds, bits, …). Work is a pure function of the code and
-  the specs: machine-independent, byte-identical across serial /
-  parallel / cached runs, and gateable **exactly**;
+  the specs: machine-independent, identical on every run, and gateable
+  **exactly**;
 * the **timing section** — min-of-k seconds plus median/IQR
   spread. Time is machine- and load-dependent, so it is history only:
   speed is judged by pairing two revisions on one machine
@@ -110,7 +110,6 @@ class BenchResult:
     """One bench's measured point: exact work + noisy timing."""
 
     name: str
-    kind: str
     work: dict[str, int]
     #: ``{"warmup", "repeats", "seconds", "best", "median", "iqr"}`` —
     #: seconds as measured, summaries derived (older files also carry an
@@ -125,7 +124,6 @@ class BenchResult:
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "kind": self.kind,
             "work": dict(sorted(self.work.items())),
             "timing": self.timing,
             "derived": dict(sorted(self.derived.items())),
@@ -133,10 +131,10 @@ class BenchResult:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "BenchResult":
+        """Read one result; the ``"kind"`` older files carry is unread."""
         try:
             return cls(
                 name=str(data["name"]),
-                kind=str(data["kind"]),
                 work=dict(data["work"]),
                 timing=dict(data["timing"]),
                 derived={str(k): float(v) for k, v in data.get("derived", {}).items()},
@@ -215,8 +213,8 @@ class Baseline:
 def work_bytes(baseline: Baseline) -> bytes:
     """Canonical byte encoding of the work section.
 
-    This is what "byte-identical work metrics" means across serial,
-    ``--jobs N`` and warm-cache runs — timing and provenance excluded.
+    This is what "byte-identical work metrics" means across runs and
+    machines — timing and provenance excluded.
     """
     return json.dumps(
         baseline.work_section(), sort_keys=True, separators=(",", ":")

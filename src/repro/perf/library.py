@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..analysis.experiments import EXPERIMENTS
 from ..errors import lookup
 from . import workloads as w
-from .spec import SUITES, BenchSpec
+from .spec import SUITES, BenchSpec, cells_kernel
 
 __all__ = ["BENCHES", "suite_benches"]
 
@@ -63,7 +63,7 @@ def _results_work(payload):
 
 
 #: Work metrics of each in-process paper table, read off its payload
-#: (the sweep-backed tables are lowered to cells instead).
+#: (the sweep-backed tables time their cells instead).
 _TABLE_WORK = {
     "t1": _t1_work,
     "t4": _t4_work,
@@ -75,15 +75,19 @@ _TABLE_WORK = {
 
 
 def _paper_bench(name: str) -> BenchSpec:
-    """Table *name*'s core bench: its sweep, or its runs via the payload."""
+    """Table *name*'s core bench: its sweep's cells, or its runs via the
+    payload."""
     experiment = EXPERIMENTS[name]
     work = _TABLE_WORK.get(name)
     return BenchSpec(
         name=experiment.slug,
         description=experiment.description,
         suites=("core",),
-        sweep=experiment.sweep,
-        micro=None if work is None else lambda: lambda: work(experiment.run()[1]),
+        kernel=(
+            cells_kernel(experiment.sweep.cells)
+            if work is None
+            else lambda: lambda: work(experiment.run()[1])
+        ),
         repeats=2,
     )
 
@@ -99,68 +103,68 @@ def _paper_benches() -> list[BenchSpec]:
 
 def _build() -> tuple[BenchSpec, ...]:
     return (
-        # -- micro-kernels (smoke gate) --------------------------------
+        # -- the smoke gate -------------------------------------------
         BenchSpec(
             name="event_queue_ops",
             description="raw-tuple heap push/pop churn (the simulator inner loop)",
             suites=("smoke", "core"),
-            micro=w.event_queue_kernel,
+            kernel=w.event_queue_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="policy_queue_ops",
             description="PolicyQueue eligible-head selection under a random policy",
             suites=("smoke", "core"),
-            micro=w.policy_queue_kernel,
+            kernel=w.policy_queue_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="message_codec",
             description="message encode/decode round-trip + compiled field count",
             suites=("smoke", "core"),
-            micro=w.message_codec_kernel,
+            kernel=w.message_codec_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="cache_ops",
             description="result cache cold put_many / warm get_many (256 records)",
             suites=("smoke", "core"),
-            micro=w.cache_ops_kernel,
+            kernel=w.cache_ops_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="batch_runner",
             description="multi-seed batch execution of one cell group (8 seeds)",
             suites=("smoke", "core"),
-            micro=w.batch_runner_kernel,
+            kernel=w.batch_runner_kernel,
             repeats=3,
         ),
         BenchSpec(
             name="echo_wave",
             description="one echo spanning wave, n=96 (loop-dominated hot path)",
             suites=("smoke", "core"),
-            micro=w.echo_wave_kernel,
+            kernel=w.echo_wave_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="full_protocol",
             description="full MDegST protocol on G(64, 0.1) — headline events/sec",
             suites=("smoke", "core"),
-            micro=w.full_protocol_kernel,
+            kernel=w.full_protocol_kernel,
             repeats=3,
         ),
         BenchSpec(
             name="smoke_sweep",
             description="both algorithms across small sparse/geometric instances",
             suites=("smoke",),
-            sweep=w.SMOKE_SPEC,
+            kernel=cells_kernel(w.SMOKE_SPEC.cells),
             repeats=2,
         ),
         BenchSpec(
             name="campaign_tiny",
             description="tiny built-in campaign incl. fault + scheduler regimes",
             suites=("smoke", "core"),
-            cells_fn=w.campaign_cells,
+            kernel=cells_kernel(w.campaign_cells),
             repeats=2,
         ),
         # -- engine + startup (core) -----------------------------------
@@ -168,35 +172,35 @@ def _build() -> tuple[BenchSpec, ...]:
             name="ghs_startup",
             description="GHS spanning-tree construction, the heaviest startup",
             suites=("core",),
-            micro=w.ghs_startup_kernel,
+            kernel=w.ghs_startup_kernel,
             repeats=3,
         ),
         BenchSpec(
             name="gnp_generation",
             description="numpy-vectorized connected G(n, p) generation",
             suites=("core",),
-            micro=w.gnp_generation_kernel,
+            kernel=w.gnp_generation_kernel,
             repeats=5,
         ),
         BenchSpec(
             name="group_fanout",
             description="group wire codec + worker-side batched execution (8 seeds)",
             suites=("core",),
-            micro=w.group_fanout_kernel,
+            kernel=w.group_fanout_kernel,
             repeats=3,
         ),
         BenchSpec(
             name="probe_path",
             description="fuzz-shaped probes: replay x churn, captured, n 6-8",
             suites=("core",),
-            micro=w.probe_path_kernel,
+            kernel=w.probe_path_kernel,
             repeats=3,
         ),
         BenchSpec(
             name="executor_sweep",
             description="the executor-scaling sweep (24 cells, uniform delays)",
             suites=("core",),
-            sweep=w.EXECUTOR_SPEC,
+            kernel=cells_kernel(w.EXECUTOR_SPEC.cells),
             repeats=2,
         ),
         # -- the paper's tables (core) --------------------------------

@@ -1,19 +1,11 @@
-"""Suite runner: one executor batch for work, min-of-k for time.
+"""Suite runner: each bench timed once, its work read off the timing.
 
-A suite run has two phases:
-
-1. **work pass** — every sweep bench's cells are flattened into ONE
-   deduplicated batch (the campaign runner's trick) and dispatched
-   through the Serial/Parallel/Caching executor stack, then fanned back
-   per bench and aggregated into exact integer work metrics. ``--jobs``
-   and ``--cache`` accelerate this phase only; any backend produces the
-   identical work section.
-2. **timing pass** — each bench is measured in-process with warm-up +
-   min-of-k (:mod:`repro.perf.timing`): sweep benches re-run their cells
-   serially (caches must never serve a *timing* number), micro benches
-   run their kernel closure. The timing pass re-derives each sweep
-   bench's work metrics and the runner insists they equal the executor
-   phase's — a free serial-vs-backend determinism check on every run.
+:func:`run_suite` measures every bench of a suite in-process with
+warm-up + min-of-k (:mod:`repro.perf.timing`): it builds the bench's
+kernel, times the closure, and requires every call (warm-ups included)
+to return the same work dict. That dict is the bench's work section, so
+no second pass computes it; a cell workload's kernel runs its cells
+serially, and a cache never serves a timing number.
 
 :func:`run_pairs` is the speed measurement: the suite at a git revision
 (side A, in a temporary worktree) and in this checkout (side B), each
@@ -29,12 +21,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping
 
 from .._mutation import MUTATION_ENV
-from ..analysis.cache import ResultCache
-from ..analysis.executor import Executor, RunSpec, execute_cell, make_executor
-from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 from ..obs import current as obs
 from ..obs import suspended
@@ -49,25 +38,11 @@ from .library import suite_benches
 from .spec import BenchSpec
 from .timing import TimingSample, time_callable
 
-__all__ = ["run_suite", "aggregate_work", "PAIRS", "resolve_revision", "run_pairs"]
+__all__ = ["run_suite", "PAIRS", "resolve_revision", "run_pairs"]
 
 #: Alternating pairs per revision comparison: the speed rule needs at
 #: least ten, and a verdict needs nine of them won.
 PAIRS = 10
-
-
-def aggregate_work(records: Sequence[RunRecord]) -> dict[str, int]:
-    """Exact integer aggregates of a record batch (the work section)."""
-    return {
-        "cells": len(records),
-        "events": sum(r.events for r in records),
-        "messages": sum(r.messages for r in records),
-        "rounds": sum(r.rounds for r in records),
-        "bits": sum(r.bits for r in records),
-        "causal_time": sum(r.causal_time for r in records),
-        "k_final_total": sum(r.k_final for r in records),
-        "stalled": sum(1 for r in records if not r.ok),
-    }
 
 
 def _timing_payload(sample: TimingSample) -> dict[str, Any]:
@@ -95,14 +70,12 @@ def _derived(work: dict[str, int], best: float) -> dict[str, float]:
 
 
 def _measure(
-    bench: BenchSpec,
-    fn: Callable[[], dict[str, int]],
-    *,
-    repeats: int | None,
-    warmup: int | None,
-) -> tuple[dict[str, Any], list[dict[str, int]]]:
+    bench: BenchSpec, *, repeats: int | None, warmup: int | None
+) -> tuple[dict[str, Any], dict[str, int]]:
+    """Set *bench* up, time its kernel, return the timing payload and
+    the work every call returned."""
     sample, works = time_callable(
-        fn,
+        bench.kernel(),
         repeats=repeats if repeats is not None else bench.repeats,
         warmup=warmup if warmup is not None else bench.warmup,
     )
@@ -113,15 +86,12 @@ def _measure(
                 f"bench {bench.name!r} is not work-deterministic: "
                 f"{first!r} != {other!r} across repeats"
             )
-    return _timing_payload(sample), works
+    return _timing_payload(sample), first
 
 
 def run_suite(
     suite: str,
     *,
-    executor: Executor | None = None,
-    jobs: int = 1,
-    cache: ResultCache | str | Path | None = None,
     repeats: int | None = None,
     warmup: int | None = None,
     notes: str = "",
@@ -129,81 +99,30 @@ def run_suite(
     """Run every bench of *suite* into a fresh :class:`Baseline`.
 
     *repeats* / *warmup* override each spec's defaults (quick local
-    iterations, CI smoke). *executor* overrides *jobs* / *cache* for the
-    work pass; the timing pass is always serial and in-process.
+    iterations, CI smoke).
     """
     benches = suite_benches(suite)
     if not benches:
         raise AnalysisError(f"suite {suite!r} has no registered benches")
-    if executor is None:
-        executor = make_executor(jobs=jobs, cache=cache)
 
     t = obs()
+    results = []
     with t.span("bench.suite", suite=suite, benches=len(benches)):
-        # -- work pass: one deduplicated batch across every sweep bench -
-        per_bench_cells: dict[str, tuple[RunSpec, ...]] = {
-            bench.name: bench.cells() for bench in benches if bench.kind == "sweep"
-        }
-        index: dict[RunSpec, int] = {}
-        for cells in per_bench_cells.values():
-            for cell in cells:
-                index.setdefault(cell, len(index))
-        with t.span(
-            "bench.work",
-            cells=sum(len(c) for c in per_bench_cells.values()),
-            unique_cells=len(index),
-        ):
-            unique_records = executor.run(list(index)) if index else []
-        executor_work = {
-            name: aggregate_work([unique_records[index[cell]] for cell in cells])
-            for name, cells in per_bench_cells.items()
-        }
         for bench in benches:
-            if bench.kind == "sweep":
-                t.leaf(
-                    "bench.workload",
-                    bench=bench.name,
-                    **executor_work[bench.name],
+            # telemetry is masked while the bench runs: min-of-k
+            # repetition would otherwise scale every exec counter by the
+            # repeat count; the leaf below records what the bench did
+            with suspended():
+                timing, work = _measure(bench, repeats=repeats, warmup=warmup)
+            t.leaf("bench.workload", bench=bench.name, **work)
+            results.append(
+                BenchResult(
+                    name=bench.name,
+                    work=work,
+                    timing=timing,
+                    derived=_derived(work, timing["best"]),
                 )
-
-        # -- timing pass: warm-up + min-of-k, serial, in-process --------
-        # telemetry is masked for the whole pass: min-of-k repetition
-        # would otherwise scale every exec counter by the repeat count
-        results = []
-        with t.span("bench.timing", benches=len(benches)), suspended():
-            for bench in benches:
-                if bench.kind == "sweep":
-                    cells = per_bench_cells[bench.name]
-
-                    def run_cells(
-                        _cells: tuple[RunSpec, ...] = cells,
-                    ) -> dict[str, int]:
-                        return aggregate_work([execute_cell(c) for c in _cells])
-
-                    timing, works = _measure(
-                        bench, run_cells, repeats=repeats, warmup=warmup
-                    )
-                    work = executor_work[bench.name]
-                    if works[0] != work:
-                        raise AnalysisError(
-                            f"bench {bench.name!r} diverged between the executor "
-                            f"work pass and the serial timing pass: {work!r} != "
-                            f"{works[0]!r} — lost determinism (or a poisoned cache)"
-                        )
-                else:
-                    timing, works = _measure(
-                        bench, bench.micro(), repeats=repeats, warmup=warmup
-                    )
-                    work = works[0]
-                results.append(
-                    BenchResult(
-                        name=bench.name,
-                        kind=bench.kind,
-                        work=work,
-                        timing=timing,
-                        derived=_derived(work, timing["best"]),
-                    )
-                )
+            )
     return Baseline(
         suite=suite,
         results=tuple(results),

@@ -1,19 +1,15 @@
 """Benchmark specs and the suites that group them.
 
-A :class:`BenchSpec` names one performance workload and how to measure
-it. Two kinds exist:
-
-* **sweep benches** lower to the existing experiment engine — a
-  :class:`~repro.analysis.harness.SweepSpec` (or an arbitrary cell
-  factory, e.g. a tiny campaign flattened the scenario-runner way) whose
-  :class:`~repro.analysis.executor.RunSpec` cells fan out through the
-  Serial/Parallel/Caching executors. Work metrics are exact aggregates
-  over the resulting records.
-* **micro benches** are in-process kernels (event-queue churn, one
-  protocol wave, graph generation): a zero-argument *factory* does the
-  setup and returns the closure that is timed; each call of the closure
-  returns its own work-metric dict, which must be identical on every
-  call (the runner enforces this).
+A :class:`BenchSpec` names one performance workload by its *kernel*
+factory: a zero-argument callable that does the set-up (build graphs,
+queues, the cells of a sweep) and returns the closure that is timed.
+Each call of the closure returns its own work-metric dict, which must be
+identical on every call (the runner enforces this). A workload made of
+executor cells — a :class:`~repro.analysis.harness.SweepSpec`, or a
+campaign flattened the scenario-runner way — becomes a kernel through
+:func:`cells_kernel`: its closure runs every cell through
+:func:`~repro.analysis.executor.execute_cell` and returns the exact
+aggregates over the records (:func:`aggregate_work`).
 
 Benches are grouped into **suites**: ``smoke`` (seconds — the CI gate),
 ``core`` (the paper's t1–t9 experiment workloads plus the engine
@@ -26,13 +22,20 @@ scenarios), and :data:`SUITES` is the suites' table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from ..analysis.executor import RunSpec
-from ..analysis.harness import SweepSpec
+from ..analysis.executor import RunSpec, execute_cell
+from ..analysis.records import RunRecord
 from ..errors import AnalysisError
 
-__all__ = ["SUITES", "BenchSpec", "MicroFn"]
+__all__ = [
+    "SUITES",
+    "BenchSpec",
+    "Kernel",
+    "KernelFactory",
+    "aggregate_work",
+    "cells_kernel",
+]
 
 #: Suite name -> one-line blurb, in gate-cost order. ``full`` is
 #: implicit — every bench belongs to it; specs declare the *explicit*
@@ -43,48 +46,60 @@ SUITES: dict[str, str] = {
     "full": "every registered bench",
 }
 
-#: One micro-bench execution: runs the kernel once and returns its work
+#: One bench execution: runs the workload once and returns its work
 #: metrics (integer-valued, identical on every call).
-MicroFn = Callable[[], dict[str, int]]
+Kernel = Callable[[], dict[str, int]]
 
-#: Setup hook for a micro bench: build graphs/queues once, return the
-#: closure that gets timed.
-MicroFactory = Callable[[], MicroFn]
+#: A bench's set-up: build graphs/queues/cells once, return the closure
+#: that gets timed.
+KernelFactory = Callable[[], Kernel]
 
-#: Cell factory for sweep benches that are not plain cartesian sweeps
-#: (e.g. a campaign flattened into cells).
-CellsFactory = Callable[[], tuple[RunSpec, ...]]
+
+def aggregate_work(records: Sequence[RunRecord]) -> dict[str, int]:
+    """Exact integer aggregates of a record batch (the work section)."""
+    return {
+        "cells": len(records),
+        "events": sum(r.events for r in records),
+        "messages": sum(r.messages for r in records),
+        "rounds": sum(r.rounds for r in records),
+        "bits": sum(r.bits for r in records),
+        "causal_time": sum(r.causal_time for r in records),
+        "k_final_total": sum(r.k_final for r in records),
+        "stalled": sum(1 for r in records if not r.ok),
+    }
+
+
+def cells_kernel(make_cells: Callable[[], Sequence[RunSpec]]) -> KernelFactory:
+    """The kernel factory of a cell workload: *make_cells* runs at
+    set-up, and the timed closure executes every cell serially."""
+
+    def factory() -> Kernel:
+        cells = tuple(make_cells())
+        return lambda: aggregate_work([execute_cell(c) for c in cells])
+
+    return factory
 
 
 @dataclass(frozen=True)
 class BenchSpec:
     """One named benchmark workload.
 
-    Exactly one of *sweep*, *cells_fn* or *micro* must be set. *repeats*
-    and *warmup* parametrize the min-of-k timing pass
+    *repeats* and *warmup* parametrize the min-of-k timing
     (:mod:`repro.perf.timing`).
     """
 
     name: str
     description: str
+    kernel: KernelFactory = field(repr=False)
     #: explicit suite memberships — a subset of ``("smoke", "core")``;
     #: ``full`` membership is implicit for every bench
     suites: tuple[str, ...] = ()
-    sweep: SweepSpec | None = None
-    cells_fn: CellsFactory | None = field(default=None, repr=False)
-    micro: MicroFactory | None = field(default=None, repr=False)
     repeats: int = 3
     warmup: int = 1
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
             raise AnalysisError(f"bad bench name {self.name!r}")
-        sources = [s for s in (self.sweep, self.cells_fn, self.micro) if s is not None]
-        if len(sources) != 1:
-            raise AnalysisError(
-                f"bench {self.name!r} must set exactly one of "
-                f"sweep/cells_fn/micro, got {len(sources)}"
-            )
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise AnalysisError(
@@ -101,19 +116,5 @@ class BenchSpec:
         if self.warmup < 0:
             raise AnalysisError(f"warmup must be >= 0, got {self.warmup}")
 
-    @property
-    def kind(self) -> str:
-        """``"micro"`` or ``"sweep"`` (cell factories are sweeps too)."""
-        return "micro" if self.micro is not None else "sweep"
-
-    def cells(self) -> tuple[RunSpec, ...]:
-        """Executor cells of a sweep bench (empty for micro benches)."""
-        if self.sweep is not None:
-            return self.sweep.cells()
-        if self.cells_fn is not None:
-            return tuple(self.cells_fn())
-        return ()
-
     def in_suite(self, suite: str) -> bool:
         return suite == "full" or suite in self.suites
-

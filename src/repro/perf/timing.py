@@ -7,10 +7,16 @@ allocator pools, branch predictors and interpreter caches settle — and
 report the **minimum** over k measured repeats, which estimates the
 noise-free cost. The full sample is kept so :mod:`repro.perf.stats` can
 attach its spread (median/IQR).
+
+The timed calls run with every object that exists before them frozen
+out of the cyclic garbage collector (``gc.freeze``): a full collection
+owed to whatever the process allocated earlier would otherwise land in
+a timed call — with ``--warmup 0`` in the first and only one.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
@@ -61,7 +67,8 @@ def time_callable(
     Returns the sample together with every call's return value (warm-up
     calls included, in call order) — the suite runner uses the returned
     work metrics to enforce that a bench's work is identical on every
-    repetition.
+    repetition. The timed calls run under ``gc.freeze``; the frozen
+    objects are released again however the loop ends.
     """
     if repeats < 1:
         raise AnalysisError(f"repeats must be >= 1, got {repeats}")
@@ -71,8 +78,12 @@ def time_callable(
     for _ in range(warmup):
         results.append(fn())
     seconds = []
-    for _ in range(repeats):
-        start = perf_counter()
-        results.append(fn())
-        seconds.append(perf_counter() - start)
+    gc.freeze()
+    try:
+        for _ in range(repeats):
+            start = perf_counter()
+            results.append(fn())
+            seconds.append(perf_counter() - start)
+    finally:
+        gc.unfreeze()
     return TimingSample(seconds=tuple(seconds), warmup=warmup), results

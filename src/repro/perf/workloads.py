@@ -1,5 +1,5 @@
-"""Engine benchmark workloads: the smoke, executor and campaign sweep
-specs and the micro-kernels.
+"""Engine benchmark workloads: the smoke, executor and campaign cell
+workloads and the in-process kernels.
 
 :mod:`repro.perf.library` enters them in its bench table as
 :class:`~repro.perf.spec.BenchSpec` entries, and the engine benches
@@ -43,7 +43,7 @@ __all__ = [
     "gnp_generation_kernel",
 ]
 
-# -- sweep-lowered workloads -----------------------------------------------
+# -- cell workloads --------------------------------------------------------
 
 #: Executor-scaling workload: enough cells for process-pool fan-out to
 #: amortize worker startup (``benchmarks/bench_executor_scaling.py``).
@@ -89,7 +89,7 @@ def campaign_cells() -> tuple[RunSpec, ...]:
 
 
 def mdst_result_work(results: list[MDSTResult]) -> dict[str, int]:
-    """Exact work aggregates over protocol results (micro benches)."""
+    """Exact work aggregates over protocol results (in-process kernels)."""
     return {
         "runs": len(results),
         "events": sum(r.report.events_processed for r in results),
@@ -101,7 +101,7 @@ def mdst_result_work(results: list[MDSTResult]) -> dict[str, int]:
     }
 
 
-# -- micro-kernels ----------------------------------------------------------
+# -- in-process kernels ----------------------------------------------------
 
 
 def event_queue_kernel():

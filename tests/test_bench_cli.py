@@ -1,7 +1,7 @@
 """CLI surface of the perf subsystem: golden ``repro bench --list``,
 baseline recording, the exact work gate against the committed baseline,
-the paired speed verdict against a git revision, byte-identical work
-sections across execution backends, and friendly error paths."""
+the paired speed verdict against a git revision, and friendly error
+paths."""
 
 import json
 import shutil
@@ -20,7 +20,6 @@ from repro.perf import (
     latest_baseline_path,
     load_baseline,
     save_baseline,
-    work_bytes,
 )
 from repro.perf import runner as perf_runner
 
@@ -36,28 +35,28 @@ bench suites:
 
 benches (suites in brackets):
 
-  batch_runner       micro  [smoke,core]  multi-seed batch execution of one cell group (8 seeds)
-  cache_ops          micro  [smoke,core]  result cache cold put_many / warm get_many (256 records)
-  campaign_tiny      sweep  [smoke,core]  tiny built-in campaign incl. fault + scheduler regimes
-  echo_wave          micro  [smoke,core]  one echo spanning wave, n=96 (loop-dominated hot path)
-  event_queue_ops    micro  [smoke,core]  raw-tuple heap push/pop churn (the simulator inner loop)
-  executor_sweep     sweep  [core]  the executor-scaling sweep (24 cells, uniform delays)
-  full_protocol      micro  [smoke,core]  full MDegST protocol on G(64, 0.1) — headline events/sec
-  ghs_startup        micro  [core]  GHS spanning-tree construction, the heaviest startup
-  gnp_generation     micro  [core]  numpy-vectorized connected G(n, p) generation
-  group_fanout       micro  [core]  group wire codec + worker-side batched execution (8 seeds)
-  message_codec      micro  [smoke,core]  message encode/decode round-trip + compiled field count
-  policy_queue_ops   micro  [smoke,core]  PolicyQueue eligible-head selection under a random policy
-  probe_path         micro  [core]  fuzz-shaped probes: replay x churn, captured, n 6-8
-  smoke_sweep        sweep  [smoke]  both algorithms across small sparse/geometric instances
-  t1_degree_quality  micro  [core]  T1: final degree vs ground truth (claim C1)
-  t2_messages        sweep  [core]  T2: message complexity vs O((k-k*)·m) (claim C2)
-  t4_rounds          micro  [core]  T4: rounds vs the k-k*+1 claim, concurrent vs single (C4)
-  t5_lower_bound     micro  [core]  T5: messages vs the Korach-Moran-Zaks bound on K_n (C6)
-  t6_initial_tree    micro  [core]  T6: startup-construction ablation (the §4.2 remark)
-  t7_message_size    sweep  [core]  T7: message-size audit, ≤4 id fields per message (C5)
-  t8_vs_sequential   micro  [core]  T8: distributed vs sequential local search vs full F-R
-  t9_ablation        micro  [core]  T9: concurrency mode x polish phase design ablation
+  batch_runner       [smoke,core]  multi-seed batch execution of one cell group (8 seeds)
+  cache_ops          [smoke,core]  result cache cold put_many / warm get_many (256 records)
+  campaign_tiny      [smoke,core]  tiny built-in campaign incl. fault + scheduler regimes
+  echo_wave          [smoke,core]  one echo spanning wave, n=96 (loop-dominated hot path)
+  event_queue_ops    [smoke,core]  raw-tuple heap push/pop churn (the simulator inner loop)
+  executor_sweep     [core]  the executor-scaling sweep (24 cells, uniform delays)
+  full_protocol      [smoke,core]  full MDegST protocol on G(64, 0.1) — headline events/sec
+  ghs_startup        [core]  GHS spanning-tree construction, the heaviest startup
+  gnp_generation     [core]  numpy-vectorized connected G(n, p) generation
+  group_fanout       [core]  group wire codec + worker-side batched execution (8 seeds)
+  message_codec      [smoke,core]  message encode/decode round-trip + compiled field count
+  policy_queue_ops   [smoke,core]  PolicyQueue eligible-head selection under a random policy
+  probe_path         [core]  fuzz-shaped probes: replay x churn, captured, n 6-8
+  smoke_sweep        [smoke]  both algorithms across small sparse/geometric instances
+  t1_degree_quality  [core]  T1: final degree vs ground truth (claim C1)
+  t2_messages        [core]  T2: message complexity vs O((k-k*)·m) (claim C2)
+  t4_rounds          [core]  T4: rounds vs the k-k*+1 claim, concurrent vs single (C4)
+  t5_lower_bound     [core]  T5: messages vs the Korach-Moran-Zaks bound on K_n (C6)
+  t6_initial_tree    [core]  T6: startup-construction ablation (the §4.2 remark)
+  t7_message_size    [core]  T7: message-size audit, ≤4 id fields per message (C5)
+  t8_vs_sequential   [core]  T8: distributed vs sequential local search vs full F-R
+  t9_ablation        [core]  T9: concurrency mode x polish phase design ablation
 
 run with: python -m repro bench --suite smoke [--out PATH] [--compare BASELINE|REV --gate]
 """
@@ -95,26 +94,6 @@ class TestBenchRun:
         assert base.notes == "test point"
         assert len(base.results) == 9
         assert base.result("full_protocol").derived["events_per_sec"] > 0
-
-    def test_work_section_byte_identical_serial_jobs2_warm_cache(
-        self, capsys, tmp_path
-    ):
-        """The acceptance contract: serial, ``--jobs 2`` and a warm-cache
-        run all record the identical work section."""
-        outs = []
-        runs = [
-            ["--out", str(tmp_path / "serial.json")],
-            ["--jobs", "2", "--out", str(tmp_path / "jobs2.json")],
-            ["--cache", str(tmp_path / "cache"),
-             "--out", str(tmp_path / "cold.json")],
-            ["--cache", str(tmp_path / "cache"),
-             "--out", str(tmp_path / "warm.json")],
-        ]
-        for extra in runs:
-            assert main(["bench", "--suite", "smoke", *FAST, *extra]) == 0
-            capsys.readouterr()
-            outs.append(work_bytes(load_baseline(extra[-1])))
-        assert outs[0] == outs[1] == outs[2] == outs[3]
 
     def test_committed_baseline_gate_passes_on_healthy_code(self, capsys):
         """`repro bench --gate` against the committed trajectory point:
@@ -172,7 +151,7 @@ class TestBenchProfile:
         rc = main(["bench", "--profile", "message_codec", "--profile-lines", "5"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "profile: bench 'message_codec' (micro)" in out
+        assert "profile: bench 'message_codec', one profiled call" in out
         assert "cumulative" in out  # the pstats table header
 
     def test_profile_unknown_bench_is_friendly(self, capsys):
@@ -244,7 +223,7 @@ class TestBenchRevision:
             pair = sum(1 for s, _, _ in calls if s == side) - 1
             best = (1.0 + pair / 100) * (b_factor if side == "b" else 1.0)
             result = BenchResult(
-                name="full_protocol", kind="micro",
+                name="full_protocol",
                 work={"events": 7}, timing={"best": best},
             )
             save_baseline(
@@ -305,3 +284,21 @@ class TestBenchRevision:
         assert main(["bench", "--compare", "HEAD"]) == 2
         assert "no git revision" in capsys.readouterr().err
         assert calls == []
+
+    def test_out_and_note_are_rejected(self, repo, monkeypatch, capsys):
+        """The paired runs record no baseline, so --out and --note would
+        be dropped silently: each is a usage error before any run."""
+        calls = self.fake_runs(monkeypatch, repo, b_factor=1.0)
+        for extra, named in (
+            (["--out", "BENCH_9999.json"], "--out"),
+            (["--note", "why"], "--note"),
+            (["--out", "x.json", "--note", "why"], "--out and --note"),
+        ):
+            assert main(["bench", "--compare", "HEAD", *extra]) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"bench: {named} ")
+            assert captured.out == ""
+        assert calls == []
+        assert not (repo / "BENCH_9999.json").exists()
+        assert len(_worktrees(repo)) == 1

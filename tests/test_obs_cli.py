@@ -158,19 +158,39 @@ class TestArtifactsUnchanged:
         traced = fingerprint("--trace-out", str(tmp_path / "t.jsonl"))
         assert plain == traced
 
-    def test_bench_trace_counters_do_not_scale_with_repeats(self, tmp_path):
-        def counters(path, repeats):
+    def test_bench_trace_records_each_workload_whatever_the_repeats(
+        self, tmp_path
+    ):
+        """One ``bench.workload`` leaf per smoke bench carries that
+        bench's work; repetition is telemetry-suspended, so the trace
+        is the same for any ``--repeats``."""
+        from repro.perf import load_baseline, suite_benches
+
+        def workloads(name, repeats):
+            out = tmp_path / f"{name}.json"
             assert main([
                 "bench", "--suite", "smoke", "--repeats", str(repeats),
-                "--warmup", "0", "--trace-out", str(path),
+                "--warmup", "0", "--out", str(out),
+                "--trace-out", str(tmp_path / f"{name}.jsonl"),
             ]) == 0
-            return [
-                d for d in obs.read_trace(path) if d["kind"] == "counter"
+            docs = obs.read_trace(tmp_path / f"{name}.jsonl")
+            leaves = [
+                d["attrs"] for d in docs
+                if d["kind"] == "span" and d["name"] == "bench.workload"
             ]
+            return leaves, load_baseline(out).work_section(), docs
 
-        once = counters(tmp_path / "r1.jsonl", 1)
-        twice = counters(tmp_path / "r2.jsonl", 2)
-        assert once == twice  # the timing pass is telemetry-suspended
+        once, work, docs_once = workloads("r1", 1)
+        twice, _, docs_twice = workloads("r2", 2)
+        assert [leaf["bench"] for leaf in once] == [
+            b.name for b in suite_benches("smoke")
+        ]
+        for leaf in once:
+            assert {k: v for k, v in leaf.items() if k != "bench"} == work[leaf["bench"]]
+        assert once == twice
+        assert [d for d in docs_once if d["kind"] == "counter"] == [
+            d for d in docs_twice if d["kind"] == "counter"
+        ]
 
 
 class TestExploreTrace:
@@ -192,7 +212,7 @@ class TestBenchProfileSpans:
     def test_profile_prints_span_summary(self, capsys):
         assert main(["bench", "--profile", "message_codec"]) == 0
         out = capsys.readouterr().out
-        assert "profile: bench 'message_codec' (micro)" in out
+        assert "profile: bench 'message_codec', one profiled call" in out
         assert "trace summary — command: bench --profile (full)" in out
         assert "bench.profile" in out
 
